@@ -21,7 +21,7 @@ from .agents import (
     train,
     value_iteration_oracle,
 )
-from .auv import AuvSpec, drag_force, drain_battery, move_energy, propulsion_power
+from .auv import AuvSpec, drag_force, move_energy, propulsion_power
 from .campaign import (
     AggregateResult,
     CampaignConfig,
@@ -59,7 +59,6 @@ from .env3d import (
     ACTIONS,
     EnvConfig,
     Environment,
-    NodeState,
     StateKey,
     StepOutcome,
     deploy,

@@ -1,7 +1,7 @@
-"""AUV motion energetics: drag, propulsion power, per-move energy, battery."""
+"""AUV motion energetics: drag, propulsion power, per-move energy."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .harvest import EnergyStore
 
@@ -72,12 +72,3 @@ def move_energy(spec: AuvSpec, from_point: Point, to_point: Point,
     if d == 0.0:
         return spec.hotel_load_w * dwell_s
     return (propulsion_power(spec) + spec.hotel_load_w) * d / spec.speed_mps
-
-
-def drain_battery(spec: AuvSpec, energy_j: float) -> tuple[AuvSpec, bool]:
-    """Drain the battery, flooring at zero; the flag reports depletion."""
-    if energy_j < 0:
-        raise ValueError(f"energy_j must be >= 0, got {energy_j}")
-    new_level = max(0.0, spec.battery.level_j - energy_j)
-    drained = replace(spec, battery=replace(spec.battery, level_j=new_level))
-    return drained, new_level == 0.0

@@ -309,11 +309,17 @@ def _build_cell_specs(config: CampaignConfig) -> list[_CellSpec]:
 
 
 def _worker_count() -> int:
+    """Worker processes from ``AQUASWIPT_THREADS`` (default 1)."""
     raw = os.environ.get("AQUASWIPT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"AQUASWIPT_THREADS must be an integer >= 1 (worker processes), got {raw!r}"
+        )
+    return workers
 
 
 def _execute_cells(specs: list[_CellSpec]) -> list[CellResult]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .agents import QTable, greedy_rollout
 from .campaign import (
+    _build_cell_specs,
     campaign_config_from_dict,
     campaign_config_to_dict,
     desk_campaign_config,
@@ -115,9 +116,8 @@ def _load_config(args):
 def _cmd_run(args) -> int:
     config = _load_config(args)
     if not args.quiet:
-        cells = (len(config.algorithms) * len(config.node_counts)
-                 + len(config.gamma_sweep)) * config.mc_runs
-        print(f"running campaign: ~{cells} cells -> {config.output_dir}")
+        print(f"running campaign: {len(_build_cell_specs(config))} cells "
+              f"-> {config.output_dir}")
     result = run_campaign(config, write=True)
     if not args.quiet:
         for cell in result.cells:

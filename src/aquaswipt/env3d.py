@@ -47,17 +47,6 @@ class StateKey(NamedTuple):
 
 
 @dataclass
-class NodeState:
-    """One sensor node: location, energy store, pending data, transducers."""
-
-    position: tuple[int, int, int]
-    store: EnergyStore
-    data_buffer_bits: float
-    modem: ModemSpec
-    harvest: HarvestSpec
-
-
-@dataclass
 class StepOutcome:
     next_state: StateKey
     reward: float
@@ -135,8 +124,20 @@ class EnvConfig:
             raise ValueError(
                 f"node_buffer_bits must be >= 0, got {self.node_buffer_bits}"
             )
+        if self.node_store_capacity_j <= 0:
+            raise ValueError(
+                f"node_store_capacity_j must be > 0, got {self.node_store_capacity_j}"
+            )
         if not 0.0 <= self.node_store_level_j <= self.node_store_capacity_j:
-            raise ValueError("node_store_level_j must be in [0, capacity]")
+            raise ValueError(
+                "node_store_level_j must be in [0, node_store_capacity_j], "
+                f"got {self.node_store_level_j}"
+            )
+        if not 0.0 < self.node_store_charge_efficiency <= 1.0:
+            raise ValueError(
+                "node_store_charge_efficiency must be in (0, 1], "
+                f"got {self.node_store_charge_efficiency}"
+            )
 
 
 class _PosLinks(NamedTuple):
@@ -154,7 +155,11 @@ class Environment:
     """Single-owner mutable simulation instance.
 
     Construction performs the node deployment; ``reset`` starts a fresh
-    episode without moving the nodes.
+    episode without moving the nodes. Node ``i`` is row ``i`` of
+    ``node_pos`` (float ``[N, 3]``) and entry ``i`` of the per-episode lists
+    ``store_level_j`` and ``buffer_bits``; the AUV battery level is the
+    float ``auv_battery_j``. Code that moves nodes must clear
+    ``_link_cache``.
     """
 
     def __init__(self, config: EnvConfig):
@@ -180,23 +185,7 @@ class Environment:
         positions = deploy_rng.integers(
             low=0, high=[l + 1, w + 1, h + 1], size=(count, 3)
         )
-
-        self._initial_store = EnergyStore(
-            capacity_j=config.node_store_capacity_j,
-            level_j=config.node_store_level_j,
-            charge_efficiency=config.node_store_charge_efficiency,
-        )
-        self.nodes = [
-            NodeState(
-                position=tuple(int(c) for c in positions[i]),
-                store=self._initial_store,
-                data_buffer_bits=config.node_buffer_bits,
-                modem=config.node_modem,
-                harvest=config.node_harvest,
-            )
-            for i in range(count)
-        ]
-        self._node_pos = positions.astype(float)
+        self.node_pos = positions.astype(float)
 
         self._auv_modem = config.auv_modem if config.auv_modem is not None else config.node_modem
         self._sl_node = source_level(config.node_modem)
@@ -260,21 +249,22 @@ class Environment:
         ``randomize_start`` draws a fresh surface column (x, y) from the
         seeded episode stream, otherwise the configured start is used.
         """
-        for node in self.nodes:
-            node.store = self._initial_store
-            node.data_buffer_bits = self.config.node_buffer_bits
-        self.auv_battery = self.config.auv.battery
+        cfg = self.config
+        n = len(self.node_pos)
+        self.store_level_j = [cfg.node_store_level_j] * n
+        self.buffer_bits = [cfg.node_buffer_bits] * n
+        self.auv_battery_j = cfg.auv.battery.level_j
         if randomize_start:
             l, w, _ = self.dims
             x = int(self._episode_rng.integers(0, l + 1))
             y = int(self._episode_rng.integers(0, w + 1))
-            self.auv_pos = (x, y, int(self.config.auv_start_z))
+            self.auv_pos = (x, y, int(cfg.auv_start_z))
         else:
             self.auv_pos = self._start_pos
         self.relay_buffer_bits = 0.0
         self.total_relayed_bits = 0.0
         self.total_collected_bits = 0.0
-        self.initial_buffer_bits = self.config.node_buffer_bits * len(self.nodes)
+        self.initial_buffer_bits = cfg.node_buffer_bits * n
         self.step_index = 0
         self.done = False
         return self.encode_state()
@@ -305,32 +295,30 @@ class Environment:
             # Clamped at the boundary: the vehicle idles but still pays
             # its hotel load for the step.
             e_move = cfg.auv.hotel_load_w * dt
-        new_level = max(0.0, self.auv_battery.level_j - e_move)
-        depleted = new_level == 0.0
-        self.auv_battery = dataclasses.replace(self.auv_battery, level_j=new_level)
+        self.auv_battery_j = max(0.0, self.auv_battery_j - e_move)
+        depleted = self.auv_battery_j == 0.0
         self.auv_pos = new
 
         links = self._links(new)
         covered = [int(i) for i in links.covered]
-        useful = any(
-            self.nodes[i].data_buffer_bits > 0 or not self.nodes[i].store.full
-            for i in covered
-        )
+        levels = self.store_level_j
+        buffers = self.buffer_bits
+        capacity = cfg.node_store_capacity_j
+        efficiency = cfg.node_store_charge_efficiency
+        split_ratio = cfg.node_harvest.split_ratio
+        useful = any(buffers[i] > 0 or levels[i] < capacity for i in covered)
 
         harvested_j = 0.0
         collected_bits = 0.0
         uplinking_nodes = 0
         for j, i in enumerate(covered):
-            node = self.nodes[i]
-            info_w, harv_w = split_power(
-                float(links.downlink_power_w[j]), node.harvest.split_ratio
-            )
-            node.store, accepted = charge(node.store, harv_w, dt)
+            info_w, harv_w = split_power(float(links.downlink_power_w[j]), split_ratio)
+            levels[i], accepted = charge(levels[i], capacity, efficiency, harv_w, dt)
             harvested_j += accepted
             # Decoding needs a non-zero information split.
-            if info_w > 0 and node.data_buffer_bits > 0:
-                take = min(node.data_buffer_bits, float(links.uplink_rate_bps[j]) * dt)
-                node.data_buffer_bits -= take
+            if info_w > 0 and buffers[i] > 0:
+                take = min(buffers[i], float(links.uplink_rate_bps[j]) * dt)
+                buffers[i] -= take
                 self.relay_buffer_bits += take
                 collected_bits += take
                 if take > 0:
@@ -370,13 +358,13 @@ class Environment:
 
     def encode_state(self) -> StateKey:
         links = self._links(self.auv_pos)
+        capacity = self.config.node_store_capacity_j
         with_data = 0
         undercharged = 0
         for i in links.covered:
-            node = self.nodes[i]
-            if node.data_buffer_bits > 0:
+            if self.buffer_bits[i] > 0:
                 with_data += 1
-            if not node.store.full:
+            if self.store_level_j[i] < capacity:
                 undercharged += 1
         return StateKey(
             *self.auv_pos,
@@ -392,7 +380,7 @@ class Environment:
         if cached is not None:
             return cached
         cfg = self.config
-        d = self._node_pos - np.asarray(pos, dtype=float)
+        d = self.node_pos - np.asarray(pos, dtype=float)
         dz = d[:, 2]
         horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
         in_cone = (dz >= 0) & (horiz2 <= (dz * self._tan_half) ** 2)
@@ -440,15 +428,17 @@ class Environment:
             "config": env_config_to_dict(self.config),
             "nodes": [
                 {
-                    "position": list(n.position),
-                    "store_level_j": n.store.level_j,
-                    "data_buffer_bits": n.data_buffer_bits,
+                    "position": [int(c) for c in pos],
+                    "store_level_j": level,
+                    "data_buffer_bits": bits,
                 }
-                for n in self.nodes
+                for pos, level, bits in zip(
+                    self.node_pos, self.store_level_j, self.buffer_bits
+                )
             ],
             "auv": {
                 "position": list(self.auv_pos),
-                "battery_level_j": self.auv_battery.level_j,
+                "battery_level_j": self.auv_battery_j,
                 "relay_buffer_bits": self.relay_buffer_bits,
                 "step_index": self.step_index,
                 "done": self.done,
@@ -459,23 +449,26 @@ class Environment:
     def from_snapshot(cls, snapshot: dict) -> "Environment":
         env = cls(env_config_from_dict(snapshot["config"]))
         nodes = snapshot["nodes"]
-        if len(nodes) != len(env.nodes):
+        if len(nodes) != len(env.node_pos):
             raise ValueError(
-                f"snapshot has {len(nodes)} nodes, deployment has {len(env.nodes)}"
+                f"snapshot has {len(nodes)} nodes, deployment has {len(env.node_pos)}"
             )
-        for node, rec in zip(env.nodes, nodes):
-            node.position = tuple(int(c) for c in rec["position"])
-            node.store = dataclasses.replace(
-                env._initial_store, level_j=float(rec["store_level_j"])
-            )
-            node.data_buffer_bits = float(rec["data_buffer_bits"])
-        env._node_pos = np.asarray([n.position for n in env.nodes], dtype=float)
-        env._link_cache.clear()
+        capacity = env.config.node_store_capacity_j
+        levels = [float(rec["store_level_j"]) for rec in nodes]
+        if not all(0.0 <= level <= capacity for level in levels):
+            raise ValueError("snapshot store_level_j must be in [0, node_store_capacity_j]")
         auv = snapshot["auv"]
-        env.auv_pos = tuple(int(c) for c in auv["position"])
-        env.auv_battery = dataclasses.replace(
-            env.auv_battery, level_j=float(auv["battery_level_j"])
+        battery_j = float(auv["battery_level_j"])
+        if not 0.0 <= battery_j <= env.config.auv.battery.capacity_j:
+            raise ValueError("snapshot battery_level_j must be in [0, battery capacity_j]")
+        env.node_pos = np.asarray(
+            [[int(c) for c in rec["position"]] for rec in nodes], dtype=float
         )
+        env._link_cache.clear()
+        env.store_level_j = levels
+        env.buffer_bits = [float(rec["data_buffer_bits"]) for rec in nodes]
+        env.auv_pos = tuple(int(c) for c in auv["position"])
+        env.auv_battery_j = battery_j
         env.relay_buffer_bits = float(auv["relay_buffer_bits"])
         env.step_index = int(auv["step_index"])
         env.done = bool(auv["done"])

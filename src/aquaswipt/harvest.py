@@ -2,11 +2,11 @@
 
 Converts a received SNR into an induced transducer voltage and harvestable
 electrical power, splits received power between information decoding and
-power transfer, and books harvested energy into a bounded store.
+power transfer, and books harvested energy into a bounded store level.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class HarvestSpec:
 
 @dataclass(frozen=True)
 class EnergyStore:
-    """Bounded energy reservoir (supercapacitor bank or battery)."""
+    """Bounded energy reservoir; the type of ``AuvSpec.battery``."""
 
     capacity_j: float
     level_j: float = 0.0
@@ -74,14 +74,6 @@ class EnergyStore:
             raise ValueError(
                 f"charge_efficiency must be in (0, 1], got {self.charge_efficiency}"
             )
-
-    @property
-    def headroom_j(self) -> float:
-        return self.capacity_j - self.level_j
-
-    @property
-    def full(self) -> bool:
-        return self.level_j >= self.capacity_j
 
 
 def induced_voltage(snr_db, spec: HarvestSpec):
@@ -136,16 +128,17 @@ def split_power(received_power_w: float, split_ratio: float) -> tuple[float, flo
     return info_w, harvest_w
 
 
-def charge(store: EnergyStore, harvest_w: float, duration_s: float) -> tuple[EnergyStore, float]:
-    """Charge the store from ``harvest_w`` watts over ``duration_s`` seconds.
+def charge(level_j: float, capacity_j: float, efficiency: float,
+           harvest_w: float, duration_s: float) -> tuple[float, float]:
+    """Charge a store at ``level_j`` from ``harvest_w`` watts over ``duration_s``.
 
-    Returns the updated store and the energy actually accepted (J); the
-    level never exceeds capacity.
+    ``efficiency`` scales the offered energy. Returns the new level and the
+    energy actually accepted (J); the level never exceeds ``capacity_j``.
     """
     if harvest_w < 0:
         raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    offered_j = harvest_w * duration_s * store.charge_efficiency
-    accepted_j = min(store.headroom_j, offered_j)
-    return replace(store, level_j=store.level_j + accepted_j), accepted_j
+    offered_j = harvest_w * duration_s * efficiency
+    accepted_j = min(capacity_j - level_j, offered_j)
+    return level_j + accepted_j, accepted_j

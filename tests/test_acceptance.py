@@ -384,15 +384,15 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             dt = env.config.step_duration_s
             eff = env.config.node_store_charge_efficiency
             env.reset(randomize_start=bool(rng.integers(2)))
-            battery_before = env.auv_battery.level_j
+            battery_before = env.auv_battery_j
             while True:
-                levels = [n.store.level_j for n in env.nodes]
+                levels = list(env.store_level_j)
                 out = env.step(int(rng.integers(6)))
                 steps_done += 1
                 links = env._links(env.auv_pos)
                 harvested = 0.0
                 for i, before in enumerate(levels):
-                    gained = env.nodes[i].store.level_j - before
+                    gained = env.store_level_j[i] - before
                     harvested += gained
                     if i in out.covered_nodes:
                         j = list(links.covered).index(i)
@@ -407,8 +407,8 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
                 x, y, z = env.auv_pos
                 dims = env.config.dims
                 assert 0 <= x <= dims[0] and 0 <= y <= dims[1] and 0 <= z <= dims[2]
-                assert env.auv_battery.level_j <= battery_before
-                battery_before = env.auv_battery.level_j
+                assert env.auv_battery_j <= battery_before
+                battery_before = env.auv_battery_j
                 if out.done:
                     break
         # Byte-identical campaign outputs for identical (config, seed).

@@ -287,8 +287,7 @@ def corridor_env():
         episode_length=12,
     )
     env = deploy(config)
-    env.nodes[0].position = (3, 0, 1)
-    env._node_pos = np.asarray([[3.0, 0.0, 1.0]])
+    env.node_pos = np.asarray([[3.0, 0.0, 1.0]])
     env._link_cache.clear()
     env.reset()
     return env

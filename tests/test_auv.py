@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from aquaswipt.auv import AuvSpec, drag_force, drain_battery, move_energy, propulsion_power
-from aquaswipt.harvest import EnergyStore
+from aquaswipt.auv import AuvSpec, drag_force, move_energy, propulsion_power
 
 
 def unit_spec(**kwargs):
@@ -96,44 +95,6 @@ def test_move_energy_triangle_inequality():
     for _ in range(100):
         a, b, c = (tuple(rng.uniform(0, 50, size=3)) for _ in range(3))
         assert move_energy(spec, a, c) <= move_energy(spec, a, b) + move_energy(spec, b, c) + 1e-9
-
-
-def test_drain_battery_partial():
-    spec = AuvSpec(battery=EnergyStore(capacity_j=100.0, level_j=100.0))
-    drained, depleted = drain_battery(spec, 30.0)
-    assert drained.battery.level_j == pytest.approx(70.0)
-    assert not depleted
-
-
-def test_drain_battery_exact_depletion():
-    spec = AuvSpec(battery=EnergyStore(capacity_j=100.0, level_j=10.0))
-    drained, depleted = drain_battery(spec, 10.0)
-    assert drained.battery.level_j == 0.0
-    assert depleted
-
-
-def test_drain_battery_floors_at_zero():
-    spec = AuvSpec(battery=EnergyStore(capacity_j=100.0, level_j=10.0))
-    drained, depleted = drain_battery(spec, 1e6)
-    assert drained.battery.level_j == 0.0
-    assert depleted
-
-
-def test_drain_battery_zero_is_identity():
-    spec = AuvSpec(battery=EnergyStore(capacity_j=100.0, level_j=42.0))
-    drained, depleted = drain_battery(spec, 0.0)
-    assert drained.battery.level_j == 42.0
-    assert not depleted
-
-
-def test_drain_battery_monotone_under_random_drains():
-    spec = AuvSpec(battery=EnergyStore(capacity_j=500.0, level_j=500.0))
-    rng = np.random.default_rng(9)
-    last = spec.battery.level_j
-    for _ in range(200):
-        spec, _ = drain_battery(spec, float(rng.uniform(0.0, 10.0)))
-        assert spec.battery.level_j <= last
-        last = spec.battery.level_j
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,10 @@ def test_worker_env_var_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("AQUASWIPT_THREADS", "2")
     run_campaign(tiny_campaign(out_b, node_counts=(4,), mc_runs=1), write=True)
     assert read_csvs(out_a) == read_csvs(out_b)
+    for bad in ("two", "0", "-1", "1.5"):
+        monkeypatch.setenv("AQUASWIPT_THREADS", bad)
+        with pytest.raises(ValueError, match="AQUASWIPT_THREADS"):
+            run_campaign(tiny_campaign(tmp_path / "bad", node_counts=(4,), mc_runs=1))
 
 
 def test_ee_ratio_column_present_for_learned_algos(tmp_path):

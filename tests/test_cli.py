@@ -34,6 +34,14 @@ def test_validate_rejects_bad_override(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_validate_rejects_bad_node_store(capsys):
+    assert main(["validate", "--set", "env.node_store_charge_efficiency=0"]) == 2
+    assert "node_store_charge_efficiency" in capsys.readouterr().err
+    assert main(["validate", "--set", "env.node_store_capacity_j=0",
+                 "--set", "env.node_store_level_j=0"]) == 2
+    assert "node_store_capacity_j" in capsys.readouterr().err
+
+
 def test_validate_rejects_malformed_set(capsys):
     assert main(["validate", "--set", "mc_runs"]) == 2
 
@@ -55,6 +63,24 @@ def test_run_tiny_campaign(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--quiet"]) == 0
     assert (tmp_path / "out" / "fig_throughput.csv").exists()
     assert (tmp_path / "out" / "run_manifest.json").exists()
+
+
+def test_run_prints_real_cell_count(tmp_path, capsys):
+    cfg = tiny_campaign(tmp_path / "out", gamma_sweep=(0.0, 0.5, 1.0))
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--runs", "1", "--algos", "random",
+                 "--nodes", "4", "--set", "gamma_mc_runs=3"]) == 0
+    # One main cell plus three gamma values times three runs.
+    assert "running campaign: 10 cells" in capsys.readouterr().out
+
+
+def test_run_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg = tiny_campaign(tmp_path / "out", algorithms=("random",),
+                        node_counts=(4,), mc_runs=1)
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setenv("AQUASWIPT_THREADS", "two")
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    assert "AQUASWIPT_THREADS" in capsys.readouterr().err
 
 
 def test_run_flag_overrides(tmp_path):

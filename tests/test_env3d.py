@@ -1,7 +1,6 @@
 """Environment tests: deployment determinism, cone coverage against a
 brute-force oracle, step accounting, reward branches, and serialization."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,20 +33,20 @@ def small_config(**kwargs):
 def test_deploy_is_deterministic():
     a = deploy(small_config(rng_seed=42))
     b = deploy(small_config(rng_seed=42))
-    assert [n.position for n in a.nodes] == [n.position for n in b.nodes]
+    assert a.node_pos.tolist() == b.node_pos.tolist()
 
 
 def test_deploy_seed_changes_layout():
     a = deploy(small_config(rng_seed=1))
     b = deploy(small_config(rng_seed=2))
-    assert [n.position for n in a.nodes] != [n.position for n in b.nodes]
+    assert a.node_pos.tolist() != b.node_pos.tolist()
 
 
 def test_deploy_count_and_bounds():
     env = deploy(EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0))
-    assert len(env.nodes) == 25
-    for node in env.nodes:
-        x, y, z = node.position
+    assert env.node_pos.shape == (25, 3)
+    assert np.array_equal(env.node_pos, np.floor(env.node_pos))
+    for x, y, z in env.node_pos:
         assert 0 <= x <= 100 and 0 <= y <= 100 and 0 <= z <= 50
 
 
@@ -56,7 +55,7 @@ def test_deploy_density_mean_matches_poisson_intensity():
     lam = 0.04  # expected count = 20
     counts = [
         len(deploy(EnvConfig(dims=dims, node_count=None, node_density=lam,
-                             rng_seed=seed)).nodes)
+                             rng_seed=seed)).node_pos)
         for seed in range(1000)
     ]
     expected = lam * dims[0] * dims[1] * dims[2]
@@ -72,6 +71,15 @@ def test_deploy_validates_node_choice():
         EnvConfig(node_count=0)
 
 
+def test_env_config_validates_node_store():
+    with pytest.raises(ValueError, match="node_store_charge_efficiency"):
+        EnvConfig(node_store_charge_efficiency=0.0)
+    with pytest.raises(ValueError, match="node_store_capacity_j"):
+        EnvConfig(node_store_capacity_j=0.0, node_store_level_j=0.0)
+    with pytest.raises(ValueError, match="node_store_level_j"):
+        EnvConfig(node_store_capacity_j=1.0, node_store_level_j=2.0)
+
+
 # ---------------------------------------------------------------------------
 # covered
 
@@ -83,9 +91,8 @@ def brute_force_covered(env):
     ax, ay, az = env.auv_pos
     half = math.radians(env.config.auv.cone_apex_angle_deg / 2.0)
     out = []
-    for i, node in enumerate(env.nodes):
-        dx, dy, dz = (node.position[0] - ax, node.position[1] - ay,
-                      node.position[2] - az)
+    for i, (nx, ny, nz) in enumerate(env.node_pos.tolist()):
+        dx, dy, dz = nx - ax, ny - ay, nz - az
         if dz < 0:
             continue
         if math.hypot(dx, dy) > dz * math.tan(half) + 1e-12:
@@ -99,8 +106,7 @@ def brute_force_covered(env):
 
 def test_covered_node_directly_below():
     env = deploy(small_config(node_count=1, rng_seed=3))
-    env.nodes[0].position = (10, 10, 7)
-    env._node_pos = np.asarray([[10.0, 10.0, 7.0]])
+    env.node_pos = np.asarray([[10.0, 10.0, 7.0]])
     env._link_cache.clear()
     env.auv_pos = (10, 10, 0)
     assert env.covered() == [0]
@@ -108,8 +114,7 @@ def test_covered_node_directly_below():
 
 def test_covered_node_above_is_not_covered():
     env = deploy(small_config(node_count=1, rng_seed=3))
-    env.nodes[0].position = (10, 10, 2)
-    env._node_pos = np.asarray([[10.0, 10.0, 2.0]])
+    env.node_pos = np.asarray([[10.0, 10.0, 2.0]])
     env._link_cache.clear()
     env.auv_pos = (10, 10, 6)
     assert env.covered() == []
@@ -118,9 +123,7 @@ def test_covered_node_above_is_not_covered():
 def test_covered_matches_brute_force_on_synthetic_layout():
     env = deploy(small_config(node_count=5, rng_seed=3))
     layout = [(10, 10, 9), (11, 10, 2), (3, 3, 9), (10, 12, 5), (10, 10, 0)]
-    for node, pos in zip(env.nodes, layout):
-        node.position = pos
-    env._node_pos = np.asarray(layout, dtype=float)
+    env.node_pos = np.asarray(layout, dtype=float)
     env._link_cache.clear()
     for auv_pos in [(10, 10, 0), (10, 10, 4), (3, 3, 0), (0, 0, 0), (10, 11, 3)]:
         env._link_cache.clear()
@@ -166,8 +169,7 @@ def test_step_motion_energy_unit_move():
 def test_step_no_coverage_reward_is_motion_penalty():
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.reset()
-    env.nodes[0].position = (0, 0, 10)
-    env._node_pos = np.asarray([[0.0, 0.0, 10.0]])
+    env.node_pos = np.asarray([[0.0, 0.0, 10.0]])
     env._link_cache.clear()
     env.auv_pos = (20, 20, 0)
     out = env.step(0)  # clamped at +x wall, far from the node
@@ -181,11 +183,10 @@ def test_step_saturated_and_empty_node_gives_penalty_only():
     env = deploy(small_config(node_count=1, rng_seed=5,
                               node_store_capacity_j=10.0, node_store_level_j=10.0))
     env.reset()
-    env.nodes[0].position = (10, 10, 8)
-    env._node_pos = np.asarray([[10.0, 10.0, 8.0]])
+    env.node_pos = np.asarray([[10.0, 10.0, 8.0]])
     env._link_cache.clear()
-    env.nodes[0].store = dataclasses.replace(env.nodes[0].store, level_j=10.0)
-    env.nodes[0].data_buffer_bits = 0.0
+    env.store_level_j[0] = 10.0
+    env.buffer_bits[0] = 0.0
     env.auv_pos = (10, 11, 0)
     out = env.step(3)  # -y onto the covering column
     assert out.covered_nodes == [0]
@@ -246,7 +247,7 @@ def test_done_on_battery_depletion():
         if out.done:
             break
     assert steps < 50
-    assert env.auv_battery.level_j == 0.0
+    assert env.auv_battery_j == 0.0
 
 
 def test_position_always_in_bounds_under_fuzz():
@@ -265,14 +266,14 @@ def test_step_conservation_invariants():
     for _ in range(6):
         env.reset(randomize_start=True)
         while True:
-            levels_before = [n.store.level_j for n in env.nodes]
+            levels_before = list(env.store_level_j)
             out = env.step(int(rng.integers(6)))
             dt = env.config.step_duration_s
             split = env.config.node_harvest.split_ratio
             eff = env.config.node_store_charge_efficiency
             links = env._links(env.auv_pos)
             for i, before in enumerate(levels_before):
-                gained = env.nodes[i].store.level_j - before
+                gained = env.store_level_j[i] - before
                 if i in out.covered_nodes:
                     j = list(links.covered).index(i)
                     cap = (1.0 - split) * float(links.downlink_power_w[j]) * dt * eff
@@ -307,8 +308,7 @@ def test_identical_seed_and_actions_reproduce_rewards():
 def test_encode_state_empty_coverage():
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.reset()
-    env.nodes[0].position = (0, 0, 10)
-    env._node_pos = np.asarray([[0.0, 0.0, 10.0]])
+    env.node_pos = np.asarray([[0.0, 0.0, 10.0]])
     env._link_cache.clear()
     env.auv_pos = (20, 20, 0)
     key = env.encode_state()
@@ -319,9 +319,7 @@ def test_encode_state_empty_coverage():
 def test_encode_state_clamps_counts_at_three():
     env = deploy(small_config(node_count=5, rng_seed=5))
     env.reset()
-    for node in env.nodes:
-        node.position = (10, 10, 9)
-    env._node_pos = np.asarray([[10.0, 10.0, 9.0]] * 5)
+    env.node_pos = np.asarray([[10.0, 10.0, 9.0]] * 5)
     env._link_cache.clear()
     env.auv_pos = (10, 10, 0)
     key = env.encode_state()
@@ -354,11 +352,11 @@ def test_reset_randomized_start_reproducible_across_deployments():
 
 def test_reset_does_not_move_nodes():
     env = deploy(small_config())
-    before = [n.position for n in env.nodes]
+    before = env.node_pos.tolist()
     env.reset(randomize_start=True)
     env.step(0)
     env.reset()
-    assert [n.position for n in env.nodes] == before
+    assert env.node_pos.tolist() == before
 
 
 def test_reset_restores_buffers_stores_battery():
@@ -367,10 +365,10 @@ def test_reset_restores_buffers_stores_battery():
     for _ in range(20):
         env.step(4)
     env.reset()
-    assert env.auv_battery.level_j == env.config.auv.battery.level_j
-    for node in env.nodes:
-        assert node.data_buffer_bits == env.config.node_buffer_bits
-        assert node.store.level_j == env.config.node_store_level_j
+    assert env.auv_battery_j == env.config.auv.battery.level_j
+    n = len(env.node_pos)
+    assert env.buffer_bits == [env.config.node_buffer_bits] * n
+    assert env.store_level_j == [env.config.node_store_level_j] * n
     assert env.relay_buffer_bits == 0.0
 
 
@@ -388,7 +386,10 @@ def test_snapshot_round_trip_preserves_state_and_dynamics():
     clone = Environment.from_snapshot(snap)
     assert clone.auv_pos == env.auv_pos
     assert clone.step_index == env.step_index
-    assert [n.position for n in clone.nodes] == [n.position for n in env.nodes]
+    assert clone.node_pos.tolist() == env.node_pos.tolist()
+    assert clone.store_level_j == env.store_level_j
+    assert clone.buffer_bits == env.buffer_bits
+    assert clone.auv_battery_j == env.auv_battery_j
     # Identical continuations from the restored state.
     for _ in range(10):
         a = int(rng.integers(6))
@@ -402,9 +403,23 @@ def test_snapshot_is_json_safe():
     import json
 
     env = deploy(small_config())
-    text = json.dumps(env.to_snapshot())
+    snap = env.to_snapshot()
+    assert all(type(c) is int for node in snap["nodes"] for c in node["position"])
+    text = json.dumps(snap)
     clone = Environment.from_snapshot(json.loads(text))
     assert clone.encode_state() == env.encode_state()
+
+
+def test_snapshot_rejects_out_of_range_levels():
+    env = deploy(small_config())
+    snap = env.to_snapshot()
+    snap["nodes"][0]["store_level_j"] = env.config.node_store_capacity_j * 2
+    with pytest.raises(ValueError, match="store_level_j"):
+        Environment.from_snapshot(snap)
+    snap = env.to_snapshot()
+    snap["auv"]["battery_level_j"] = -1.0
+    with pytest.raises(ValueError, match="battery_level_j"):
+        Environment.from_snapshot(snap)
 
 
 def test_env_config_dict_round_trip():

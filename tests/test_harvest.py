@@ -100,35 +100,41 @@ def test_split_power_conserves_exactly():
 
 
 def test_charge_saturated_store_accepts_nothing():
-    store = EnergyStore(capacity_j=10.0, level_j=10.0)
-    new, accepted = charge(store, 1.0, 5.0)
+    level, accepted = charge(10.0, 10.0, 1.0, 1.0, 5.0)
     assert accepted == 0.0
-    assert new.level_j == 10.0
+    assert level == 10.0
 
 
 def test_charge_arithmetic():
-    store = EnergyStore(capacity_j=10.0, level_j=0.0)
-    new, accepted = charge(store, 1.0, 5.0)
+    level, accepted = charge(0.0, 10.0, 1.0, 1.0, 5.0)
     assert accepted == pytest.approx(5.0)
-    assert new.level_j == pytest.approx(5.0)
+    assert level == pytest.approx(5.0)
 
 
 def test_charge_clamps_at_capacity():
-    store = EnergyStore(capacity_j=10.0, level_j=0.0)
-    new, accepted = charge(store, 1.0, 20.0)
+    level, accepted = charge(0.0, 10.0, 1.0, 1.0, 20.0)
     assert accepted == pytest.approx(10.0)
-    assert new.level_j == pytest.approx(10.0)
+    assert level == pytest.approx(10.0)
 
 
 def test_charge_never_decreases_or_overfills():
     rng = np.random.default_rng(19)
-    store = EnergyStore(capacity_j=25.0, level_j=3.0, charge_efficiency=0.8)
+    capacity = 25.0
+    level = 3.0
     for _ in range(200):
-        before = store.level_j
-        store, accepted = charge(store, float(rng.uniform(0, 2.0)), float(rng.uniform(0.1, 5.0)))
-        assert store.level_j >= before
-        assert store.level_j <= store.capacity_j
+        before = level
+        level, accepted = charge(level, capacity, 0.8, float(rng.uniform(0, 2.0)),
+                                 float(rng.uniform(0.1, 5.0)))
+        assert level >= before
+        assert level <= capacity
         assert accepted >= 0.0
+
+
+def test_charge_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        charge(0.0, 10.0, 1.0, -1.0, 5.0)
+    with pytest.raises(ValueError):
+        charge(0.0, 10.0, 1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize(
