@@ -6,6 +6,7 @@ interface as the 3D environment so the training loop runs on both.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,7 +58,10 @@ class LearnConfig:
 
 
 class QTable:
-    """State -> per-action value map; absent states read as the default."""
+    """State -> per-action value map; absent states read as the default.
+
+    Each row is a list of Python floats, one per action.
+    """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0):
         if n_actions < 1:
@@ -71,31 +75,31 @@ class QTable:
         row = self._table.get(state)
         if row is None:
             return np.full(self.n_actions, self.default_value)
-        return row.copy()
+        return np.array(row, dtype=float)
 
     def get(self, state, action: int) -> float:
         row = self._table.get(state)
-        return self.default_value if row is None else float(row[action])
+        return self.default_value if row is None else row[action]
 
     def set(self, state, action: int, value: float) -> None:
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"Q values must be finite, got {value}")
         row = self._table.get(state)
         if row is None:
-            row = np.full(self.n_actions, self.default_value)
+            row = [self.default_value] * self.n_actions
             self._table[state] = row
-        row[action] = value
+        row[action] = float(value)
 
     def best_action(self, state) -> int:
         """Greedy action; ties break to the lowest action index."""
         row = self._table.get(state)
         if row is None:
             return 0
-        return int(np.argmax(row))
+        return row.index(max(row))
 
     def best_value(self, state) -> float:
         row = self._table.get(state)
-        return self.default_value if row is None else float(row.max())
+        return self.default_value if row is None else max(row)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -105,7 +109,7 @@ class QTable:
         entries = []
         for key in sorted(self._table, key=lambda k: tuple(np.atleast_1d(k))):
             key_list = list(key) if isinstance(key, tuple) else [int(key)]
-            entries.append([key_list, [float(v) for v in self._table[key]]])
+            entries.append([key_list, list(self._table[key])])
         doc = {
             "n_actions": self.n_actions,
             "default_value": self.default_value,
@@ -116,12 +120,27 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> "QTable":
+        """Read a table written by ``save``.
+
+        Raises ``ValueError`` on a row whose length is not ``n_actions`` and
+        on a value or default that is not finite.
+        """
         with open(path) as fh:
             doc = json.load(fh)
         table = cls(n_actions=doc["n_actions"], default_value=doc["default_value"])
+        if not math.isfinite(table.default_value):
+            raise ValueError(f"Q-table default_value must be finite, got {table.default_value}")
         for key_list, values in doc["entries"]:
+            row = [float(v) for v in values]
+            if len(row) != table.n_actions:
+                raise ValueError(
+                    f"Q-table row for state {key_list} has {len(row)} values, "
+                    f"expected {table.n_actions}"
+                )
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"Q-table row for state {key_list} has a non-finite value")
             key = tuple(key_list) if len(key_list) > 1 else key_list[0]
-            table._table[key] = np.asarray(values, dtype=float)
+            table._table[key] = row
         return table
 
 
@@ -170,7 +189,7 @@ def select_action(q: QTable, state, epsilon: float, rng: np.random.Generator) ->
 def q_update(q: QTable, state, action: int, reward: float, next_state,
              cfg: LearnConfig) -> QTable:
     """Off-policy one-step update toward reward + discount * max_a' Q(s', a')."""
-    if not np.isfinite(reward):
+    if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     current = q.get(state, action)
     target = reward + cfg.discount * q.best_value(next_state)
@@ -181,7 +200,7 @@ def q_update(q: QTable, state, action: int, reward: float, next_state,
 def sarsa_update(q: QTable, state, action: int, reward: float, next_state,
                  next_action: int, cfg: LearnConfig) -> QTable:
     """On-policy one-step update toward reward + discount * Q(s', a')."""
-    if not np.isfinite(reward):
+    if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     current = q.get(state, action)
     target = reward + cfg.discount * q.get(next_state, next_action)

@@ -141,13 +141,17 @@ class EnvConfig:
 
 
 class _PosLinks(NamedTuple):
-    """Link-budget quantities that depend only on the AUV position."""
+    """Link-budget terms that depend only on the AUV position.
 
-    covered: np.ndarray          # indices of covered nodes
-    uplink_snr_db: np.ndarray
-    uplink_rate_bps: np.ndarray
-    downlink_power_w: np.ndarray
-    relay_rate_bps: float
+    ``nodes`` holds one ``(i, harvest_w, uplink_bits_per_step)`` triple per
+    covered node: the harvesting share of the received downlink power and
+    the bits its uplink can carry in one step, which is 0 when the
+    information share is 0 (decoding needs a non-zero information split).
+    """
+
+    covered: tuple[int, ...]     # indices of covered nodes, ascending
+    nodes: tuple[tuple[int, float, float], ...]
+    relay_bits_per_step: float
     gain_bin: int
 
 
@@ -160,6 +164,11 @@ class Environment:
     ``store_level_j`` and ``buffer_bits``; the AUV battery level is the
     float ``auv_battery_j``. Code that moves nodes must clear
     ``_link_cache``.
+
+    Node and AUV positions must be integer grid points: the node link
+    budget is tabulated once per environment over the integer squared
+    ranges ``0 .. L^2 + W^2 + H^2``, and ``_links`` raises ``ValueError``
+    on a squared range that is not an integer in that span.
     """
 
     def __init__(self, config: EnvConfig):
@@ -212,10 +221,12 @@ class Environment:
         dt = config.step_duration_s
         ref_snr_auv = self._sl_auv - transmission_loss_db(1.0, config.channel) - self._nl
         ref_snr_node = self._sl_node - transmission_loss_db(1.0, config.channel) - self._nl
+        # Every move is one grid unit long, so it always costs this much.
+        self._unit_move_j = move_energy(config.auv, (0, 0, 0), (1, 0, 0))
         self.motion_scale = (
             config.motion_scale
             if config.motion_scale is not None
-            else move_energy(config.auv, (0, 0, 0), (1, 0, 0))
+            else self._unit_move_j
         )
         self.throughput_scale = (
             config.throughput_scale
@@ -233,6 +244,18 @@ class Environment:
         diag = math.sqrt(l * l + w * w + h * h)
         snr_far = self._sl_node - transmission_loss_db(max(1.0, diag), config.channel) - self._nl
         self._gain_edges = np.linspace(snr_far, ref_snr_node, 5)[1:4]
+
+        # Node link budget at range max(1, sqrt(d2)) for every integer squared
+        # range d2 a pair of grid points in the box can have.
+        d2 = np.arange(l * l + w * w + h * h + 1, dtype=float)
+        loss = transmission_loss_db(np.maximum(1.0, np.sqrt(d2)), config.channel)
+        self._uplink_snr_db = self._sl_node - loss - self._nl
+        self._uplink_rate_bps = shannon_throughput_bps(
+            self._uplink_snr_db, config.channel, config.node_modem.min_snr_db
+        )
+        self._downlink_power_w = harvestable_power(
+            self._sl_auv - loss - self._nl, config.node_harvest
+        )
 
         self._link_cache: dict[tuple[int, int, int], _PosLinks] = {}
         self.reset(randomize_start=False)
@@ -271,7 +294,7 @@ class Environment:
 
     def covered(self) -> list[int]:
         """Indices of nodes inside the coverage cone with a usable uplink."""
-        return [int(i) for i in self._links(self.auv_pos).covered]
+        return list(self._links(self.auv_pos).covered)
 
     def step(self, action: int) -> StepOutcome:
         """Apply one unit move and resolve power transfer and data relay."""
@@ -290,7 +313,7 @@ class Environment:
             min(max(old[2] + delta[2], 0), self.dims[2]),
         )
         if new != old:
-            e_move = move_energy(cfg.auv, old, new)
+            e_move = self._unit_move_j
         else:
             # Clamped at the boundary: the vehicle idles but still pays
             # its hotel load for the step.
@@ -300,37 +323,37 @@ class Environment:
         self.auv_pos = new
 
         links = self._links(new)
-        covered = [int(i) for i in links.covered]
         levels = self.store_level_j
         buffers = self.buffer_bits
         capacity = cfg.node_store_capacity_j
         efficiency = cfg.node_store_charge_efficiency
-        split_ratio = cfg.node_harvest.split_ratio
-        useful = any(buffers[i] > 0 or levels[i] < capacity for i in covered)
 
+        useful = False
         harvested_j = 0.0
         collected_bits = 0.0
+        relay_buffer = self.relay_buffer_bits
         uplinking_nodes = 0
-        for j, i in enumerate(covered):
-            info_w, harv_w = split_power(float(links.downlink_power_w[j]), split_ratio)
-            levels[i], accepted = charge(levels[i], capacity, efficiency, harv_w, dt)
+        for i, harvest_w, uplink_bits in links.nodes:
+            # A node only changes its own entries, so testing it before
+            # booking it tests the state the step started from.
+            if buffers[i] > 0 or levels[i] < capacity:
+                useful = True
+            levels[i], accepted = charge(levels[i], capacity, efficiency, harvest_w, dt)
             harvested_j += accepted
-            # Decoding needs a non-zero information split.
-            if info_w > 0 and buffers[i] > 0:
-                take = min(buffers[i], float(links.uplink_rate_bps[j]) * dt)
+            if uplink_bits > 0 and buffers[i] > 0:
+                take = min(buffers[i], uplink_bits)
                 buffers[i] -= take
-                self.relay_buffer_bits += take
+                relay_buffer += take
                 collected_bits += take
-                if take > 0:
-                    uplinking_nodes += 1
+                uplinking_nodes += 1
 
-        relayed_bits = min(self.relay_buffer_bits, links.relay_rate_bps * dt)
-        self.relay_buffer_bits -= relayed_bits
+        relayed_bits = min(relay_buffer, links.relay_bits_per_step)
+        self.relay_buffer_bits = relay_buffer - relayed_bits
         self.total_relayed_bits += relayed_bits
         self.total_collected_bits += collected_bits
 
         transmit_energy_j = uplinking_nodes * cfg.node_modem.electrical_power_w * dt
-        if covered:
+        if links.covered:
             transmit_energy_j += self._auv_modem.electrical_power_w * dt
 
         if useful:
@@ -344,7 +367,7 @@ class Environment:
         self.step_index += 1
         self.done = depleted or self.step_index >= cfg.episode_length
         return StepOutcome(
-            next_state=self.encode_state(),
+            next_state=self._state(links),
             reward=reward,
             reward_throughput_term=tput_term,
             reward_harvest_term=harv_term,
@@ -352,26 +375,27 @@ class Environment:
             harvested_j=harvested_j,
             motion_energy_j=e_move,
             transmit_energy_j=transmit_energy_j,
-            covered_nodes=covered,
+            covered_nodes=list(links.covered),
             done=self.done,
         )
 
     def encode_state(self) -> StateKey:
-        links = self._links(self.auv_pos)
+        return self._state(self._links(self.auv_pos))
+
+    def _state(self, links: _PosLinks) -> StateKey:
+        """State at the AUV position, whose links are ``links``."""
         capacity = self.config.node_store_capacity_j
+        buffers = self.buffer_bits
+        levels = self.store_level_j
         with_data = 0
         undercharged = 0
         for i in links.covered:
-            if self.buffer_bits[i] > 0:
+            if buffers[i] > 0:
                 with_data += 1
-            if self.store_level_j[i] < capacity:
+            if levels[i] < capacity:
                 undercharged += 1
-        return StateKey(
-            *self.auv_pos,
-            covered_with_data=min(3, with_data),
-            covered_undercharged=min(3, undercharged),
-            gain_bin=links.gain_bin,
-        )
+        x, y, z = self.auv_pos
+        return StateKey(x, y, z, min(3, with_data), min(3, undercharged), links.gain_bin)
 
     # ------------------------------------------------------------------
 
@@ -384,15 +408,27 @@ class Environment:
         dz = d[:, 2]
         horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
         in_cone = (dz >= 0) & (horiz2 <= (dz * self._tan_half) ** 2)
-        ranges = np.maximum(1.0, np.sqrt(horiz2 + dz * dz))
-        uplink_snr = self._sl_node - transmission_loss_db(ranges, cfg.channel) - self._nl
-        mask = in_cone & (uplink_snr >= cfg.node_modem.min_snr_db)
-        idx = np.nonzero(mask)[0]
+        d2 = horiz2 + dz * dz
+        d2_index = d2.astype(np.intp)
+        if not np.array_equal(d2_index, d2) or d2_index.max() >= len(self._uplink_snr_db):
+            raise ValueError(
+                f"squared ranges from AUV position {pos} to the nodes must be "
+                "integers within the box; node positions must be grid points"
+            )
+        uplink_snr = self._uplink_snr_db[d2_index]
+        idx = np.nonzero(in_cone & (uplink_snr >= cfg.node_modem.min_snr_db))[0]
+        covered_d2 = d2_index[idx]
 
-        up_snr = uplink_snr[idx]
-        up_rate = shannon_throughput_bps(up_snr, cfg.channel, cfg.node_modem.min_snr_db)
-        down_snr = self._sl_auv - transmission_loss_db(ranges[idx], cfg.channel) - self._nl
-        down_power = harvestable_power(down_snr, cfg.node_harvest)
+        split_ratio = cfg.node_harvest.split_ratio
+        dt = cfg.step_duration_s
+        nodes = []
+        for i, power_w, rate_bps in zip(
+            idx.tolist(),
+            self._downlink_power_w[covered_d2].tolist(),
+            self._uplink_rate_bps[covered_d2].tolist(),
+        ):
+            info_w, harvest_w = split_power(power_w, split_ratio)
+            nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
 
         relay_range = max(1.0, math.dist(pos, self._surface_station))
         relay_snr = self._sl_auv - transmission_loss_db(relay_range, cfg.channel) - self._nl
@@ -401,15 +437,13 @@ class Environment:
         )
 
         if idx.size:
-            gain_bin = int(np.searchsorted(self._gain_edges, float(np.mean(up_snr))))
+            gain_bin = int(np.searchsorted(self._gain_edges, float(np.mean(uplink_snr[idx]))))
         else:
             gain_bin = 0
         links = _PosLinks(
-            covered=idx,
-            uplink_snr_db=np.atleast_1d(up_snr),
-            uplink_rate_bps=np.atleast_1d(up_rate),
-            downlink_power_w=np.atleast_1d(down_power),
-            relay_rate_bps=float(relay_rate),
+            covered=tuple(idx.tolist()),
+            nodes=tuple(nodes),
+            relay_bits_per_step=float(relay_rate) * dt,
             gain_bin=gain_bin,
         )
         self._link_cache[pos] = links
@@ -422,7 +456,10 @@ class Environment:
 
         Schema: ``config`` (the full EnvConfig as nested dicts), ``nodes``
         (list of {position, store_level_j, data_buffer_bits}), and ``auv``
-        ({position, battery_level_j, relay_buffer_bits, step_index, done}).
+        ({position, battery_level_j, relay_buffer_bits, total_relayed_bits,
+        total_collected_bits, step_index, done}). A snapshot without the two
+        totals loads with nothing relayed and the relay buffer as the bits
+        collected so far.
         """
         return {
             "config": env_config_to_dict(self.config),
@@ -440,6 +477,8 @@ class Environment:
                 "position": list(self.auv_pos),
                 "battery_level_j": self.auv_battery_j,
                 "relay_buffer_bits": self.relay_buffer_bits,
+                "total_relayed_bits": self.total_relayed_bits,
+                "total_collected_bits": self.total_collected_bits,
                 "step_index": self.step_index,
                 "done": self.done,
             },
@@ -470,6 +509,10 @@ class Environment:
         env.auv_pos = tuple(int(c) for c in auv["position"])
         env.auv_battery_j = battery_j
         env.relay_buffer_bits = float(auv["relay_buffer_bits"])
+        env.total_relayed_bits = float(auv.get("total_relayed_bits", 0.0))
+        env.total_collected_bits = float(
+            auv.get("total_collected_bits", env.relay_buffer_bits)
+        )
         env.step_index = int(auv["step_index"])
         env.done = bool(auv["done"])
         return env

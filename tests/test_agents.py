@@ -1,6 +1,8 @@
 """Agent tests: selection, updates, training loops, rollouts, and the
 value-iteration oracle on hand-solvable MDPs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,25 @@ def test_qtable_save_load_round_trip(tmp_path):
     assert loaded.get((1, 2, 3, 0, 0, 1), 2) == 4.5
     assert loaded.get((0, 0, 0, 0, 0, 0), 0) == -1.25
     assert loaded.get((9, 9, 9, 0, 0, 0), 5) == 0.0
+
+
+def test_qtable_load_rejects_bad_rows(tmp_path):
+    q = QTable(n_actions=6)
+    q.set((1, 2, 3, 0, 0, 1), 2, 4.5)
+    path = tmp_path / "table.json"
+    q.save(path)
+    good = json.loads(path.read_text())
+    short = json.loads(path.read_text())
+    short["entries"][0][1] = short["entries"][0][1][:5]
+    path.write_text(json.dumps(short))
+    with pytest.raises(ValueError, match="has 5 values"):
+        QTable.load(path)
+    for bad in (float("nan"), float("inf")):
+        doc = json.loads(json.dumps(good))
+        doc["entries"][0][1][3] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="non-finite"):
+            QTable.load(path)
 
 
 def test_qtable_rejects_nonfinite():

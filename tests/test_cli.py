@@ -1,8 +1,12 @@
 """CLI tests: verbs, overrides, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import aquaswipt
 
 from aquaswipt.agents import Algorithm, LearnConfig, train
 from aquaswipt.auv import AuvSpec
@@ -163,15 +167,31 @@ def test_replay_round_trip(tmp_path, capsys):
     assert "bits relayed" in capsys.readouterr().out
 
 
+def test_replay_rejects_bad_qtable(tmp_path, capsys):
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(env.to_snapshot()))
+    qtable_path = tmp_path / "table.json"
+    doc = {"n_actions": 6, "default_value": 0.0,
+           "entries": [[[3, 3, 0, 0, 0, 0], [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]]]}
+    qtable_path.write_text(json.dumps(doc))
+    assert main(["replay", "--qtable", str(qtable_path),
+                 "--snapshot", str(snapshot_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_replay_missing_artifacts(tmp_path):
     assert main(["replay", "--qtable", str(tmp_path / "no.json"),
                  "--snapshot", str(tmp_path / "no2.json")]) == 3
 
 
 def test_console_entry_point_runs():
+    # The child process imports the same package as this one, installed or not.
+    package_root = str(Path(aquaswipt.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "aquaswipt.cli", "validate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "config OK" in proc.stdout

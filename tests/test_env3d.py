@@ -104,6 +104,18 @@ def brute_force_covered(env):
     return out
 
 
+def downlink_power_w(env, i):
+    """Harvestable power reaching node ``i`` from the AUV, scalar math only."""
+    from aquaswipt.channel import received_snr_db
+    from aquaswipt.harvest import harvestable_power
+
+    cfg = env.config
+    auv_modem = cfg.auv_modem if cfg.auv_modem is not None else cfg.node_modem
+    rng_m = max(1.0, math.dist(env.node_pos[i].tolist(), env.auv_pos))
+    return harvestable_power(received_snr_db(auv_modem, rng_m, cfg.channel),
+                             cfg.node_harvest)
+
+
 def test_covered_node_directly_below():
     env = deploy(small_config(node_count=1, rng_seed=3))
     env.node_pos = np.asarray([[10.0, 10.0, 7.0]])
@@ -138,6 +150,98 @@ def test_covered_matches_brute_force_on_random_layouts():
         env.auv_pos = tuple(int(v) for v in rng.integers(0, [21, 21, 11]))
         env._link_cache.clear()
         assert env.covered() == brute_force_covered(env)
+
+
+def reference_links(env, pos):
+    """The link terms at ``pos`` from the channel and harvest models, plus
+    the number of nodes in the cone before the SNR floor.
+
+    The link budget is evaluated over arrays of node ranges, as the models
+    define it: numpy's vectorised power can differ from its scalar form in
+    the last bit.
+    """
+    from aquaswipt.channel import (
+        noise_level_db,
+        shannon_throughput_bps,
+        source_level,
+        transmission_loss_db,
+    )
+    from aquaswipt.harvest import harvestable_power, split_power
+
+    cfg = env.config
+    auv_modem = cfg.auv_modem if cfg.auv_modem is not None else cfg.node_modem
+    nl = noise_level_db(cfg.channel)
+    dt = cfg.step_duration_s
+    tan_half = math.tan(math.radians(cfg.auv.cone_apex_angle_deg / 2.0))
+    dist = np.maximum(1.0, np.sqrt(((env.node_pos - np.asarray(pos, float)) ** 2).sum(axis=1)))
+    up_snr = source_level(cfg.node_modem) - transmission_loss_db(dist, cfg.channel) - nl
+    in_cone = []
+    for i, (nx, ny, nz) in enumerate(env.node_pos.tolist()):
+        dx, dy, dz = nx - pos[0], ny - pos[1], nz - pos[2]
+        reach = dz * tan_half
+        if dz >= 0 and dx * dx + dy * dy <= reach * reach:
+            in_cone.append(i)
+    covered = [i for i in in_cone if up_snr[i] >= cfg.node_modem.min_snr_db]
+    idx = np.asarray(covered, dtype=int)
+    rate = shannon_throughput_bps(up_snr[idx], cfg.channel, cfg.node_modem.min_snr_db)
+    down_snr = source_level(auv_modem) - transmission_loss_db(dist[idx], cfg.channel) - nl
+    power = harvestable_power(down_snr, cfg.node_harvest)
+    nodes = []
+    for i, power_w, rate_bps in zip(covered, power.tolist(), rate.tolist()):
+        info_w, harvest_w = split_power(power_w, cfg.node_harvest.split_ratio)
+        nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
+
+    l, w, _ = cfg.dims
+    sx, sy = cfg.surface_station_xy or (l / 2.0, w / 2.0)
+    relay_range = max(1.0, math.dist(pos, (sx, sy, 0.0)))
+    relay_snr = source_level(auv_modem) - transmission_loss_db(relay_range, cfg.channel) - nl
+    relay_bps = shannon_throughput_bps(relay_snr, cfg.channel, auv_modem.min_snr_db)
+    mean_snr = float(np.mean(up_snr[idx])) if covered else None
+    gain_bin = 0 if mean_snr is None else sum(e < mean_snr for e in env._gain_edges)
+    return tuple(covered), tuple(nodes), relay_bps * dt, gain_bin, len(in_cone)
+
+
+def test_link_table_matches_reference_over_every_position():
+    from aquaswipt.channel import received_snr_db
+
+    cut_snr = received_snr_db(ModemSpec(), 3.0, ChannelParams())
+    configs = [
+        # Odd dims put the surface station at x.5; the SNR floor drops the
+        # nodes beyond 3 m, and the AUV modem shares it for the relay.
+        small_config(dims=(7, 5, 3), node_count=30, rng_seed=1,
+                     node_modem=ModemSpec(min_snr_db=cut_snr)),
+        small_config(dims=(6, 4, 5), node_count=30, rng_seed=2, step_duration_s=0.5,
+                     channel=ChannelParams(noise_override_db=90.0),
+                     node_harvest=HarvestSpec(split_ratio=0.0)),
+        small_config(dims=(5, 7, 4), node_count=30, rng_seed=3, step_duration_s=2.5,
+                     node_harvest=HarvestSpec(split_ratio=1.0)),
+    ]
+    for cfg in configs:
+        env = deploy(cfg)
+        l, w, h = cfg.dims
+        seen = dropped = 0
+        for pos in np.ndindex(l + 1, w + 1, h + 1):
+            pos = tuple(int(c) for c in pos)
+            links = env._links(pos)
+            covered, nodes, relay_bits, gain_bin, n_in_cone = reference_links(env, pos)
+            assert links.covered == covered, (cfg.dims, pos)
+            assert links.nodes == nodes, (cfg.dims, pos)
+            assert links.relay_bits_per_step == relay_bits, (cfg.dims, pos)
+            assert links.gain_bin == gain_bin, (cfg.dims, pos)
+            seen += len(covered)
+            dropped += n_in_cone - len(covered)
+        assert seen > 0
+        if cfg.node_modem.min_snr_db > 0:
+            assert dropped > 0
+
+
+def test_links_reject_off_grid_node():
+    env = deploy(small_config(node_count=3, rng_seed=4))
+    for off_grid in ([10.5, 10.0, 5.0], [10.0, 10.0, 500.0]):
+        env.node_pos[1] = off_grid
+        env._link_cache.clear()
+        with pytest.raises(ValueError, match="grid points"):
+            env._links((10, 10, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +375,10 @@ def test_step_conservation_invariants():
             dt = env.config.step_duration_s
             split = env.config.node_harvest.split_ratio
             eff = env.config.node_store_charge_efficiency
-            links = env._links(env.auv_pos)
             for i, before in enumerate(levels_before):
                 gained = env.store_level_j[i] - before
                 if i in out.covered_nodes:
-                    j = list(links.covered).index(i)
-                    cap = (1.0 - split) * float(links.downlink_power_w[j]) * dt * eff
+                    cap = (1.0 - split) * downlink_power_w(env, i) * dt * eff
                     assert 0.0 <= gained <= cap + 1e-12
                 else:
                     assert gained == 0.0
@@ -397,6 +499,17 @@ def test_snapshot_round_trip_preserves_state_and_dynamics():
         out_b = clone.step(a)
         assert out_b.reward == pytest.approx(out_a.reward, rel=0, abs=0)
         assert out_b.next_state == out_a.next_state
+    assert clone.total_relayed_bits == env.total_relayed_bits
+    assert clone.total_collected_bits == env.total_collected_bits
+
+
+def test_snapshot_without_totals_counts_relay_buffer_as_collected():
+    snap = deploy(small_config(rng_seed=8)).to_snapshot()
+    del snap["auv"]["total_relayed_bits"], snap["auv"]["total_collected_bits"]
+    snap["auv"]["relay_buffer_bits"] = 1234.5
+    clone = Environment.from_snapshot(snap)
+    assert clone.total_relayed_bits == 0.0
+    assert clone.total_collected_bits == 1234.5
 
 
 def test_snapshot_is_json_safe():
