@@ -26,12 +26,10 @@ from .campaign import (
     AggregateResult,
     CampaignConfig,
     actions_to_target,
-    campaign_config_from_dict,
     campaign_config_to_dict,
     desk_campaign_config,
     emit_datasets,
     energy_efficiency,
-    gamma_sweep_report,
     run_campaign,
     run_coverage,
 )
@@ -61,12 +59,11 @@ from .env3d import (
     Environment,
     StateKey,
     StepOutcome,
+    config_from_dict,
     deploy,
-    env_config_from_dict,
     env_config_to_dict,
 )
 from .harvest import (
-    EnergyStore,
     HarvestSpec,
     charge,
     harvestable_power,

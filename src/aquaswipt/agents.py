@@ -23,12 +23,7 @@ class Algorithm(str, Enum):
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Training hyper-parameters.
-
-    ``replay_memory_size`` and ``batch_size`` are accepted for config
-    parity but are inert: the tabular updates consume transitions one at
-    a time.
-    """
+    """Training hyper-parameters."""
 
     learning_rate: float = 0.75
     discount: float = 0.99
@@ -39,8 +34,6 @@ class LearnConfig:
     seed: int = 0
     randomize_start: bool = True
     optimistic_init: float = 0.0
-    replay_memory_size: int = 1000
-    batch_size: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -55,6 +48,8 @@ class LearnConfig:
             raise ValueError("epsilon_min must be <= epsilon_start")
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        if not math.isfinite(self.optimistic_init):
+            raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init}")
 
 
 class QTable:

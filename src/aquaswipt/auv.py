@@ -1,9 +1,7 @@
 """AUV motion energetics: drag, propulsion power, per-move energy."""
 
 import math
-from dataclasses import dataclass, field
-
-from .harvest import EnergyStore
+from dataclasses import dataclass
 
 Point = tuple[float, float, float]
 
@@ -23,14 +21,13 @@ class AuvSpec:
     motor_efficiency: float = 0.7
     speed_mps: float = 2.0
     hotel_load_w: float = 20.0
-    battery: EnergyStore = field(
-        default_factory=lambda: EnergyStore(capacity_j=5e5, level_j=5e5)
-    )
+    battery_capacity_j: float = 5e5
+    battery_level_j: float = 5e5
     cone_apex_angle_deg: float = 60.0
 
     def __post_init__(self):
         for name in ("drag_coefficient", "frontal_area_m2", "water_density_kgm3",
-                     "speed_mps"):
+                     "speed_mps", "battery_capacity_j"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.motor_efficiency <= 1.0:
@@ -39,6 +36,11 @@ class AuvSpec:
             )
         if self.hotel_load_w < 0:
             raise ValueError(f"hotel_load_w must be >= 0, got {self.hotel_load_w}")
+        if not 0.0 <= self.battery_level_j <= self.battery_capacity_j:
+            raise ValueError(
+                "battery_level_j must be in [0, battery_capacity_j], "
+                f"got {self.battery_level_j}"
+            )
         if not 0.0 < self.cone_apex_angle_deg < 180.0:
             raise ValueError(
                 f"cone_apex_angle_deg must be in (0, 180), got {self.cone_apex_angle_deg}"

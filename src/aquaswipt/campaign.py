@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,8 +33,8 @@ from .agents import (
     train,
 )
 from .auv import AuvSpec, move_energy
-from .coverage import SweepRow, coverage_sweep, sweep_to_csv
-from .env3d import Environment, EnvConfig, env_config_from_dict, env_config_to_dict
+from .coverage import SweepRow, coverage_sweep
+from .env3d import Environment, EnvConfig
 
 DATASET_FILES = (
     "fig_coverage.csv",
@@ -92,6 +93,17 @@ class CampaignConfig:
                 raise ValueError(f"{name} entries must be > 0")
         if self.gamma_mc_runs is not None and self.gamma_mc_runs < 1:
             raise ValueError(f"gamma_mc_runs must be >= 1, got {self.gamma_mc_runs}")
+        for name, least in (("gamma_node_count", 1), ("coverage_trials", 100),
+                            ("coverage_volume_samples", 1000)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        dims = self.coverage_dims
+        if dims is not None and (len(dims) != 3 or any(int(d) != d or d < 1 for d in dims)):
+            raise ValueError(f"coverage_dims must be three positive integers, got {dims}")
+        if any(len(start) != 2 for start in self.coverage_starts or ()):
+            raise ValueError(
+                f"coverage_starts entries must be (x, y) pairs, got {self.coverage_starts}"
+            )
 
 
 def desk_campaign_config(**overrides) -> CampaignConfig:
@@ -518,15 +530,6 @@ def run_campaign(config: CampaignConfig, write: bool = True) -> AggregateResult:
     return aggregate
 
 
-def gamma_sweep_report(config: CampaignConfig) -> list[GammaRow]:
-    """Converged reward decomposition per swept gamma value."""
-    if not config.gamma_sweep:
-        raise ValueError("gamma_sweep must be non-empty")
-    specs = [s for s in _build_cell_specs(config) if s.kind == "gamma"]
-    results = _execute_cells(specs)
-    return _aggregate(config, results).gamma_rows
-
-
 # ---------------------------------------------------------------------------
 # Emission
 
@@ -534,14 +537,13 @@ def gamma_sweep_report(config: CampaignConfig) -> list[GammaRow]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one dataset: floats as ``repr``, None as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -558,11 +560,11 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     paths = []
 
     p = out / "fig_coverage.csv"
-    sweep_to_csv(result.coverage_rows, p)
+    write_csv(p, SweepRow._fields, result.coverage_rows)
     paths.append(p)
 
     p = out / "fig_gamma.csv"
-    _write_csv(
+    write_csv(
         p,
         ["gamma", "runs", "reward_mean", "throughput_term_mean",
          "harvest_term_mean", "motion_term_mean"],
@@ -572,7 +574,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     paths.append(p)
 
     p = out / "fig_throughput.csv"
-    _write_csv(
+    write_csv(
         p,
         ["algorithm", "node_count", "throughput_mean_bits",
          "throughput_min_bits", "throughput_max_bits", "runs"],
@@ -587,7 +589,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
         for t in c.actions_throughput:
             rows.append([c.algorithm, c.node_count, t.target, t.mean_actions,
                          t.reached_runs > 0, t.reached_runs, t.total_runs])
-    _write_csv(
+    write_csv(
         p,
         ["algorithm", "node_count", "target_bits", "mean_actions", "reached",
          "reached_runs", "total_runs"],
@@ -596,7 +598,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     paths.append(p)
 
     p = out / "fig_ee.csv"
-    _write_csv(
+    write_csv(
         p,
         ["algorithm", "node_count", "ee_mean_bits_per_j", "ee_ratio_vs_random"],
         [[c.algorithm, c.node_count, c.ee_mean, c.ee_ratio_vs_random]
@@ -605,7 +607,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     paths.append(p)
 
     p = out / "fig_harvest.csv"
-    _write_csv(
+    write_csv(
         p,
         ["algorithm", "node_count", "harvested_mean_j", "harvested_min_j",
          "harvested_max_j", "runs"],
@@ -620,7 +622,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
         for t in c.actions_harvest:
             rows.append([c.algorithm, c.node_count, t.target, t.mean_actions,
                          t.reached_runs > 0, t.reached_runs, t.total_runs])
-    _write_csv(
+    write_csv(
         p,
         ["algorithm", "node_count", "target_j", "mean_actions", "reached",
          "reached_runs", "total_runs"],
@@ -630,7 +632,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
 
     p = out / "run_manifest.json"
     manifest = {
-        "schema": 1,
+        "schema": 2,
         "config": campaign_config_to_dict(result.config),
         "seeds": dict(sorted(result.cell_seeds.items())),
         "versions": {
@@ -654,9 +656,10 @@ _DATASET_README = """\
 # Campaign datasets
 
 All CSVs are emitted deterministically: identical (config, seed) pairs
-reproduce byte-identical files. `run_manifest.json` echoes the full config
-(reusable via `aquaswipt run --config run_manifest.json`), the derived seed
-of every cell, and tool versions.
+reproduce byte-identical files. `run_manifest.json` (schema 2) echoes the
+full config (reusable via `aquaswipt run --config run_manifest.json`), the
+derived seed of every cell, and tool versions. A schema-1 manifest that
+carries a field schema 2 dropped is rejected with that field's name.
 
 - `fig_coverage.csv`: start_x, start_y, n, k, p_analytic, p_empirical,
   stderr. Analytic tail probability of covering >= k of n nodes (binomial,
@@ -687,18 +690,3 @@ of every cell, and tool versions.
 
 def campaign_config_to_dict(config: CampaignConfig) -> dict:
     return dataclasses.asdict(config)
-
-
-def campaign_config_from_dict(d: dict) -> CampaignConfig:
-    d = dict(d)
-    d["env"] = env_config_from_dict(d.get("env", env_config_to_dict(EnvConfig())))
-    d["learn"] = LearnConfig(**d.get("learn", {}))
-    for name in ("algorithms", "node_counts", "gamma_sweep", "coverage_n_values",
-                 "coverage_k_values", "targets_throughput_bits", "targets_harvest_j"):
-        if name in d:
-            d[name] = tuple(d[name])
-    if d.get("coverage_starts") is not None:
-        d["coverage_starts"] = tuple(tuple(s) for s in d["coverage_starts"])
-    if d.get("coverage_dims") is not None:
-        d["coverage_dims"] = tuple(d["coverage_dims"])
-    return CampaignConfig(**d)

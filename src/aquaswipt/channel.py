@@ -30,7 +30,6 @@ class ChannelParams:
     spreading_factor_k: float = 1.5
     wind_speed_mps: float = 10.0
     shipping_factor: float = 0.0
-    sound_speed_mps: float = 1500.0
     noise_override_db: float | None = None
 
     def __post_init__(self):
@@ -47,10 +46,6 @@ class ChannelParams:
         if not 0.0 <= self.shipping_factor <= 1.0:
             raise ValueError(
                 f"shipping_factor must be in [0, 1], got {self.shipping_factor}"
-            )
-        if self.sound_speed_mps <= 0:
-            raise ValueError(
-                f"sound_speed_mps must be > 0, got {self.sound_speed_mps}"
             )
 
 

@@ -10,15 +10,16 @@ from pathlib import Path
 
 from .agents import QTable, greedy_rollout
 from .campaign import (
+    CampaignConfig,
     _build_cell_specs,
-    campaign_config_from_dict,
     campaign_config_to_dict,
     desk_campaign_config,
     run_campaign,
     run_coverage,
+    write_csv,
 )
-from .coverage import sweep_to_csv
-from .env3d import Environment
+from .coverage import SweepRow
+from .env3d import Environment, config_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +111,7 @@ def _load_config(args):
         doc["gamma_sweep"] = [float(g) for g in args.gamma.split(",")]
     if getattr(args, "out", None):
         doc["output_dir"] = args.out
-    return campaign_config_from_dict(doc)
+    return config_from_dict(CampaignConfig, doc)
 
 
 def _cmd_run(args) -> int:
@@ -134,7 +135,7 @@ def _cmd_coverage(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fig_coverage.csv"
-    sweep_to_csv(rows, path)
+    write_csv(path, SweepRow._fields, rows)
     if not args.quiet:
         print(f"coverage sweep ({len(rows)} rows) written to {path}")
     return EXIT_OK

@@ -7,7 +7,6 @@ deployment cube by rejection sampling, since the closed form overestimates
 p whenever the cone pokes out of the box.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -170,13 +169,3 @@ def coverage_sweep(
                     )
                 )
     return rows
-
-
-def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["start_x", "start_y", "n", "k", "p_analytic", "p_empirical", "stderr"]
-        )
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

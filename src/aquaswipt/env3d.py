@@ -13,8 +13,9 @@ action sequence) triples reproduce identical trajectories bit for bit.
 
 import dataclasses
 import math
+import types
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .channel import (
     source_level,
     transmission_loss_db,
 )
-from .harvest import EnergyStore, HarvestSpec, charge, harvestable_power, split_power
+from .harvest import HarvestSpec, charge, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
 ACTIONS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -276,7 +277,7 @@ class Environment:
         n = len(self.node_pos)
         self.store_level_j = [cfg.node_store_level_j] * n
         self.buffer_bits = [cfg.node_buffer_bits] * n
-        self.auv_battery_j = cfg.auv.battery.level_j
+        self.auv_battery_j = cfg.auv.battery_level_j
         if randomize_start:
             l, w, _ = self.dims
             x = int(self._episode_rng.integers(0, l + 1))
@@ -486,7 +487,7 @@ class Environment:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "Environment":
-        env = cls(env_config_from_dict(snapshot["config"]))
+        env = cls(config_from_dict(EnvConfig, snapshot["config"]))
         nodes = snapshot["nodes"]
         if len(nodes) != len(env.node_pos):
             raise ValueError(
@@ -498,8 +499,8 @@ class Environment:
             raise ValueError("snapshot store_level_j must be in [0, node_store_capacity_j]")
         auv = snapshot["auv"]
         battery_j = float(auv["battery_level_j"])
-        if not 0.0 <= battery_j <= env.config.auv.battery.capacity_j:
-            raise ValueError("snapshot battery_level_j must be in [0, battery capacity_j]")
+        if not 0.0 <= battery_j <= env.config.auv.battery_capacity_j:
+            raise ValueError("snapshot battery_level_j must be in [0, battery_capacity_j]")
         env.node_pos = np.asarray(
             [[int(c) for c in rec["position"]] for rec in nodes], dtype=float
         )
@@ -530,19 +531,31 @@ def env_config_to_dict(config: EnvConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def env_config_from_dict(d: dict) -> EnvConfig:
-    d = dict(d)
-    d["dims"] = tuple(d["dims"])
-    d["channel"] = ChannelParams(**d["channel"])
-    d["node_modem"] = ModemSpec(**d["node_modem"])
-    if d.get("auv_modem") is not None:
-        d["auv_modem"] = ModemSpec(**d["auv_modem"])
-    d["node_harvest"] = HarvestSpec(**d["node_harvest"])
-    auv = dict(d["auv"])
-    auv["battery"] = EnergyStore(**auv["battery"])
-    d["auv"] = AuvSpec(**auv)
-    if d.get("surface_station_xy") is not None:
-        d["surface_station_xy"] = tuple(d["surface_station_xy"])
-    if d.get("auv_start_xy") is not None:
-        d["auv_start_xy"] = tuple(d["auv_start_xy"])
-    return EnvConfig(**d)
+def config_from_dict(cls, doc: dict):
+    """Build the config dataclass ``cls`` from its JSON document ``doc``.
+
+    Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
+    field annotations. Fields missing from ``doc`` keep their defaults; an
+    unknown key raises ``ValueError`` naming the class and the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in types_by_name:
+            raise ValueError(f"{cls.__name__} has no field {key!r}")
+    return cls(**{key: _from_json(types_by_name[key], value) for key, value in doc.items()})
+
+
+def _from_json(annotation, value):
+    if value is None:
+        return None
+    if isinstance(annotation, types.UnionType):  # X | None
+        (annotation,) = (a for a in get_args(annotation) if a is not type(None))
+    if dataclasses.is_dataclass(annotation):
+        return config_from_dict(annotation, value)
+    if get_origin(annotation) is tuple:
+        # Every tuple field holds one element type: tuple[X, ...] or (X, X).
+        element = get_args(annotation)[0]
+        return tuple(_from_json(element, v) for v in value)
+    return value

@@ -55,27 +55,6 @@ class HarvestSpec:
             raise ValueError(f"split_ratio must be in [0, 1], got {self.split_ratio}")
 
 
-@dataclass(frozen=True)
-class EnergyStore:
-    """Bounded energy reservoir; the type of ``AuvSpec.battery``."""
-
-    capacity_j: float
-    level_j: float = 0.0
-    charge_efficiency: float = 1.0
-
-    def __post_init__(self):
-        if self.capacity_j <= 0:
-            raise ValueError(f"capacity_j must be > 0, got {self.capacity_j}")
-        if not 0.0 <= self.level_j <= self.capacity_j:
-            raise ValueError(
-                f"level_j must be in [0, capacity_j], got {self.level_j}"
-            )
-        if not 0.0 < self.charge_efficiency <= 1.0:
-            raise ValueError(
-                f"charge_efficiency must be in (0, 1], got {self.charge_efficiency}"
-            )
-
-
 def induced_voltage(snr_db, spec: HarvestSpec):
     """Voltage induced across the transducer terminals, in volts."""
     out = 10.0 ** (np.asarray(snr_db, dtype=float) / 20.0) * 10.0 ** (

@@ -338,6 +338,9 @@ def test_learn_config_validation():
         LearnConfig(epsilon_min=0.5, epsilon_start=0.1)
     with pytest.raises(ValueError):
         LearnConfig(episodes=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="optimistic_init"):
+            LearnConfig(optimistic_init=value)
 
 
 def test_qtable_save_load_round_trip(tmp_path):

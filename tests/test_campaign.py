@@ -16,15 +16,14 @@ from aquaswipt.campaign import (
     _build_cell_specs,
     _run_cell,
     actions_to_target,
-    campaign_config_from_dict,
     campaign_config_to_dict,
     desk_campaign_config,
     emit_datasets,
     energy_efficiency,
-    gamma_sweep_report,
     run_campaign,
 )
-from aquaswipt.env3d import EnvConfig
+from aquaswipt.channel import ChannelParams, ModemSpec
+from aquaswipt.env3d import EnvConfig, config_from_dict
 
 
 def tiny_campaign(out_dir, **overrides) -> CampaignConfig:
@@ -151,7 +150,21 @@ def test_campaign_config_validation(tmp_path, overrides):
 def test_campaign_config_dict_round_trip(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
     doc = json.loads(json.dumps(campaign_config_to_dict(cfg)))
-    assert campaign_config_from_dict(doc) == cfg
+    assert config_from_dict(CampaignConfig, doc) == cfg
+
+
+def test_config_codec_round_trips_every_optional_type():
+    env = EnvConfig(
+        channel=ChannelParams(noise_override_db=-50.0),
+        auv_modem=ModemSpec(electrical_power_w=200.0, source_level_db=150.0),
+        surface_station_xy=(10.5, 20.0),
+        auv_start_xy=(3, 4),
+    )
+    full = CampaignConfig(env=env, coverage_starts=((0.0, 1.5), (2.0, 3.0)),
+                          coverage_dims=(30, 40, 10))
+    for cfg in (desk_campaign_config(), full):
+        doc = json.loads(json.dumps(campaign_config_to_dict(cfg)))
+        assert config_from_dict(CampaignConfig, doc) == cfg
 
 
 def test_desk_campaign_config_applies_overrides():
@@ -186,7 +199,7 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_campaign(tiny_campaign(out_a), write=True)
     manifest = json.loads((out_a / "run_manifest.json").read_text())
-    cfg = campaign_config_from_dict(manifest["config"])
+    cfg = config_from_dict(CampaignConfig, manifest["config"])
     cfg = dataclasses.replace(cfg, output_dir=str(out_b))
     run_campaign(cfg, write=True)
     assert read_csvs(out_a) == read_csvs(out_b)
@@ -234,18 +247,12 @@ def test_not_reached_encoding(tmp_path):
     assert record["reached_runs"] == "0"
 
 
-def test_gamma_sweep_report_zeroes_excluded_terms(tmp_path):
+def test_gamma_rows_zero_excluded_terms(tmp_path):
     cfg = tiny_campaign(tmp_path / "out", gamma_sweep=(0.0, 0.5, 1.0), mc_runs=1)
-    rows = gamma_sweep_report(cfg)
+    rows = run_campaign(cfg, write=False).gamma_rows
     by_gamma = {r.gamma: r for r in rows}
     assert by_gamma[0.0].throughput_term_mean == 0.0
     assert by_gamma[1.0].harvest_term_mean == 0.0
-
-
-def test_gamma_sweep_report_requires_values(tmp_path):
-    cfg = tiny_campaign(tmp_path / "out", gamma_sweep=())
-    with pytest.raises(ValueError):
-        gamma_sweep_report(cfg)
 
 
 def test_emit_rejects_empty_result(tmp_path):

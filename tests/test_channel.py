@@ -196,7 +196,7 @@ def test_shannon_nondecreasing_in_snr():
         {"spreading_factor_k": 2.1},
         {"wind_speed_mps": -0.1},
         {"shipping_factor": 1.5},
-        {"sound_speed_mps": 0.0},
+        {"shipping_factor": -0.1},
     ],
 )
 def test_channel_params_validation(kwargs):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import aquaswipt
 
 from aquaswipt.agents import Algorithm, LearnConfig, train
@@ -44,6 +46,53 @@ def test_validate_rejects_bad_node_store(capsys):
     assert main(["validate", "--set", "env.node_store_capacity_j=0",
                  "--set", "env.node_store_level_j=0"]) == 2
     assert "node_store_capacity_j" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "coverage_trials=10",
+        "coverage_volume_samples=10",
+        "coverage_dims=[100,100]",
+        "coverage_starts=[[1]]",
+        "gamma_node_count=0",
+        "learn.optimistic_init=NaN",
+        "bogus=1",
+        "env.channel.bogus=1",
+        "learn.batch_size=4",
+    ],
+)
+def test_validate_names_bad_or_unknown_field(setting, capsys):
+    assert main(["validate", "--set", setting]) == 2
+    field = setting.split("=")[0].split(".")[-1]
+    assert field in capsys.readouterr().err
+
+
+def test_validate_partial_config_takes_defaults(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"node_count": 10, "dims": [6, 6, 4]}}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "config OK" in capsys.readouterr().out
+
+
+def test_config_with_removed_field_is_rejected(tmp_path, capsys):
+    doc = campaign_config_to_dict(tiny_campaign(tmp_path / "out"))
+    del doc["env"]["auv"]["battery_capacity_j"], doc["env"]["auv"]["battery_level_j"]
+    doc["env"]["auv"]["battery"] = {"capacity_j": 5e5, "level_j": 5e5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "'battery'" in capsys.readouterr().err
+
+    snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
+    snapshot["config"]["channel"]["sound_speed_mps"] = 1500.0
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(snapshot))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
+    assert main(["replay", "--qtable", str(table_path),
+                 "--snapshot", str(snapshot_path)]) == 2
+    assert "sound_speed_mps" in capsys.readouterr().err
 
 
 def test_validate_rejects_malformed_set(capsys):
@@ -97,6 +146,7 @@ def test_run_flag_overrides(tmp_path):
         "--seed", "99",
     ]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["schema"] == 2
     assert manifest["config"]["algorithms"] == ["random"]
     assert manifest["config"]["node_counts"] == [4]
     assert manifest["config"]["mc_runs"] == 1

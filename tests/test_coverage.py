@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aquaswipt.campaign import write_csv
 from aquaswipt.coverage import (
     ConeGeometry,
     SweepRow,
@@ -15,7 +16,6 @@ from aquaswipt.coverage import (
     coverage_sweep,
     coverage_tail,
     points_in_cone,
-    sweep_to_csv,
 )
 from aquaswipt.env3d import EnvConfig
 
@@ -203,7 +203,7 @@ def test_coverage_sweep_empty_deployment_edge():
 def test_sweep_csv_columns(tmp_path):
     rows = [SweepRow(0.0, 0.0, 10, 1, 0.5, 0.49, 0.01)]
     path = tmp_path / "sweep.csv"
-    sweep_to_csv(rows, path)
+    write_csv(path, SweepRow._fields, rows)
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)

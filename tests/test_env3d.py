@@ -13,8 +13,8 @@ from aquaswipt.env3d import (
     EnvConfig,
     Environment,
     StateKey,
+    config_from_dict,
     deploy,
-    env_config_from_dict,
     env_config_to_dict,
 )
 from aquaswipt.harvest import HarvestSpec
@@ -339,9 +339,7 @@ def test_done_exactly_at_episode_length():
 
 
 def test_done_on_battery_depletion():
-    from aquaswipt.harvest import EnergyStore
-
-    auv = AuvSpec(battery=EnergyStore(capacity_j=2000.0, level_j=2000.0))
+    auv = AuvSpec(battery_capacity_j=2000.0, battery_level_j=2000.0)
     env = deploy(small_config(auv=auv, episode_length=50))
     env.reset()
     steps = 0
@@ -467,7 +465,7 @@ def test_reset_restores_buffers_stores_battery():
     for _ in range(20):
         env.step(4)
     env.reset()
-    assert env.auv_battery_j == env.config.auv.battery.level_j
+    assert env.auv_battery_j == env.config.auv.battery_level_j
     n = len(env.node_pos)
     assert env.buffer_bits == [env.config.node_buffer_bits] * n
     assert env.store_level_j == [env.config.node_store_level_j] * n
@@ -543,7 +541,7 @@ def test_env_config_dict_round_trip():
         auv_start_xy=(3, 4),
         motion_scale=123.0,
     )
-    assert env_config_from_dict(env_config_to_dict(cfg)) == cfg
+    assert config_from_dict(EnvConfig, env_config_to_dict(cfg)) == cfg
 
 
 def test_state_key_is_hashable_and_tuple_like():

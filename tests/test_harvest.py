@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aquaswipt.harvest import (
-    EnergyStore,
     HarvestSpec,
     charge,
     harvestable_power,
@@ -150,17 +149,3 @@ def test_charge_rejects_bad_inputs():
 def test_harvest_spec_validation(kwargs):
     with pytest.raises(ValueError):
         spec(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"capacity_j": 0.0},
-        {"capacity_j": 5.0, "level_j": 6.0},
-        {"capacity_j": 5.0, "level_j": -1.0},
-        {"capacity_j": 5.0, "charge_efficiency": 0.0},
-    ],
-)
-def test_energy_store_validation(kwargs):
-    with pytest.raises(ValueError):
-        EnergyStore(**kwargs)
