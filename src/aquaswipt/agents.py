@@ -141,9 +141,11 @@ class QTable:
 
 @dataclass
 class EpisodeMetrics:
-    """Per-episode totals plus the step-level traces behind them."""
+    """Per-episode totals plus the step-level traces ``actions_to_target`` reads.
 
-    episode: int
+    ``total_reward`` adds each step's reward in step order.
+    """
+
     steps: int = 0
     throughput_bits: float = 0.0
     harvested_j: float = 0.0
@@ -151,13 +153,9 @@ class EpisodeMetrics:
     transmit_energy_j: float = 0.0
     reward_throughput_term: float = 0.0
     reward_harvest_term: float = 0.0
-    rewards: list[float] = field(default_factory=list)
+    total_reward: float = 0.0
     step_throughput_bits: list[float] = field(default_factory=list)
     step_harvested_j: list[float] = field(default_factory=list)
-
-    @property
-    def total_reward(self) -> float:
-        return float(sum(self.rewards))
 
     def record(self, out: StepOutcome) -> None:
         self.steps += 1
@@ -167,7 +165,7 @@ class EpisodeMetrics:
         self.transmit_energy_j += out.transmit_energy_j
         self.reward_throughput_term += out.reward_throughput_term
         self.reward_harvest_term += out.reward_harvest_term
-        self.rewards.append(out.reward)
+        self.total_reward += out.reward
         self.step_throughput_bits.append(out.throughput_bits)
         self.step_harvested_j.append(out.harvested_j)
 
@@ -204,20 +202,18 @@ def sarsa_update(q: QTable, state, action: int, reward: float, next_state,
 
 
 def _run_episode(env, q: QTable, algo: Algorithm, cfg: LearnConfig,
-                 epsilon: float, rng: np.random.Generator, episode: int) -> EpisodeMetrics:
+                 epsilon: float, rng: np.random.Generator) -> EpisodeMetrics:
     state = env.reset(randomize_start=cfg.randomize_start)
-    metrics = EpisodeMetrics(episode=episode)
+    metrics = EpisodeMetrics()
     if algo is Algorithm.SARSA:
         action = select_action(q, state, epsilon, rng)
     while True:
-        if algo is Algorithm.RANDOM:
-            action = int(rng.integers(q.n_actions))
-        elif algo is Algorithm.Q_LEARNING:
+        if algo is Algorithm.Q_LEARNING:
             action = select_action(q, state, epsilon, rng)
         out = env.step(action)
         if algo is Algorithm.Q_LEARNING:
             q_update(q, state, action, out.reward, out.next_state, cfg)
-        elif algo is Algorithm.SARSA:
+        else:
             next_action = select_action(q, out.next_state, epsilon, rng)
             sarsa_update(q, state, action, out.reward, out.next_state, next_action, cfg)
             action = next_action
@@ -228,25 +224,28 @@ def _run_episode(env, q: QTable, algo: Algorithm, cfg: LearnConfig,
 
 
 def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeMetrics]]:
-    """Run the episodic training loop; fully reproducible from cfg.seed.
+    """Run the episodic training loop of Q-learning or SARSA.
 
-    The random baseline selects uniformly and never writes to the table.
+    Fully reproducible from cfg.seed. The random baseline learns nothing, so
+    it has no training: evaluate it with ``random_rollout``.
     Epsilon decays once per episode: eps(t) = max(eps_min, eps0 * decay^t).
     """
     algo = Algorithm(algo)
+    if algo is Algorithm.RANDOM:
+        raise ValueError("the random baseline does not train; use random_rollout")
     rng = np.random.default_rng(cfg.seed)
     q = QTable(n_actions=env.n_actions, default_value=cfg.optimistic_init)
     epsilon = cfg.epsilon_start
     trace = []
-    for episode in range(cfg.episodes):
-        trace.append(_run_episode(env, q, algo, cfg, epsilon, rng, episode))
+    for _ in range(cfg.episodes):
+        trace.append(_run_episode(env, q, algo, cfg, epsilon, rng))
         epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
     return q, trace
 
 
 def _rollout(env, pick_action) -> tuple[EpisodeMetrics, list[tuple]]:
     state = env.reset(randomize_start=False)
-    metrics = EpisodeMetrics(episode=0)
+    metrics = EpisodeMetrics()
     trajectory = []
     while True:
         out = env.step(pick_action(state))
@@ -367,6 +366,5 @@ class TabularMdpEnv:
             harvested_j=0.0,
             motion_energy_j=0.0,
             transmit_energy_j=0.0,
-            covered_nodes=[],
             done=self.done,
         )

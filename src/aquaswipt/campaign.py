@@ -1,8 +1,9 @@
 """Monte-Carlo experiment campaign: orchestration, metrics, CSV emission.
 
-A campaign crosses algorithms with network sizes, trains each cell on its
-own seeded deployment, evaluates the converged policy with one rollout,
-and aggregates the results into per-figure CSV datasets plus a manifest
+A campaign crosses algorithms with network sizes. Each cell gets its own
+seeded deployment; a learner cell trains there and is scored by one greedy
+rollout, a random-baseline cell by one random rollout with no training.
+The results are aggregated into per-figure CSV datasets plus a manifest
 that pins every seed. A separate sweep varies the throughput/harvest
 weighting, and a geometric sweep produces the coverage-probability table.
 
@@ -207,15 +208,12 @@ class CellResult:
     env_seed: int
     throughput_bits: float
     harvested_j: float
-    motion_energy_j: float
-    transmit_energy_j: float
     ee_bits_per_j: float
     reward_total: float
     reward_throughput_term: float
     reward_harvest_term: float
     actions_throughput: list[int | None]
     actions_harvest: list[int | None]
-    episode_rewards: list[float]
 
     def sort_key(self):
         return (self.kind, self.algorithm, self.node_count, self.gamma, self.run)
@@ -231,11 +229,11 @@ def _derive_seeds(master_seed: int, *key: int) -> tuple[int, int]:
 def _run_cell(spec: _CellSpec) -> CellResult:
     env = Environment(spec.env_cfg)
     algo = Algorithm(spec.algorithm)
-    q, trace = train(env, algo, spec.learn_cfg)
     if algo is Algorithm.RANDOM:
         eval_rng = np.random.default_rng([spec.learn_cfg.seed & 0xFFFFFFFFFFFFFFFF, 99])
         metrics, _ = random_rollout(env, eval_rng)
     else:
+        q, _ = train(env, algo, spec.learn_cfg)
         metrics, _ = greedy_rollout(env, q)
     total_energy = metrics.transmit_energy_j + metrics.motion_energy_j
     ee = energy_efficiency(metrics.throughput_bits, total_energy)
@@ -248,8 +246,6 @@ def _run_cell(spec: _CellSpec) -> CellResult:
         env_seed=spec.env_cfg.rng_seed,
         throughput_bits=metrics.throughput_bits,
         harvested_j=metrics.harvested_j,
-        motion_energy_j=metrics.motion_energy_j,
-        transmit_energy_j=metrics.transmit_energy_j,
         ee_bits_per_j=ee,
         reward_total=metrics.total_reward,
         reward_throughput_term=metrics.reward_throughput_term,
@@ -260,7 +256,6 @@ def _run_cell(spec: _CellSpec) -> CellResult:
         actions_harvest=[
             actions_to_target(metrics, t, "harvest") for t in spec.targets_harvest
         ],
-        episode_rewards=[m.total_reward for m in trace],
     )
 
 
@@ -338,11 +333,8 @@ def _execute_cells(specs: list[_CellSpec]) -> list[CellResult]:
     workers = _worker_count()
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, specs))
-    else:
-        results = [_run_cell(spec) for spec in specs]
-    results.sort(key=CellResult.sort_key)
-    return results
+            return list(pool.map(_run_cell, specs))
+    return [_run_cell(spec) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +365,6 @@ class CellAggregate:
     ee_ratio_vs_random: float | None
     actions_throughput: list[TargetAggregate]
     actions_harvest: list[TargetAggregate]
-    reward_trace_mean: list[float]
-    reward_trace_std: list[float]
 
 
 @dataclass
@@ -415,6 +405,9 @@ def _aggregate_targets(results: list[CellResult], attr: str,
 
 
 def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateResult:
+    # One canonical order: float means and the raw cells must not depend on
+    # the order cells finished or were listed in.
+    results = sorted(results, key=CellResult.sort_key)
     main = [r for r in results if r.kind == "main"]
     gamma = [r for r in results if r.kind == "gamma"]
 
@@ -427,7 +420,6 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
         tp = [r.throughput_bits for r in rs]
         hv = [r.harvested_j for r in rs]
         ee = [r.ee_bits_per_j for r in rs]
-        traces = np.asarray([r.episode_rewards for r in rs])
         cells.append(
             CellAggregate(
                 algorithm=algorithm,
@@ -448,8 +440,6 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
                 actions_harvest=_aggregate_targets(
                     rs, "actions_harvest", tuple(config.targets_harvest_j)
                 ),
-                reward_trace_mean=[float(v) for v in traces.mean(axis=0)],
-                reward_trace_std=[float(v) for v in traces.std(axis=0)],
             )
         )
         ee_means[(algorithm, node_count)] = float(np.mean(ee))
@@ -489,7 +479,7 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
         gamma_rows=gamma_rows,
         coverage_rows=[],
         cell_seeds=seeds,
-        raw_cells=sorted(results, key=CellResult.sort_key),
+        raw_cells=results,
     )
 
 

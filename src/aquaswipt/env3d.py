@@ -32,7 +32,6 @@ from .harvest import HarvestSpec, charge, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
 ACTIONS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-ACTION_NAMES = ("+x", "-x", "+y", "-y", "+z", "-z")
 N_ACTIONS = len(ACTIONS)
 
 
@@ -57,7 +56,6 @@ class StepOutcome:
     harvested_j: float
     motion_energy_j: float
     transmit_energy_j: float
-    covered_nodes: list[int]
     done: bool
 
 
@@ -288,7 +286,6 @@ class Environment:
         self.relay_buffer_bits = 0.0
         self.total_relayed_bits = 0.0
         self.total_collected_bits = 0.0
-        self.initial_buffer_bits = cfg.node_buffer_bits * n
         self.step_index = 0
         self.done = False
         return self.encode_state()
@@ -376,7 +373,6 @@ class Environment:
             harvested_j=harvested_j,
             motion_energy_j=e_move,
             transmit_energy_j=transmit_energy_j,
-            covered_nodes=list(links.covered),
             done=self.done,
         )
 
@@ -536,7 +532,8 @@ def config_from_dict(cls, doc: dict):
 
     Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
     field annotations. Fields missing from ``doc`` keep their defaults; an
-    unknown key raises ``ValueError`` naming the class and the key.
+    unknown key, or a tuple field given something other than an array,
+    raises ``ValueError`` naming the class and the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
@@ -544,10 +541,13 @@ def config_from_dict(cls, doc: dict):
     for key in doc:
         if key not in types_by_name:
             raise ValueError(f"{cls.__name__} has no field {key!r}")
-    return cls(**{key: _from_json(types_by_name[key], value) for key, value in doc.items()})
+    return cls(**{
+        key: _from_json(types_by_name[key], value, f"{cls.__name__}.{key}")
+        for key, value in doc.items()
+    })
 
 
-def _from_json(annotation, value):
+def _from_json(annotation, value, name: str):
     if value is None:
         return None
     if isinstance(annotation, types.UnionType):  # X | None
@@ -555,7 +555,9 @@ def _from_json(annotation, value):
     if dataclasses.is_dataclass(annotation):
         return config_from_dict(annotation, value)
     if get_origin(annotation) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a JSON array, got {value!r}")
         # Every tuple field holds one element type: tuple[X, ...] or (X, X).
         element = get_args(annotation)[0]
-        return tuple(_from_json(element, v) for v in value)
+        return tuple(_from_json(element, v, name) for v in value)
     return value

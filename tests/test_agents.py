@@ -240,12 +240,11 @@ def test_train_sarsa_matches_oracle_policy_with_annealed_epsilon():
     assert np.array_equal(np.argmax(learned, axis=1), np.argmax(q_star, axis=1))
 
 
-def test_train_random_never_writes_table():
+def test_train_rejects_random_baseline():
     transitions, rewards, _ = chain_mdp(seed=2)
     env = TabularMdpEnv(transitions, rewards, episode_length=20, seed=1)
-    q, trace = train(env, Algorithm.RANDOM, cfg(episodes=20))
-    assert len(q) == 0
-    assert len(trace) == 20
+    with pytest.raises(ValueError, match="random_rollout"):
+        train(env, Algorithm.RANDOM, cfg(episodes=20))
 
 
 def test_train_is_reproducible():

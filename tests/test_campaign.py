@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from aquaswipt.agents import EpisodeMetrics, LearnConfig
+import aquaswipt.campaign
+from aquaswipt.agents import Algorithm, EpisodeMetrics, LearnConfig
 from aquaswipt.auv import AuvSpec
 from aquaswipt.campaign import (
     DATASET_FILES,
@@ -84,7 +85,7 @@ def test_energy_efficiency_homogeneous():
 
 
 def metrics_with(throughput_steps, harvest_steps=()):
-    m = EpisodeMetrics(episode=0)
+    m = EpisodeMetrics()
     for t in throughput_steps:
         m.step_throughput_bits.append(t)
     for h in harvest_steps:
@@ -214,7 +215,9 @@ def test_fig_throughput_row_count(tmp_path):
 
 
 def test_aggregation_is_order_independent(tmp_path):
-    cfg = tiny_campaign(tmp_path / "a")
+    # Three runs per group: with two, float addition commutes and a
+    # shuffle cannot change a mean.
+    cfg = tiny_campaign(tmp_path / "a", mc_runs=3)
     specs = _build_cell_specs(cfg)
     results = [_run_cell(s) for s in specs]
     agg_sorted = _aggregate(cfg, sorted(results, key=lambda r: r.sort_key()))
@@ -222,6 +225,24 @@ def test_aggregation_is_order_independent(tmp_path):
     random.Random(5).shuffle(shuffled)
     agg_shuffled = _aggregate(cfg, shuffled)
     assert agg_sorted == agg_shuffled
+
+
+def test_random_cells_never_train(tmp_path, monkeypatch):
+    trained = []
+    real_train = aquaswipt.campaign.train
+
+    def counting_train(env, algo, cfg):
+        trained.append(Algorithm(algo))
+        return real_train(env, algo, cfg)
+
+    monkeypatch.setenv("AQUASWIPT_THREADS", "1")
+    monkeypatch.setattr(aquaswipt.campaign, "train", counting_train)
+    cfg = tiny_campaign(tmp_path / "out")
+    run_campaign(cfg, write=False)
+    # q_learning main cells plus the gamma sweep's q_learning cells.
+    main_cells = len(cfg.node_counts) * cfg.mc_runs
+    gamma_cells = len(cfg.gamma_sweep) * cfg.mc_runs
+    assert trained == [Algorithm.Q_LEARNING] * (main_cells + gamma_cells)
 
 
 def test_seeds_are_per_cell_and_traceable(tmp_path):

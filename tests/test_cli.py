@@ -60,6 +60,10 @@ def test_validate_rejects_bad_node_store(capsys):
         "bogus=1",
         "env.channel.bogus=1",
         "learn.batch_size=4",
+        "algorithms=random",
+        "node_counts=10",
+        "gamma_sweep=0.5",
+        "env.dims=5",
     ],
 )
 def test_validate_names_bad_or_unknown_field(setting, capsys):

@@ -277,7 +277,7 @@ def test_step_no_coverage_reward_is_motion_penalty():
     env._link_cache.clear()
     env.auv_pos = (20, 20, 0)
     out = env.step(0)  # clamped at +x wall, far from the node
-    assert out.covered_nodes == []
+    assert env.covered() == []
     assert out.reward == pytest.approx(-out.motion_energy_j / env.motion_scale)
     assert out.reward_throughput_term == 0.0
     assert out.reward_harvest_term == 0.0
@@ -293,7 +293,7 @@ def test_step_saturated_and_empty_node_gives_penalty_only():
     env.buffer_bits[0] = 0.0
     env.auv_pos = (10, 11, 0)
     out = env.step(3)  # -y onto the covering column
-    assert out.covered_nodes == [0]
+    assert env.covered() == [0]
     assert out.reward == pytest.approx(-out.motion_energy_j / env.motion_scale)
 
 
@@ -365,17 +365,19 @@ def test_position_always_in_bounds_under_fuzz():
 def test_step_conservation_invariants():
     env = deploy(small_config(episode_length=50))
     rng = np.random.default_rng(13)
+    initial_buffer_bits = env.config.node_buffer_bits * len(env.node_pos)
     for _ in range(6):
         env.reset(randomize_start=True)
         while True:
             levels_before = list(env.store_level_j)
             out = env.step(int(rng.integers(6)))
+            covered = env.covered()
             dt = env.config.step_duration_s
             split = env.config.node_harvest.split_ratio
             eff = env.config.node_store_charge_efficiency
             for i, before in enumerate(levels_before):
                 gained = env.store_level_j[i] - before
-                if i in out.covered_nodes:
+                if i in covered:
                     cap = (1.0 - split) * downlink_power_w(env, i) * dt * eff
                     assert 0.0 <= gained <= cap + 1e-12
                 else:
@@ -383,7 +385,7 @@ def test_step_conservation_invariants():
             # Totals are separate float accumulators; allow ulp-scale drift.
             slack = 1e-9 * max(1.0, env.total_collected_bits)
             assert env.total_relayed_bits <= env.total_collected_bits + slack
-            assert env.total_collected_bits <= env.initial_buffer_bits + slack
+            assert env.total_collected_bits <= initial_buffer_bits + slack
             if out.done:
                 break
 
