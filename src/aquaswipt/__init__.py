@@ -14,10 +14,7 @@ from .agents import (
     QTable,
     TabularMdpEnv,
     greedy_rollout,
-    q_update,
     random_rollout,
-    sarsa_update,
-    select_action,
     train,
     value_iteration_oracle,
 )
@@ -62,6 +59,8 @@ from .env3d import (
     config_from_dict,
     deploy,
     env_config_to_dict,
+    id_to_key,
+    key_to_id,
 )
 from .harvest import (
     HarvestSpec,

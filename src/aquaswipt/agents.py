@@ -1,18 +1,21 @@
 """Tabular value-based agents: Q-learning, SARSA, and a random baseline.
 
-Also provides a value-iteration solver for explicit small MDPs, used as a
-correctness oracle, and a tabular-MDP adapter exposing the same stepping
-interface as the 3D environment so the training loop runs on both.
+Training runs one loop for both algorithms, with epsilon-greedy selection
+and the update inline, on the environment's int state ids. Also provides a
+value-iteration solver for explicit small MDPs, used as a correctness
+oracle, and a tabular-MDP adapter exposing the same stepping interface as
+the 3D environment so the training loop runs on both.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import StepOutcome
+from .env3d import StepOutcome, id_to_key, key_to_id
 
 
 class Algorithm(str, Enum):
@@ -55,14 +58,19 @@ class LearnConfig:
 class QTable:
     """State -> per-action value map; absent states read as the default.
 
-    Each row is a list of Python floats, one per action.
+    Each row is a list of Python floats, one per action. A table trained on
+    an ``Environment`` has ``dims`` set to its box and is keyed by int state
+    ids (``env3d.key_to_id``); ``save`` writes those ids as ``StateKey``
+    lists and ``load(path, dims)`` reads them back as ids. With ``dims``
+    None the keys are stored as they are.
     """
 
-    def __init__(self, n_actions: int = 6, default_value: float = 0.0):
+    def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
         if n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {n_actions}")
         self.n_actions = n_actions
         self.default_value = float(default_value)
+        self.dims = None if dims is None else tuple(dims)
         self._table: dict = {}
 
     def values(self, state) -> np.ndarray:
@@ -100,10 +108,17 @@ class QTable:
         return len(self._table)
 
     def save(self, path) -> None:
-        """Write the table as JSON: one entry per state, key -> action values."""
+        """Write the table as JSON: one entry per state, key -> action values.
+
+        Entries are in key order; int state ids of a table with ``dims``
+        sort, and are written, as their ``StateKey`` tuples.
+        """
         entries = []
-        for key in sorted(self._table, key=lambda k: tuple(np.atleast_1d(k))):
-            key_list = list(key) if isinstance(key, tuple) else [int(key)]
+        for key in sorted(self._table):
+            if self.dims is not None:
+                key_list = list(id_to_key(key, self.dims))
+            else:
+                key_list = list(key) if isinstance(key, tuple) else [int(key)]
             entries.append([key_list, list(self._table[key])])
         doc = {
             "n_actions": self.n_actions,
@@ -114,15 +129,18 @@ class QTable:
             json.dump(doc, fh, indent=1, sort_keys=True)
 
     @classmethod
-    def load(cls, path) -> "QTable":
+    def load(cls, path, dims=None) -> "QTable":
         """Read a table written by ``save``.
 
-        Raises ``ValueError`` on a row whose length is not ``n_actions`` and
-        on a value or default that is not finite.
+        With ``dims``, each saved ``StateKey`` list becomes its int state id
+        in that box. Raises ``ValueError`` on a row whose length is not
+        ``n_actions``, on a value or default that is not finite, and, with
+        ``dims``, on a key that is not a state of the box.
         """
         with open(path) as fh:
             doc = json.load(fh)
-        table = cls(n_actions=doc["n_actions"], default_value=doc["default_value"])
+        table = cls(n_actions=doc["n_actions"], default_value=doc["default_value"],
+                    dims=dims)
         if not math.isfinite(table.default_value):
             raise ValueError(f"Q-table default_value must be finite, got {table.default_value}")
         for key_list, values in doc["entries"]:
@@ -134,14 +152,17 @@ class QTable:
                 )
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"Q-table row for state {key_list} has a non-finite value")
-            key = tuple(key_list) if len(key_list) > 1 else key_list[0]
+            if dims is not None:
+                key = key_to_id(key_list, dims)
+            else:
+                key = tuple(key_list) if len(key_list) > 1 else key_list[0]
             table._table[key] = row
         return table
 
 
 @dataclass
 class EpisodeMetrics:
-    """Per-episode totals plus the step-level traces ``actions_to_target`` reads.
+    """A rollout's totals plus the step-level traces ``actions_to_target`` reads.
 
     ``total_reward`` adds each step's reward in step order.
     """
@@ -170,87 +191,105 @@ class EpisodeMetrics:
         self.step_harvested_j.append(out.harvested_j)
 
 
-def select_action(q: QTable, state, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy: uniform random with probability epsilon, else greedy."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(q.n_actions))
-    return q.best_action(state)
+class EpisodeTotals(NamedTuple):
+    """One training episode: env steps taken and their rewards summed in step order."""
+
+    steps: int
+    total_reward: float
 
 
-def q_update(q: QTable, state, action: int, reward: float, next_state,
-             cfg: LearnConfig) -> QTable:
-    """Off-policy one-step update toward reward + discount * max_a' Q(s', a')."""
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    current = q.get(state, action)
-    target = reward + cfg.discount * q.best_value(next_state)
-    q.set(state, action, current + cfg.learning_rate * (target - current))
-    return q
-
-
-def sarsa_update(q: QTable, state, action: int, reward: float, next_state,
-                 next_action: int, cfg: LearnConfig) -> QTable:
-    """On-policy one-step update toward reward + discount * Q(s', a')."""
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    current = q.get(state, action)
-    target = reward + cfg.discount * q.get(next_state, next_action)
-    q.set(state, action, current + cfg.learning_rate * (target - current))
-    return q
-
-
-def _run_episode(env, q: QTable, algo: Algorithm, cfg: LearnConfig,
-                 epsilon: float, rng: np.random.Generator) -> EpisodeMetrics:
-    state = env.reset(randomize_start=cfg.randomize_start)
-    metrics = EpisodeMetrics()
-    if algo is Algorithm.SARSA:
-        action = select_action(q, state, epsilon, rng)
-    while True:
-        if algo is Algorithm.Q_LEARNING:
-            action = select_action(q, state, epsilon, rng)
-        out = env.step(action)
-        if algo is Algorithm.Q_LEARNING:
-            q_update(q, state, action, out.reward, out.next_state, cfg)
-        else:
-            next_action = select_action(q, out.next_state, epsilon, rng)
-            sarsa_update(q, state, action, out.reward, out.next_state, next_action, cfg)
-            action = next_action
-        state = out.next_state
-        metrics.record(out)
-        if out.done:
-            return metrics
-
-
-def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeMetrics]]:
+def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeTotals]]:
     """Run the episodic training loop of Q-learning or SARSA.
 
     Fully reproducible from cfg.seed. The random baseline learns nothing, so
     it has no training: evaluate it with ``random_rollout``.
     Epsilon decays once per episode: eps(t) = max(eps_min, eps0 * decay^t).
+
+    ``env`` steps on int state ids: it provides ``n_actions``, ``dims`` (the
+    box the ids encode, or None for opaque ids), ``reset(randomize_start)``,
+    ``state_id()`` and ``step_id(action) -> (state_id, reward, done)``.
+    The table is keyed by those ids; the trace holds one ``EpisodeTotals``
+    per episode.
     """
     algo = Algorithm(algo)
     if algo is Algorithm.RANDOM:
         raise ValueError("the random baseline does not train; use random_rollout")
+    sarsa = algo is Algorithm.SARSA
     rng = np.random.default_rng(cfg.seed)
-    q = QTable(n_actions=env.n_actions, default_value=cfg.optimistic_init)
+    uniform = rng.random
+    integers = rng.integers
+    n_actions = env.n_actions
+    q = QTable(n_actions=n_actions, default_value=cfg.optimistic_init, dims=env.dims)
+    table = q._table
+    default = q.default_value
+    learning_rate = cfg.learning_rate
+    discount = cfg.discount
+    step = env.step_id
+    isfinite = math.isfinite
     epsilon = cfg.epsilon_start
     trace = []
     for _ in range(cfg.episodes):
-        trace.append(_run_episode(env, q, algo, cfg, epsilon, rng))
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        explore = epsilon > 0.0
+        env.reset(randomize_start=cfg.randomize_start)
+        state = env.state_id()
+        row = table.get(state)  # None until the state is first updated
+        # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
+        # action; otherwise the greedy action, ties to the lowest index.
+        # Q-learning picks each action at the top of the step that takes it;
+        # SARSA picks it before the update that bootstraps from it, so its
+        # action is already chosen (not -1) when the next step starts.
+        action = -1
+        steps = 0
+        total_reward = 0.0
+        done = False
+        while not done:
+            if action < 0:
+                if explore and uniform() < epsilon:
+                    action = int(integers(n_actions))
+                else:
+                    action = 0 if row is None else row.index(max(row))
+            next_state, reward, done = step(action)
+            next_row = table.get(next_state)
+            if sarsa:
+                if explore and uniform() < epsilon:
+                    next_action = int(integers(n_actions))
+                else:
+                    next_action = 0 if next_row is None else next_row.index(max(next_row))
+                ahead = default if next_row is None else next_row[next_action]
+            else:
+                next_action = -1
+                ahead = default if next_row is None else max(next_row)
+            current = default if row is None else row[action]
+            target = reward + discount * ahead
+            value = current + learning_rate * (target - current)
+            if not isfinite(value):
+                raise ValueError(f"reward and Q values must be finite, got reward "
+                                 f"{reward} and updated value {value}")
+            if row is None:
+                row = table[state] = [default] * n_actions
+            row[action] = value
+            total_reward += reward
+            steps += 1
+            # next_row was read before the update, so on a self-loop it may
+            # predate the row just written.
+            if next_state != state:
+                row = next_row
+            state = next_state
+            action = next_action
+        trace.append(EpisodeTotals(steps, total_reward))
         epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
     return q, trace
 
 
 def _rollout(env, pick_action) -> tuple[EpisodeMetrics, list[tuple]]:
-    state = env.reset(randomize_start=False)
+    env.reset(randomize_start=False)
     metrics = EpisodeMetrics()
     trajectory = []
     while True:
-        out = env.step(pick_action(state))
-        state = out.next_state
-        trajectory.append(tuple(getattr(env, "auv_pos", (state,))))
+        out = env.step(pick_action(env.state_id()))
+        trajectory.append(env.auv_pos)
         metrics.record(out)
         if out.done:
             return metrics, trajectory
@@ -260,8 +299,12 @@ def greedy_rollout(env, q: QTable) -> tuple[EpisodeMetrics, list[tuple]]:
     """One episode under the pure greedy policy from the fixed start.
 
     Returns the metrics and the sequence of positions visited after each
-    action (the trajectory).
+    action (the trajectory). ``q`` is keyed by the env's int state ids:
+    a table that holds states must have the env's ``dims``.
     """
+    if len(q) and q.dims != tuple(env.dims):
+        raise ValueError(f"the Q-table holds states of the box {q.dims}, not of the "
+                         f"environment's {tuple(env.dims)}; load it with dims=env.dims")
     return _rollout(env, q.best_action)
 
 
@@ -314,13 +357,15 @@ def value_iteration_oracle(
 
 
 class TabularMdpEnv:
-    """Adapter exposing an explicit MDP through the environment interface.
+    """Adapter exposing an explicit MDP through the interface ``train`` uses.
 
-    States are integers; outcomes carry zeros for the physics fields.
-    Episodes truncate at ``episode_length`` and updates keep bootstrapping
-    across the cut (the MDP is treated as continuing), so tabular learning
-    converges to the same fixed point as ``value_iteration_oracle``.
+    States are their integer indices (``dims`` is None). Episodes truncate
+    at ``episode_length`` and updates keep bootstrapping across the cut (the
+    MDP is treated as continuing), so tabular learning converges to the
+    same fixed point as ``value_iteration_oracle``.
     """
+
+    dims = None
 
     def __init__(self, transitions: np.ndarray, rewards: np.ndarray,
                  episode_length: int = 50, start_state: int = 0, seed: int = 0):
@@ -344,7 +389,10 @@ class TabularMdpEnv:
         self.done = False
         return self.state
 
-    def step(self, action: int) -> StepOutcome:
+    def state_id(self) -> int:
+        return self.state
+
+    def step_id(self, action: int) -> tuple[int, float, bool]:
         if self.done:
             raise RuntimeError("cannot step a finished episode; call reset()")
         if self.deterministic:
@@ -357,14 +405,4 @@ class TabularMdpEnv:
         self.state = nxt
         self.step_index += 1
         self.done = self.step_index >= self.episode_length
-        return StepOutcome(
-            next_state=nxt,
-            reward=reward,
-            reward_throughput_term=0.0,
-            reward_harvest_term=0.0,
-            throughput_bits=0.0,
-            harvested_j=0.0,
-            motion_energy_j=0.0,
-            transmit_energy_j=0.0,
-            done=self.done,
-        )
+        return nxt, reward, self.done

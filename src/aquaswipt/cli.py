@@ -149,9 +149,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    table = QTable.load(args.qtable)
     with open(args.snapshot) as fh:
         env = Environment.from_snapshot(json.load(fh))
+    table = QTable.load(args.qtable, dims=env.dims)
     env.reset(randomize_start=False)
     metrics, trajectory = greedy_rollout(env, table)
     summary = {

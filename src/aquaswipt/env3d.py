@@ -28,7 +28,7 @@ from .channel import (
     source_level,
     transmission_loss_db,
 )
-from .harvest import HarvestSpec, charge, harvestable_power, split_power
+from .harvest import HarvestSpec, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
 ACTIONS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -36,7 +36,12 @@ N_ACTIONS = len(ACTIONS)
 
 
 class StateKey(NamedTuple):
-    """Discretized, hashable MDP state."""
+    """Discretized MDP state: the decoded view of an int state id.
+
+    Training and the Q-table key states by the int id ``key_to_id`` gives;
+    ``encode_state``, ``reset``, ``StepOutcome.next_state`` and saved
+    Q-tables show the same state as this tuple.
+    """
 
     x: int
     y: int
@@ -44,6 +49,41 @@ class StateKey(NamedTuple):
     covered_with_data: int
     covered_undercharged: int
     gain_bin: int
+
+
+def key_to_id(key, dims) -> int:
+    """Int id of the state ``key`` in a box of dimensions ``dims``.
+
+    The id is ``p * 64 + (covered_with_data * 4 + covered_undercharged) * 4
+    + gain_bin`` with the position index ``p = (x * (W + 1) + y) * (H + 1) +
+    z``. Every feature lies in 0..3, so ids sort in ``StateKey`` tuple
+    order. Raises ``ValueError`` for a key that is not six integers inside
+    the box and the feature ranges.
+    """
+    l, w, h = dims
+    if len(key) != 6 or not all(isinstance(c, int) for c in key):
+        raise ValueError(f"state key must be six integers, got {list(key)}")
+    x, y, z, with_data, undercharged, gain_bin = key
+    if not (0 <= x <= l and 0 <= y <= w and 0 <= z <= h
+            and all(0 <= f <= 3 for f in (with_data, undercharged, gain_bin))):
+        raise ValueError(f"state key {list(key)} is outside the {l} x {w} x {h} box "
+                         "or the feature range 0..3")
+    return _state_id((x * (w + 1) + y) * (h + 1) + z, with_data, undercharged, gain_bin)
+
+
+def _state_id(p: int, with_data: int, undercharged: int, gain_bin: int) -> int:
+    """State id at position index ``p``; the two node counts are clamped at 3."""
+    return (p * 64 + ((with_data if with_data < 3 else 3) * 4
+                      + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
+
+
+def id_to_key(state_id: int, dims) -> StateKey:
+    """The ``StateKey`` an int state id of a box of dimensions ``dims`` stands for."""
+    _, w, h = dims
+    p, code = divmod(state_id, 64)
+    xy, z = divmod(p, h + 1)
+    x, y = divmod(xy, w + 1)
+    return StateKey(x, y, z, code >> 4, (code >> 2) & 3, code & 3)
 
 
 @dataclass
@@ -146,12 +186,21 @@ class _PosLinks(NamedTuple):
     covered node: the harvesting share of the received downlink power and
     the bits its uplink can carry in one step, which is 0 when the
     information share is 0 (decoding needs a non-zero information split).
+    Bit ``a`` of ``blocked`` is set when action ``a`` would leave the box.
     """
 
     covered: tuple[int, ...]     # indices of covered nodes, ascending
     nodes: tuple[tuple[int, float, float], ...]
     relay_bits_per_step: float
     gain_bin: int
+    blocked: int
+
+
+def _blocked_moves(pos: tuple[int, int, int], dims) -> int:
+    """Bit mask of the ``ACTIONS`` that the box clamps at ``pos``."""
+    (x, y, z), (l, w, h) = pos, dims
+    return ((x == l) | (x == 0) << 1 | (y == w) << 2 | (y == 0) << 3
+            | (z == h) << 4 | (z == 0) << 5)
 
 
 class Environment:
@@ -161,13 +210,16 @@ class Environment:
     episode without moving the nodes. Node ``i`` is row ``i`` of
     ``node_pos`` (float ``[N, 3]``) and entry ``i`` of the per-episode lists
     ``store_level_j`` and ``buffer_bits``; the AUV battery level is the
-    float ``auv_battery_j``. Code that moves nodes must clear
-    ``_link_cache``.
+    float ``auv_battery_j`` and its grid position ``auv_pos``. Code that
+    moves nodes must clear ``_link_cache``.
 
     Node and AUV positions must be integer grid points: the node link
     budget is tabulated once per environment over the integer squared
     ranges ``0 .. L^2 + W^2 + H^2``, and ``_links`` raises ``ValueError``
     on a squared range that is not an integer in that span.
+
+    ``step`` returns a ``StepOutcome``; training goes through ``step_id``,
+    the same step on int state ids (see ``key_to_id``).
     """
 
     def __init__(self, config: EnvConfig):
@@ -220,8 +272,10 @@ class Environment:
         dt = config.step_duration_s
         ref_snr_auv = self._sl_auv - transmission_loss_db(1.0, config.channel) - self._nl
         ref_snr_node = self._sl_node - transmission_loss_db(1.0, config.channel) - self._nl
-        # Every move is one grid unit long, so it always costs this much.
+        # Every move is one grid unit long, so it always costs this much; a
+        # move the box clamps idles and pays the hotel load for the step.
         self._unit_move_j = move_energy(config.auv, (0, 0, 0), (1, 0, 0))
+        self._idle_j = config.auv.hotel_load_w * dt
         self.motion_scale = (
             config.motion_scale
             if config.motion_scale is not None
@@ -237,6 +291,8 @@ class Environment:
             if config.power_scale is not None
             else harvestable_power(ref_snr_auv, config.node_harvest) * dt
         )
+        self._move_penalty = self._unit_move_j / self.motion_scale
+        self._idle_penalty = self._idle_j / self.motion_scale
 
         # Fixed SNR thresholds for the gain bin: the reachable uplink band,
         # from the cube diagonal down to the 1 m reference, split in four.
@@ -256,7 +312,12 @@ class Environment:
             self._sl_auv - loss - self._nl, config.node_harvest
         )
 
-        self._link_cache: dict[tuple[int, int, int], _PosLinks] = {}
+        # The AUV position is kept as its index p = (x * (W + 1) + y) * (H + 1)
+        # + z; action a moves it by _moves[a] unless the box clamps it.
+        self._w1, self._h1 = w + 1, h + 1
+        self._moves = tuple((dx * (w + 1) + dy) * (h + 1) + dz for dx, dy, dz in ACTIONS)
+        self._link_cache: dict[int, _PosLinks] = {}  # position index -> links
+        self._relay_bits: dict[float, float] = {}    # relay range -> bits per step
         self.reset(randomize_start=False)
 
     # ------------------------------------------------------------------
@@ -264,6 +325,23 @@ class Environment:
     @property
     def n_actions(self) -> int:
         return N_ACTIONS
+
+    @property
+    def auv_pos(self) -> tuple[int, int, int]:
+        """AUV grid position ``(x, y, z)``."""
+        xy, z = divmod(self._p, self._h1)
+        x, y = divmod(xy, self._w1)
+        return (x, y, z)
+
+    @auv_pos.setter
+    def auv_pos(self, pos) -> None:
+        pos = tuple(int(c) for c in pos)
+        l, w, h = self.dims
+        if not (len(pos) == 3 and 0 <= pos[0] <= l and 0 <= pos[1] <= w
+                and 0 <= pos[2] <= h):
+            raise ValueError(f"AUV position {pos} is outside the box {self.dims}")
+        self._p = (pos[0] * self._w1 + pos[1]) * self._h1 + pos[2]
+        self._blocked = _blocked_moves(pos, self.dims)
 
     def reset(self, randomize_start: bool = False) -> StateKey:
         """Start a new episode; node placement is untouched.
@@ -292,35 +370,56 @@ class Environment:
 
     def covered(self) -> list[int]:
         """Indices of nodes inside the coverage cone with a usable uplink."""
-        return list(self._links(self.auv_pos).covered)
+        return list(self._links_here().covered)
 
     def step(self, action: int) -> StepOutcome:
         """Apply one unit move and resolve power transfer and data relay."""
+        state_id, reward, done = self.step_id(int(action))
+        tput_term, harv_term, relayed_bits, harvested_j, e_move, transmit_j = (
+            self._last_terms
+        )
+        return StepOutcome(
+            next_state=id_to_key(state_id, self.dims),
+            reward=reward,
+            reward_throughput_term=tput_term,
+            reward_harvest_term=harv_term,
+            throughput_bits=relayed_bits,
+            harvested_j=harvested_j,
+            motion_energy_j=e_move,
+            transmit_energy_j=transmit_j,
+            done=done,
+        )
+
+    def step_id(self, action: int) -> tuple[int, float, bool]:
+        """``step`` on int state ids: returns (next state id, reward, done).
+
+        The step's other terms (reward throughput and harvest terms, relayed
+        bits, harvested J, motion and transmit energy) are kept in
+        ``_last_terms`` for ``step``.
+        """
         if self.done:
             raise RuntimeError("cannot step a finished episode; call reset()")
-        if not 0 <= int(action) < N_ACTIONS:
+        if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action must be in [0, {N_ACTIONS}), got {action}")
         cfg = self.config
         dt = cfg.step_duration_s
 
-        delta = ACTIONS[int(action)]
-        old = self.auv_pos
-        new = (
-            min(max(old[0] + delta[0], 0), self.dims[0]),
-            min(max(old[1] + delta[1], 0), self.dims[1]),
-            min(max(old[2] + delta[2], 0), self.dims[2]),
-        )
-        if new != old:
-            e_move = self._unit_move_j
+        p = self._p
+        if self._blocked >> action & 1:
+            e_move = self._idle_j
+            penalty = self._idle_penalty
         else:
-            # Clamped at the boundary: the vehicle idles but still pays
-            # its hotel load for the step.
-            e_move = cfg.auv.hotel_load_w * dt
-        self.auv_battery_j = max(0.0, self.auv_battery_j - e_move)
-        depleted = self.auv_battery_j == 0.0
-        self.auv_pos = new
+            p += self._moves[action]
+            e_move = self._unit_move_j
+            penalty = self._move_penalty
+        battery_j = self.auv_battery_j - e_move
+        self.auv_battery_j = battery_j = battery_j if battery_j > 0.0 else 0.0
+        links = self._link_cache.get(p)
+        if links is None:
+            links = self._links(p)
+        self._p = p
+        self._blocked = links.blocked
 
-        links = self._links(new)
         levels = self.store_level_j
         buffers = self.buffer_bits
         capacity = cfg.node_store_capacity_j
@@ -331,28 +430,43 @@ class Environment:
         collected_bits = 0.0
         relay_buffer = self.relay_buffer_bits
         uplinking_nodes = 0
+        with_data = 0
+        undercharged = 0
         for i, harvest_w, uplink_bits in links.nodes:
+            level = levels[i]
+            bits = buffers[i]
             # A node only changes its own entries, so testing it before
             # booking it tests the state the step started from.
-            if buffers[i] > 0 or levels[i] < capacity:
+            if bits > 0 or level < capacity:
                 useful = True
-            levels[i], accepted = charge(levels[i], capacity, efficiency, harvest_w, dt)
-            harvested_j += accepted
-            if uplink_bits > 0 and buffers[i] > 0:
-                take = min(buffers[i], uplink_bits)
-                buffers[i] -= take
+            # harvest.charge: the store accepts the offered energy up to its
+            # headroom (harvest_w >= 0 is checked when the links are built).
+            offered_j = harvest_w * dt * efficiency
+            headroom_j = capacity - level
+            accepted_j = offered_j if offered_j < headroom_j else headroom_j
+            levels[i] = level = level + accepted_j
+            harvested_j += accepted_j
+            if uplink_bits > 0 and bits > 0:
+                take = uplink_bits if uplink_bits < bits else bits
+                buffers[i] = bits = bits - take
                 relay_buffer += take
                 collected_bits += take
                 uplinking_nodes += 1
+            # The next state's features count the nodes as the step leaves them.
+            if bits > 0:
+                with_data += 1
+            if level < capacity:
+                undercharged += 1
 
-        relayed_bits = min(relay_buffer, links.relay_bits_per_step)
+        relay_bits = links.relay_bits_per_step
+        relayed_bits = relay_bits if relay_bits < relay_buffer else relay_buffer
         self.relay_buffer_bits = relay_buffer - relayed_bits
         self.total_relayed_bits += relayed_bits
         self.total_collected_bits += collected_bits
 
-        transmit_energy_j = uplinking_nodes * cfg.node_modem.electrical_power_w * dt
+        transmit_j = uplinking_nodes * cfg.node_modem.electrical_power_w * dt
         if links.covered:
-            transmit_energy_j += self._auv_modem.electrical_power_w * dt
+            transmit_j += self._auv_modem.electrical_power_w * dt
 
         if useful:
             tput_term = cfg.reward_gamma * (relayed_bits / self.throughput_scale)
@@ -360,27 +474,17 @@ class Environment:
         else:
             tput_term = 0.0
             harv_term = 0.0
-        reward = tput_term + harv_term - e_move / self.motion_scale
+        reward = tput_term + harv_term - penalty
+        self._last_terms = (tput_term, harv_term, relayed_bits, harvested_j, e_move,
+                            transmit_j)
 
         self.step_index += 1
-        self.done = depleted or self.step_index >= cfg.episode_length
-        return StepOutcome(
-            next_state=self._state(links),
-            reward=reward,
-            reward_throughput_term=tput_term,
-            reward_harvest_term=harv_term,
-            throughput_bits=relayed_bits,
-            harvested_j=harvested_j,
-            motion_energy_j=e_move,
-            transmit_energy_j=transmit_energy_j,
-            done=self.done,
-        )
+        self.done = done = battery_j == 0.0 or self.step_index >= cfg.episode_length
+        return (_state_id(p, with_data, undercharged, links.gain_bin), reward, done)
 
-    def encode_state(self) -> StateKey:
-        return self._state(self._links(self.auv_pos))
-
-    def _state(self, links: _PosLinks) -> StateKey:
-        """State at the AUV position, whose links are ``links``."""
+    def state_id(self) -> int:
+        """Int id of the current state (see ``key_to_id``)."""
+        links = self._links_here()
         capacity = self.config.node_store_capacity_j
         buffers = self.buffer_bits
         levels = self.store_level_j
@@ -391,16 +495,22 @@ class Environment:
                 with_data += 1
             if levels[i] < capacity:
                 undercharged += 1
-        x, y, z = self.auv_pos
-        return StateKey(x, y, z, min(3, with_data), min(3, undercharged), links.gain_bin)
+        return _state_id(self._p, with_data, undercharged, links.gain_bin)
+
+    def encode_state(self) -> StateKey:
+        return id_to_key(self.state_id(), self.dims)
 
     # ------------------------------------------------------------------
 
-    def _links(self, pos: tuple[int, int, int]) -> _PosLinks:
-        cached = self._link_cache.get(pos)
-        if cached is not None:
-            return cached
+    def _links_here(self) -> _PosLinks:
+        links = self._link_cache.get(self._p)
+        return links if links is not None else self._links(self._p)
+
+    def _links(self, p: int) -> _PosLinks:
+        """Build and cache the link terms at position index ``p``."""
         cfg = self.config
+        xy, z = divmod(p, self._h1)
+        pos = (*divmod(xy, self._w1), z)
         d = self.node_pos - np.asarray(pos, dtype=float)
         dz = d[:, 2]
         horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
@@ -425,13 +535,20 @@ class Environment:
             self._uplink_rate_bps[covered_d2].tolist(),
         ):
             info_w, harvest_w = split_power(power_w, split_ratio)
+            if not harvest_w >= 0.0:
+                raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
             nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
 
+        # Many positions share a relay range; the same scalar call on the
+        # same float gives the same rate, so it is computed once per range.
         relay_range = max(1.0, math.dist(pos, self._surface_station))
-        relay_snr = self._sl_auv - transmission_loss_db(relay_range, cfg.channel) - self._nl
-        relay_rate = shannon_throughput_bps(
-            relay_snr, cfg.channel, self._auv_modem.min_snr_db
-        )
+        relay_bits = self._relay_bits.get(relay_range)
+        if relay_bits is None:
+            relay_snr = self._sl_auv - transmission_loss_db(relay_range, cfg.channel) - self._nl
+            relay_rate = shannon_throughput_bps(
+                relay_snr, cfg.channel, self._auv_modem.min_snr_db
+            )
+            relay_bits = self._relay_bits[relay_range] = float(relay_rate) * dt
 
         if idx.size:
             gain_bin = int(np.searchsorted(self._gain_edges, float(np.mean(uplink_snr[idx]))))
@@ -440,10 +557,11 @@ class Environment:
         links = _PosLinks(
             covered=tuple(idx.tolist()),
             nodes=tuple(nodes),
-            relay_bits_per_step=float(relay_rate) * dt,
+            relay_bits_per_step=relay_bits,
             gain_bin=gain_bin,
+            blocked=_blocked_moves(pos, self.dims),
         )
-        self._link_cache[pos] = links
+        self._link_cache[p] = links
         return links
 
     # ------------------------------------------------------------------
@@ -532,8 +650,10 @@ def config_from_dict(cls, doc: dict):
 
     Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
     field annotations. Fields missing from ``doc`` keep their defaults; an
-    unknown key, or a tuple field given something other than an array,
-    raises ``ValueError`` naming the class and the field.
+    unknown key, a tuple field given something other than an array, a
+    scalar of the wrong JSON type (an int is accepted for a float, a bool
+    is not a number) or null for a field that is not optional raises
+    ``ValueError`` naming the class and the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
@@ -547,11 +667,17 @@ def config_from_dict(cls, doc: dict):
     })
 
 
+# The Python types of the JSON scalars each scalar annotation accepts.
+_SCALAR_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
 def _from_json(annotation, value, name: str):
-    if value is None:
-        return None
     if isinstance(annotation, types.UnionType):  # X | None
+        if value is None:
+            return None
         (annotation,) = (a for a in get_args(annotation) if a is not type(None))
+    elif value is None:
+        raise ValueError(f"{name} must not be null")
     if dataclasses.is_dataclass(annotation):
         return config_from_dict(annotation, value)
     if get_origin(annotation) is tuple:
@@ -560,4 +686,10 @@ def _from_json(annotation, value, name: str):
         # Every tuple field holds one element type: tuple[X, ...] or (X, X).
         element = get_args(annotation)[0]
         return tuple(_from_json(element, v, name) for v in value)
+    accepted = _SCALAR_TYPES.get(annotation)
+    if accepted is not None and (
+        not isinstance(value, accepted)
+        or (isinstance(value, bool) and annotation is not bool)
+    ):
+        raise ValueError(f"{name} must be of type {annotation.__name__}, got {value!r}")
     return value

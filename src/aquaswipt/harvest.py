@@ -114,9 +114,9 @@ def charge(level_j: float, capacity_j: float, efficiency: float,
     ``efficiency`` scales the offered energy. Returns the new level and the
     energy actually accepted (J); the level never exceeds ``capacity_j``.
     """
-    if harvest_w < 0:
+    if not harvest_w >= 0:  # NaN fails too; min() would book the full headroom
         raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
     offered_j = harvest_w * duration_s * efficiency
     accepted_j = min(capacity_j - level_j, offered_j)

@@ -1,5 +1,6 @@
-"""Agent tests: selection, updates, training loops, rollouts, and the
-value-iteration oracle on hand-solvable MDPs."""
+"""Agent tests: the reference selection and updates, the trainer against
+the reference loop, training loops, rollouts, and the value-iteration
+oracle on hand-solvable MDPs."""
 
 import json
 
@@ -12,14 +13,14 @@ from aquaswipt.agents import (
     QTable,
     TabularMdpEnv,
     greedy_rollout,
-    q_update,
     random_rollout,
-    sarsa_update,
-    select_action,
     train,
     value_iteration_oracle,
 )
-from aquaswipt.env3d import EnvConfig, deploy
+from aquaswipt.auv import AuvSpec
+from aquaswipt.env3d import EnvConfig, deploy, id_to_key
+from aquaswipt.harvest import HarvestSpec
+from reference_loop import q_update, reference_train, sarsa_update, select_action
 
 
 def cfg(**kwargs):
@@ -29,7 +30,7 @@ def cfg(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# select_action
+# select_action (the reference loop's; the trainer inlines it)
 
 
 def test_select_action_pure_greedy():
@@ -65,7 +66,7 @@ def test_select_action_rejects_bad_epsilon():
 
 
 # ---------------------------------------------------------------------------
-# updates
+# updates (the reference loop's; the trainer inlines them)
 
 
 def test_q_update_hand_value():
@@ -240,6 +241,59 @@ def test_train_sarsa_matches_oracle_policy_with_annealed_epsilon():
     assert np.array_equal(np.argmax(learned, axis=1), np.argmax(q_star, axis=1))
 
 
+# ---------------------------------------------------------------------------
+# the trainer against the reference loop
+
+
+def small_env(**kwargs):
+    defaults = dict(dims=(6, 6, 4), node_count=6, episode_length=30, rng_seed=4,
+                    auv=AuvSpec(hotel_load_w=500.0))
+    defaults.update(kwargs)
+    return EnvConfig(**defaults)
+
+
+BASE_LEARN = dict(learning_rate=0.75, discount=0.9, epsilon_start=1.0, epsilon_decay=0.95,
+                  epsilon_min=0.05, episodes=40, seed=7, randomize_start=True)
+DIFFERENTIAL_CASES = {
+    "boundary-clamps": (small_env(dims=(3, 3, 2), node_count=3, auv_start_xy=(0, 0)), {}),
+    "battery-depletion": (
+        small_env(auv=AuvSpec(hotel_load_w=500.0, battery_capacity_j=9000.0,
+                              battery_level_j=9000.0)), {}),
+    "stores-fill": (small_env(node_store_capacity_j=1e-8), {}),
+    "split-0": (small_env(node_harvest=HarvestSpec(split_ratio=0.0)), {}),
+    "split-1": (small_env(node_harvest=HarvestSpec(split_ratio=1.0)), {}),
+    "epsilon-0": (small_env(), dict(epsilon_start=0.0, epsilon_min=0.0)),
+    "epsilon-1": (small_env(), dict(epsilon_decay=1.0, epsilon_min=1.0)),
+    "optimistic-init": (small_env(), dict(optimistic_init=2.5)),
+}
+
+
+def env_state(env):
+    return (env.auv_pos, env.store_level_j, env.buffer_bits, env.auv_battery_j,
+            env.relay_buffer_bits, env.total_relayed_bits, env.total_collected_bits,
+            env.step_index, env.done)
+
+
+@pytest.mark.parametrize("algo", [Algorithm.Q_LEARNING, Algorithm.SARSA])
+@pytest.mark.parametrize("case", list(DIFFERENTIAL_CASES))
+def test_train_matches_reference_loop(case, algo):
+    env_cfg, learn_kwargs = DIFFERENTIAL_CASES[case]
+    learn = LearnConfig(**{**BASE_LEARN, **learn_kwargs})
+    env = deploy(env_cfg)
+    reference_env = deploy(env_cfg)
+    q, trace = train(env, algo, learn)
+    reference_q, reference_trace = reference_train(reference_env, algo, learn)
+
+    assert [(m.steps, m.total_reward) for m in trace] == reference_trace
+    assert {id_to_key(s, env.dims): row for s, row in q._table.items()} == reference_q._table
+    assert env_state(env) == env_state(reference_env)
+    # Each case reaches the branch it is named after.
+    if case == "battery-depletion":
+        assert min(steps for steps, _ in reference_trace) < env_cfg.episode_length
+    if case == "stores-fill":
+        assert env_cfg.node_store_capacity_j in env.store_level_j
+
+
 def test_train_rejects_random_baseline():
     transitions, rewards, _ = chain_mdp(seed=2)
     env = TabularMdpEnv(transitions, rewards, episode_length=20, seed=1)
@@ -340,6 +394,32 @@ def test_learn_config_validation():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="optimistic_init"):
             LearnConfig(optimistic_init=value)
+
+
+def test_qtable_of_state_ids_saves_state_keys_and_loads_for_its_box(tmp_path):
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    q, _ = train(env, Algorithm.SARSA, cfg(episodes=5, randomize_start=True))
+    path = tmp_path / "table.json"
+    q.save(path)
+    entries = json.loads(path.read_text())["entries"]
+    keys = [tuple(key) for key, _ in entries]
+    assert keys == sorted(keys) and len(keys) == len(q)
+    assert keys == [tuple(id_to_key(s, env.dims)) for s in sorted(q._table)]
+    loaded = QTable.load(path, dims=env.dims)
+    assert loaded._table == q._table
+    assert greedy_rollout(env, loaded)[1] == greedy_rollout(env, q)[1]
+    with pytest.raises(ValueError, match="dims=env.dims"):
+        greedy_rollout(env, QTable.load(path))
+    with pytest.raises(ValueError, match="state key"):
+        QTable.load(path, dims=(2, 2, 2))
+
+
+def test_train_rejects_nonfinite_reward():
+    transitions, rewards, _ = chain_mdp(seed=2)
+    rewards[:, :] = float("inf")
+    env = TabularMdpEnv(transitions, rewards, episode_length=5, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        train(env, Algorithm.Q_LEARNING, cfg(episodes=1))
 
 
 def test_qtable_save_load_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import aquaswipt
+import aquaswipt.campaign
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 WORKLOAD_NAMES = ["desk-campaign", "table-explore", "coverage-sweep"]
@@ -71,3 +72,23 @@ def test_workload_smoke_run_counts_work(bench, name, tmp_path, monkeypatch):
         digests = workload.run(config, tmp_path)
     assert set(digests) == set(workload.outputs)
     assert getattr(tracer, workload.work) > 0
+
+
+def test_desk_smoke_run_counts_every_step_and_reset(bench, tmp_path, monkeypatch):
+    """``wall_s`` segments are cut at env resets and ``work_per_s`` counts the
+    steps the trainer and rollouts report, so both counts must be exact."""
+    tracing, workloads = bench
+    workload = workloads.WORKLOADS["desk-campaign"]
+    config = _shrunk(workload.config(0))
+    specs = aquaswipt.campaign._build_cell_specs(config)
+    learner_cells = sum(1 for spec in specs if spec.algorithm != "random")
+    assert (len(specs), learner_cells) == (14, 11)
+    episodes, length = config.learn.episodes, config.env.episode_length
+    monkeypatch.setenv("AQUASWIPT_THREADS", "1")
+    workload.prepare(config, tmp_path)
+    with tracing.Tracer(full=False) as tracer:
+        workload.run(config, tmp_path)
+    # Every training episode and every rollout runs to the episode length.
+    assert tracer.env_steps == learner_cells * episodes * length + len(specs) * length
+    # One reset per training episode, per rollout, and at each env's construction.
+    assert tracer._resets == learner_cells * episodes + 2 * len(specs)

@@ -33,6 +33,8 @@ def test_validate_with_config_file(tmp_path, capsys):
     path = write_config(tmp_path, tiny_campaign(tmp_path / "out"))
     assert main(["validate", "--config", str(path)]) == 0
     assert "config OK" in capsys.readouterr().out
+    # An int stands for a float.
+    assert main(["validate", "--config", str(path), "--set", "env.reward_gamma=1"]) == 0
 
 
 def test_validate_rejects_bad_override(capsys):
@@ -64,6 +66,13 @@ def test_validate_rejects_bad_node_store(capsys):
         "node_counts=10",
         "gamma_sweep=0.5",
         "env.dims=5",
+        "learn.episodes=2.5",
+        "env.episode_length=true",
+        "mc_runs=abc",
+        "env.reward_gamma=false",
+        "node_counts=[10.5]",
+        "output_dir=3",
+        "env.episode_length=null",
     ],
 )
 def test_validate_names_bad_or_unknown_field(setting, capsys):

@@ -16,8 +16,11 @@ from aquaswipt.env3d import (
     config_from_dict,
     deploy,
     env_config_to_dict,
+    id_to_key,
+    key_to_id,
 )
 from aquaswipt.harvest import HarvestSpec
+from reference_loop import reference_links
 
 
 def small_config(**kwargs):
@@ -152,53 +155,9 @@ def test_covered_matches_brute_force_on_random_layouts():
         assert env.covered() == brute_force_covered(env)
 
 
-def reference_links(env, pos):
-    """The link terms at ``pos`` from the channel and harvest models, plus
-    the number of nodes in the cone before the SNR floor.
-
-    The link budget is evaluated over arrays of node ranges, as the models
-    define it: numpy's vectorised power can differ from its scalar form in
-    the last bit.
-    """
-    from aquaswipt.channel import (
-        noise_level_db,
-        shannon_throughput_bps,
-        source_level,
-        transmission_loss_db,
-    )
-    from aquaswipt.harvest import harvestable_power, split_power
-
-    cfg = env.config
-    auv_modem = cfg.auv_modem if cfg.auv_modem is not None else cfg.node_modem
-    nl = noise_level_db(cfg.channel)
-    dt = cfg.step_duration_s
-    tan_half = math.tan(math.radians(cfg.auv.cone_apex_angle_deg / 2.0))
-    dist = np.maximum(1.0, np.sqrt(((env.node_pos - np.asarray(pos, float)) ** 2).sum(axis=1)))
-    up_snr = source_level(cfg.node_modem) - transmission_loss_db(dist, cfg.channel) - nl
-    in_cone = []
-    for i, (nx, ny, nz) in enumerate(env.node_pos.tolist()):
-        dx, dy, dz = nx - pos[0], ny - pos[1], nz - pos[2]
-        reach = dz * tan_half
-        if dz >= 0 and dx * dx + dy * dy <= reach * reach:
-            in_cone.append(i)
-    covered = [i for i in in_cone if up_snr[i] >= cfg.node_modem.min_snr_db]
-    idx = np.asarray(covered, dtype=int)
-    rate = shannon_throughput_bps(up_snr[idx], cfg.channel, cfg.node_modem.min_snr_db)
-    down_snr = source_level(auv_modem) - transmission_loss_db(dist[idx], cfg.channel) - nl
-    power = harvestable_power(down_snr, cfg.node_harvest)
-    nodes = []
-    for i, power_w, rate_bps in zip(covered, power.tolist(), rate.tolist()):
-        info_w, harvest_w = split_power(power_w, cfg.node_harvest.split_ratio)
-        nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
-
-    l, w, _ = cfg.dims
-    sx, sy = cfg.surface_station_xy or (l / 2.0, w / 2.0)
-    relay_range = max(1.0, math.dist(pos, (sx, sy, 0.0)))
-    relay_snr = source_level(auv_modem) - transmission_loss_db(relay_range, cfg.channel) - nl
-    relay_bps = shannon_throughput_bps(relay_snr, cfg.channel, auv_modem.min_snr_db)
-    mean_snr = float(np.mean(up_snr[idx])) if covered else None
-    gain_bin = 0 if mean_snr is None else sum(e < mean_snr for e in env._gain_edges)
-    return tuple(covered), tuple(nodes), relay_bps * dt, gain_bin, len(in_cone)
+def links_at(env, pos):
+    """The env's link terms at grid position ``pos``, built afresh."""
+    return env._links(key_to_id(StateKey(*pos, 0, 0, 0), env.dims) // 64)
 
 
 def test_link_table_matches_reference_over_every_position():
@@ -222,12 +181,15 @@ def test_link_table_matches_reference_over_every_position():
         seen = dropped = 0
         for pos in np.ndindex(l + 1, w + 1, h + 1):
             pos = tuple(int(c) for c in pos)
-            links = env._links(pos)
+            links = links_at(env, pos)
             covered, nodes, relay_bits, gain_bin, n_in_cone = reference_links(env, pos)
             assert links.covered == covered, (cfg.dims, pos)
             assert links.nodes == nodes, (cfg.dims, pos)
             assert links.relay_bits_per_step == relay_bits, (cfg.dims, pos)
             assert links.gain_bin == gain_bin, (cfg.dims, pos)
+            clamped = [a for a, move in enumerate(ACTIONS)
+                       if not all(0 <= c + d <= top for c, d, top in zip(pos, move, cfg.dims))]
+            assert links.blocked == sum(1 << a for a in clamped), (cfg.dims, pos)
             seen += len(covered)
             dropped += n_in_cone - len(covered)
         assert seen > 0
@@ -241,7 +203,18 @@ def test_links_reject_off_grid_node():
         env.node_pos[1] = off_grid
         env._link_cache.clear()
         with pytest.raises(ValueError, match="grid points"):
-            env._links((10, 10, 0))
+            links_at(env, (10, 10, 0))
+
+
+def test_links_reject_nan_harvest_power():
+    # The step books charge()'s arithmetic without its per-call check; the
+    # check runs once per position when the links are built.
+    env = deploy(small_config(node_count=1, rng_seed=5))
+    env.node_pos = np.asarray([[10.0, 10.0, 5.0]])
+    env._link_cache.clear()
+    env._downlink_power_w[:] = float("nan")
+    with pytest.raises(ValueError, match="harvest_w"):
+        links_at(env, (10, 10, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +523,41 @@ def test_state_key_is_hashable_and_tuple_like():
     key = StateKey(1, 2, 3, 0, 1, 2)
     assert key == (1, 2, 3, 0, 1, 2)
     assert hash(key) == hash((1, 2, 3, 0, 1, 2))
+
+
+def test_state_ids_decode_and_sort_in_state_key_order():
+    dims = (4, 3, 2)
+    keys = [StateKey(x, y, z, a, b, c)
+            for x in range(5) for y in range(4) for z in range(3)
+            for a in range(4) for b in range(4) for c in range(4)]
+    ids = [key_to_id(key, dims) for key in keys]
+    assert ids == sorted(ids) == list(range(len(keys)))
+    assert [id_to_key(i, dims) for i in ids] == keys
+    for bad in [(5, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0), (0, 0, 0, 4, 0, 0),
+                (0, 0, 0, 0, 0), (0.0, 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="state key"):
+            key_to_id(bad, dims)
+
+
+def test_step_id_is_step_on_state_ids():
+    a = deploy(small_config(rng_seed=8))
+    b = deploy(small_config(rng_seed=8))
+    assert a.state_id() == key_to_id(a.encode_state(), a.dims)
+    rng = np.random.default_rng(4)
+    for action in rng.integers(0, 6, size=a.config.episode_length).tolist():
+        out = a.step(action)
+        state_id, reward, done = b.step_id(action)
+        assert (out.next_state, out.reward, out.done) == (
+            id_to_key(state_id, b.dims), reward, done)
+        assert state_id == b.state_id()
+    assert a.auv_pos == b.auv_pos and a.store_level_j == b.store_level_j
+
+
+def test_auv_pos_rejects_positions_outside_the_box():
+    env = deploy(small_config())
+    for pos in [(21, 0, 0), (0, -1, 0), (0, 0, 11)]:
+        with pytest.raises(ValueError, match="outside the box"):
+            env.auv_pos = pos
 
 
 def test_actions_are_six_unit_steps():

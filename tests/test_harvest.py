@@ -134,6 +134,11 @@ def test_charge_rejects_bad_inputs():
         charge(0.0, 10.0, 1.0, -1.0, 5.0)
     with pytest.raises(ValueError):
         charge(0.0, 10.0, 1.0, 1.0, 0.0)
+    # NaN compares false both ways: unchecked, it would fill the store.
+    with pytest.raises(ValueError, match="harvest_w"):
+        charge(0.0, 10.0, 1.0, float("nan"), 5.0)
+    with pytest.raises(ValueError, match="duration_s"):
+        charge(0.0, 10.0, 1.0, 1.0, float("nan"))
 
 
 @pytest.mark.parametrize(
