@@ -64,11 +64,46 @@ def cone_volume(geom: ConeGeometry) -> float:
 
 def points_in_cone(geom: ConeGeometry, points: np.ndarray) -> np.ndarray:
     """Boolean mask of points (N, 3) inside the cone, boundary inclusive."""
-    d = np.asarray(points, dtype=float) - np.asarray(geom.apex, dtype=float)
-    dz = d[:, 2]
-    horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
-    tan_half = math.tan(math.radians(geom.apex_angle_deg / 2.0))
-    return (dz >= 0) & (dz <= geom.height_m) & (horiz2 <= (dz * tan_half) ** 2)
+    pts = np.asarray(points, dtype=float)
+    ax, ay, az = (float(c) for c in geom.apex)
+    # One column at a time: broadcasting (N, 3) - (3,) runs numpy's inner
+    # loop three elements long and cost more than the rest of the test
+    # together. The squares and masks reuse the temporaries made here.
+    dx = pts[:, 0] - ax
+    dy = pts[:, 1] - ay
+    dz = pts[:, 2] - az
+    horiz2 = np.square(dx, out=dx)
+    horiz2 += np.square(dy, out=dy)
+    reach2 = dz * math.tan(math.radians(geom.apex_angle_deg / 2.0))
+    np.square(reach2, out=reach2)
+    inside = dz >= 0
+    inside &= dz <= geom.height_m
+    inside &= horiz2 <= reach2
+    return inside
+
+
+# Points per sampled block. A block holds whole rows (one trial's
+# placements), so a row longer than this is a block of its own. At the
+# coverage-sweep bench scale 2^14 and 2^15 ran fastest, 2^13 and 2^16 about
+# 10% and 25% slower: a 768 KB block and the cone test's temporaries stay
+# near the L2 cache.
+_BLOCK_POINTS = 1 << 15
+
+
+def _uniform_blocks(rng: np.random.Generator, cube, rows: int, per_row: int):
+    """Yield ``rng``'s uniform draws over ``cube`` as (rows_in_block, per_row, 3) blocks.
+
+    The blocks hold whole rows and, concatenated, equal
+    ``rng.uniform(0.0, cube, size=(rows, per_row, 3))`` byte for byte:
+    ``uniform`` computes ``0.0 + (cube - 0.0) * random()`` element by
+    element in C order, which is exactly ``random() * cube``.
+    """
+    scale = np.asarray(cube, dtype=float)
+    step = max(1, _BLOCK_POINTS // max(per_row, 1))  # rows per block
+    for start in range(0, rows, step):
+        block = rng.random((min(step, rows - start), per_row, 3))
+        block *= scale
+        yield block
 
 
 def clipped_cone_volume_mc(
@@ -80,15 +115,17 @@ def clipped_cone_volume_mc(
     """Volume of cone-intersect-cube by uniform sampling of the cube.
 
     Unbiased; the standard error follows the binomial hit fraction and
-    shrinks as 1/sqrt(samples).
+    shrinks as 1/sqrt(samples). Samples are drawn and tested in blocks, so
+    memory is O(block) whatever ``samples`` is.
     """
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples}")
     l, w, h = cube
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, [l, w, h], size=(samples, 3))
-    hits = points_in_cone(geom, pts)
-    p_hat = float(np.count_nonzero(hits)) / samples
+    hits = 0
+    for block in _uniform_blocks(rng, cube, samples, 1):
+        hits += int(np.count_nonzero(points_in_cone(geom, block.reshape(-1, 3))))
+    p_hat = hits / samples
     cube_volume = l * w * h
     stderr = cube_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return VolumeEstimate(cube_volume * p_hat, stderr)
@@ -125,7 +162,9 @@ def coverage_sweep(
 
     The cone hangs from each start at the surface (z = 0) down to the
     bottom of the box; node placements are drawn uniformly over the
-    continuous cube, matching the binomial model's assumptions.
+    continuous cube, matching the binomial model's assumptions. Placements
+    are drawn and tested in blocks of whole trials, so memory is O(block)
+    whatever ``trials``, ``n_values`` and ``volume_samples`` are.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -144,10 +183,14 @@ def coverage_sweep(
         p = min(1.0, vol / cube_volume)
         for ni, n in enumerate(n_values):
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, si, ni])
-            pts = rng.uniform(0.0, [l, w, h], size=(trials, n, 3))
-            counts = points_in_cone(geom, pts.reshape(-1, 3)).reshape(trials, n).sum(axis=1)
-            for k in k_values:
-                p_emp = float(np.count_nonzero(counts >= k)) / trials
+            at_least = [0] * len(k_values)  # trials covering >= k nodes, per k
+            for block in _uniform_blocks(rng, (l, w, h), trials, n):
+                inside = points_in_cone(geom, block.reshape(-1, 3))
+                counts = inside.reshape(len(block), n).sum(axis=1)
+                for i, k in enumerate(k_values):
+                    at_least[i] += int(np.count_nonzero(counts >= k))
+            for k, covered in zip(k_values, at_least):
+                p_emp = covered / trials
                 if k > n:
                     # Covering more nodes than exist is impossible; this
                     # also handles the empty-deployment edge.

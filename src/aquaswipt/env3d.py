@@ -692,4 +692,7 @@ def _from_json(annotation, value, name: str):
         or (isinstance(value, bool) and annotation is not bool)
     ):
         raise ValueError(f"{name} must be of type {annotation.__name__}, got {value!r}")
+    # JSON's NaN and Infinity pass range checks written as ``x <= 0``.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -16,6 +16,7 @@ import pytest
 
 import aquaswipt
 import aquaswipt.campaign
+import aquaswipt.coverage
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 WORKLOAD_NAMES = ["desk-campaign", "table-explore", "coverage-sweep"]
@@ -92,3 +93,26 @@ def test_desk_smoke_run_counts_every_step_and_reset(bench, tmp_path, monkeypatch
     assert tracer.env_steps == learner_cells * episodes * length + len(specs) * length
     # One reset per training episode, per rollout, and at each env's construction.
     assert tracer._resets == learner_cells * episodes + 2 * len(specs)
+
+
+def test_coverage_smoke_run_tests_every_point_once(bench, tmp_path):
+    """``work_per_s`` counts the points each ``points_in_cone`` call tests, and
+    ``wall_s`` segments are cut at its returns, so blocked sampling must send
+    every point through the traced predicate exactly once."""
+    tracing, workloads = bench
+    workload = workloads.WORKLOADS["coverage-sweep"]
+    # Sized so the volume estimate and the largest node count span blocks.
+    config = dataclasses.replace(
+        workload.config(0),
+        coverage_trials=1000,
+        coverage_volume_samples=2 * aquaswipt.coverage._BLOCK_POINTS + 1,
+    )
+    starts = len(aquaswipt.campaign._default_coverage_starts(config.coverage_dims))
+    with tracing.Tracer(full=False) as tracer:
+        workload.run(config, tmp_path)
+    n_values = config.coverage_n_values
+    assert tracer.points_tested == starts * (
+        config.coverage_volume_samples + config.coverage_trials * sum(n_values)
+    )
+    # More calls than one per sampled array: the samples went in blocks.
+    assert tracer.calls("coverage.points_in_cone") > starts * (1 + len(n_values))

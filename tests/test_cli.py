@@ -73,6 +73,10 @@ def test_validate_rejects_bad_node_store(capsys):
         "node_counts=[10.5]",
         "output_dir=3",
         "env.episode_length=null",
+        "env.channel.frequency_khz=NaN",
+        "env.channel.frequency_khz=Infinity",
+        "env.node_buffer_bits=NaN",
+        "learn.discount=-Infinity",
     ],
 )
 def test_validate_names_bad_or_unknown_field(setting, capsys):

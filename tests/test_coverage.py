@@ -2,12 +2,14 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aquaswipt.campaign import write_csv
+from aquaswipt.campaign import desk_campaign_config, run_coverage, write_csv
 from aquaswipt.coverage import (
+    _BLOCK_POINTS,
     ConeGeometry,
     SweepRow,
     clipped_cone_volume_mc,
@@ -16,6 +18,7 @@ from aquaswipt.coverage import (
     coverage_sweep,
     coverage_tail,
     points_in_cone,
+    _uniform_blocks,
 )
 from aquaswipt.env3d import EnvConfig
 
@@ -56,7 +59,9 @@ def test_points_in_cone_membership():
         [5.0 + 10.0 * math.tan(math.radians(30.0)) - 1e-9, 5.0, 10.0],  # inside rim
         [9.0, 5.0, 2.0],    # outside the slant at shallow depth
     ])
+    before = pts.copy()
     assert list(points_in_cone(geom, pts)) == [True, False, False, True, False]
+    assert np.array_equal(pts, before)  # the test works in its own temporaries
 
 
 def test_clipped_volume_matches_analytic_when_inside():
@@ -210,3 +215,42 @@ def test_sweep_csv_columns(tmp_path):
         data = next(reader)
     assert header == ["start_x", "start_y", "n", "k", "p_analytic", "p_empirical", "stderr"]
     assert float(data[4]) == 0.5
+
+
+@pytest.mark.parametrize(
+    "rows, per_row",
+    [
+        (3 * (_BLOCK_POINTS // 50) + 7, 50),  # rows not a multiple of a block's
+        (3, _BLOCK_POINTS + 1),  # a row longer than a block: one row per block
+        (2 * _BLOCK_POINTS + 5, 1),  # the volume estimate's shape
+        (100, 0),  # coverage_sweep takes n = 0
+    ],
+)
+def test_uniform_blocks_equal_one_uniform_draw(rows, per_row):
+    """Blocking must not move a single sampled byte or the draws after it."""
+    cube = (100.0, 37.3, 50.0)
+    rng = np.random.default_rng(11)
+    blocks = list(_uniform_blocks(rng, cube, rows, per_row))
+    expected_rng = np.random.default_rng(11)
+    expected = expected_rng.uniform(0.0, cube, size=(rows, per_row, 3))
+    got = np.concatenate(blocks)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert rng.random() == expected_rng.random()
+    if per_row:
+        assert len(blocks) > 1
+        assert all(len(b) * per_row <= max(_BLOCK_POINTS, per_row) for b in blocks)
+
+
+def test_coverage_sweep_memory_does_not_grow_with_samples():
+    """At 20,000 trials and 10^6 volume samples, whole-array sampling peaks
+    near 86 MB of numpy allocations; blocked sampling stays near 2 MB."""
+    config = desk_campaign_config(coverage_trials=20_000,
+                                  coverage_volume_samples=1_000_000)
+    tracemalloc.start()
+    try:
+        run_coverage(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
