@@ -12,11 +12,9 @@ from .agents import (
     EpisodeMetrics,
     LearnConfig,
     QTable,
-    TabularMdpEnv,
     greedy_rollout,
     random_rollout,
     train,
-    value_iteration_oracle,
 )
 from .auv import AuvSpec, drag_force, move_energy, propulsion_power
 from .campaign import (

@@ -7,7 +7,9 @@ The results are aggregated into per-figure CSV datasets plus a manifest
 that pins every seed. A separate sweep varies the throughput/harvest
 weighting, and a geometric sweep produces the coverage-probability table.
 
-Cells are independent; AQUASWIPT_THREADS > 1 runs them in a process pool.
+Cells are independent and run in a pool of worker processes, one per CPU
+(``os.cpu_count()``) unless AQUASWIPT_THREADS sets the count, and never
+more than there are cells; at one worker they run in this process.
 Results are aggregated in a canonical order so output bytes do not depend
 on completion order.
 """
@@ -315,23 +317,27 @@ def _build_cell_specs(config: CampaignConfig) -> list[_CellSpec]:
     return specs
 
 
-def _worker_count() -> int:
-    """Worker processes from ``AQUASWIPT_THREADS`` (default 1)."""
-    raw = os.environ.get("AQUASWIPT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(
-            f"AQUASWIPT_THREADS must be an integer >= 1 (worker processes), got {raw!r}"
-        )
-    return workers
+def _worker_count(cells: int) -> int:
+    """Worker processes for ``cells`` cells: ``AQUASWIPT_THREADS`` when set,
+    else ``os.cpu_count()``, and never more than ``cells``."""
+    raw = os.environ.get("AQUASWIPT_THREADS")
+    if raw is None:
+        workers = os.cpu_count() or 1
+    else:
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(
+                f"AQUASWIPT_THREADS must be an integer >= 1 (worker processes), got {raw!r}"
+            )
+    return min(workers, cells)
 
 
 def _execute_cells(specs: list[_CellSpec]) -> list[CellResult]:
-    workers = _worker_count()
-    if workers > 1 and len(specs) > 1:
+    workers = _worker_count(len(specs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, specs))
     return [_run_cell(spec) for spec in specs]

@@ -125,8 +125,27 @@ def _cmd_run(args) -> int:
             print(f"  {cell.algorithm:>10} n={cell.node_count:<3} "
                   f"throughput={cell.throughput_mean:.3e} bits "
                   f"ee={cell.ee_mean:.3e} bit/J")
+        print(_headline(result.cells))
         print(f"datasets written to {config.output_dir}")
     return EXIT_OK
+
+
+# The paper's headline: up to 207% higher energy efficiency than the random
+# trajectory, an EE ratio of 3.07.
+PAPER_EE_RATIO = 3.07
+
+
+def _headline(cells) -> str:
+    """The run's best EE ratio over the random baseline beside the paper's."""
+    rated = [c for c in cells if c.ee_ratio_vs_random is not None]
+    paper = (f"paper: up to {PAPER_EE_RATIO:.2f} "
+             f"({(PAPER_EE_RATIO - 1.0) * 100.0:.0f}% improvement)")
+    if not rated:
+        return f"best EE ratio vs random: none (no learner with a random baseline); {paper}"
+    best = max(rated, key=lambda c: c.ee_ratio_vs_random)
+    return (f"best EE ratio vs random: {best.ee_ratio_vs_random:.2f} "
+            f"({(best.ee_ratio_vs_random - 1.0) * 100.0:.0f}% improvement, "
+            f"{best.algorithm} n={best.node_count}); {paper}")
 
 
 def _cmd_coverage(args) -> int:

@@ -203,6 +203,46 @@ def _blocked_moves(pos: tuple[int, int, int], dims) -> int:
             | (z == h) << 4 | (z == 0) << 5)
 
 
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of ``values`` as a float64 vector, bit for bit.
+
+    numpy adds the elements to its 0.0 identity by pairwise summation:
+    below 8 elements in order, up to 128 in eight interleaved partial sums
+    combined as a tree plus an in-order tail, and longer runs split in two
+    at a multiple of 8. On the few covered SNRs of a position this takes
+    under 1 us, where ``np.mean`` on the list takes about 8 us, as long as
+    the rest of building the position's links.
+    """
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += a[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            total += a[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 class Environment:
     """Single-owner mutable simulation instance.
 
@@ -210,13 +250,16 @@ class Environment:
     episode without moving the nodes. Node ``i`` is row ``i`` of
     ``node_pos`` (float ``[N, 3]``) and entry ``i`` of the per-episode lists
     ``store_level_j`` and ``buffer_bits``; the AUV battery level is the
-    float ``auv_battery_j`` and its grid position ``auv_pos``. Code that
-    moves nodes must clear ``_link_cache``.
+    float ``auv_battery_j`` and its grid position ``auv_pos``.
 
-    Node and AUV positions must be integer grid points: the node link
+    Nodes are placed only through ``place_nodes``, which rejects positions
+    that are not integer grid points inside the box and builds the
+    per-axis tables of squared node offsets and cone reach. The node link
     budget is tabulated once per environment over the integer squared
-    ranges ``0 .. L^2 + W^2 + H^2``, and ``_links`` raises ``ValueError``
-    on a squared range that is not an integer in that span.
+    ranges ``0 .. L^2 + W^2 + H^2``. The link terms at a position
+    (``_links``) are built from the tables on the first visit and cached
+    per position; the uplink, harvest and uplink-bits terms of a node are
+    worked out once per squared range. ``place_nodes`` empties both caches.
 
     ``step`` returns a ``StepOutcome``; training goes through ``step_id``,
     the same step on int state ids (see ``key_to_id``).
@@ -245,7 +288,6 @@ class Environment:
         positions = deploy_rng.integers(
             low=0, high=[l + 1, w + 1, h + 1], size=(count, 3)
         )
-        self.node_pos = positions.astype(float)
 
         self._auv_modem = config.auv_modem if config.auv_modem is not None else config.node_modem
         self._sl_node = source_level(config.node_modem)
@@ -298,7 +340,7 @@ class Environment:
         # from the cube diagonal down to the 1 m reference, split in four.
         diag = math.sqrt(l * l + w * w + h * h)
         snr_far = self._sl_node - transmission_loss_db(max(1.0, diag), config.channel) - self._nl
-        self._gain_edges = np.linspace(snr_far, ref_snr_node, 5)[1:4]
+        self._gain_edges = tuple(np.linspace(snr_far, ref_snr_node, 5)[1:4].tolist())
 
         # Node link budget at range max(1, sqrt(d2)) for every integer squared
         # range d2 a pair of grid points in the box can have.
@@ -318,6 +360,8 @@ class Environment:
         self._moves = tuple((dx * (w + 1) + dy) * (h + 1) + dz for dx, dy, dz in ACTIONS)
         self._link_cache: dict[int, _PosLinks] = {}  # position index -> links
         self._relay_bits: dict[float, float] = {}    # relay range -> bits per step
+        self._range_links: dict[float, tuple] = {}   # squared range -> _range_link
+        self.place_nodes(positions)
         self.reset(randomize_start=False)
 
     # ------------------------------------------------------------------
@@ -506,56 +550,94 @@ class Environment:
         links = self._link_cache.get(self._p)
         return links if links is not None else self._links(self._p)
 
+    def place_nodes(self, positions) -> None:
+        """Put the nodes at ``positions`` and build the link tables ``_links`` reads.
+
+        ``positions`` is ``[N, 3]`` integer grid points inside the box;
+        anything else raises ``ValueError``. ``node_pos`` becomes a read-only
+        float copy, and the link cache and per-range memo start empty. The
+        per-node episode lists are sized by ``reset``, so call it before
+        stepping when the node count changes.
+        """
+        message = f"node positions must be [N, 3] grid points inside the box {self.dims}"
+        try:
+            pos = np.array(positions, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{message}: {exc}") from None
+        if (pos.ndim != 2 or pos.shape[1] != 3 or not np.array_equal(pos, np.floor(pos))
+                or (pos < 0).any() or (pos > self.dims).any()):
+            raise ValueError(message)
+        pos.flags.writeable = False
+        self.node_pos = pos
+        nx, ny, nz = pos.T
+        l, w, h = self.dims
+        # Per axis value, the squared offsets to every node. Every entry is
+        # an integer, so sums of them are exact squared ranges. Per depth,
+        # the squared cone reach (dz * tan(half apex))**2 of every node, or
+        # -1 where the node lies above the AUV and no offset can pass.
+        self._dx2 = (nx - np.arange(l + 1.0)[:, None]) ** 2
+        self._dy2 = (ny - np.arange(w + 1.0)[:, None]) ** 2
+        dz = nz - np.arange(h + 1.0)[:, None]
+        self._reach2 = np.where(dz >= 0, (dz * self._tan_half) ** 2, -1.0)
+        self._dz2 = dz * dz
+        self._link_cache.clear()
+        self._range_links.clear()
+
+    def _range_link(self, d2: float) -> tuple:
+        """``(uplink SNR, harvest_w, uplink bits per step)`` of a covered node
+        at squared range ``d2``, or ``()`` when its uplink is below the SNR floor."""
+        cfg = self.config
+        d2 = int(d2)
+        snr = float(self._uplink_snr_db[d2])
+        if not snr >= cfg.node_modem.min_snr_db:
+            return ()
+        info_w, harvest_w = split_power(float(self._downlink_power_w[d2]),
+                                        cfg.node_harvest.split_ratio)
+        if not harvest_w >= 0.0:
+            raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
+        rate_bps = float(self._uplink_rate_bps[d2])
+        return snr, harvest_w, rate_bps * cfg.step_duration_s if info_w > 0 else 0.0
+
     def _links(self, p: int) -> _PosLinks:
         """Build and cache the link terms at position index ``p``."""
-        cfg = self.config
         xy, z = divmod(p, self._h1)
-        pos = (*divmod(xy, self._w1), z)
-        d = self.node_pos - np.asarray(pos, dtype=float)
-        dz = d[:, 2]
-        horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        in_cone = (dz >= 0) & (horiz2 <= (dz * self._tan_half) ** 2)
-        d2 = horiz2 + dz * dz
-        d2_index = d2.astype(np.intp)
-        if not np.array_equal(d2_index, d2) or d2_index.max() >= len(self._uplink_snr_db):
-            raise ValueError(
-                f"squared ranges from AUV position {pos} to the nodes must be "
-                "integers within the box; node positions must be grid points"
-            )
-        uplink_snr = self._uplink_snr_db[d2_index]
-        idx = np.nonzero(in_cone & (uplink_snr >= cfg.node_modem.min_snr_db))[0]
-        covered_d2 = d2_index[idx]
-
-        split_ratio = cfg.node_harvest.split_ratio
-        dt = cfg.step_duration_s
+        x, y = divmod(xy, self._w1)
+        horiz2 = self._dx2[x] + self._dy2[y]
+        idx = (horiz2 <= self._reach2[z]).nonzero()[0]
+        covered = []
         nodes = []
-        for i, power_w, rate_bps in zip(
-            idx.tolist(),
-            self._downlink_power_w[covered_d2].tolist(),
-            self._uplink_rate_bps[covered_d2].tolist(),
-        ):
-            info_w, harvest_w = split_power(power_w, split_ratio)
-            if not harvest_w >= 0.0:
-                raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
-            nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
+        snrs = []
+        if idx.size:
+            memo = self._range_links
+            for i, d2 in zip(idx.tolist(), (horiz2[idx] + self._dz2[z, idx]).tolist()):
+                link = memo.get(d2)
+                if link is None:
+                    link = memo[d2] = self._range_link(d2)
+                if link:
+                    snr, harvest_w, uplink_bits = link
+                    covered.append(i)
+                    nodes.append((i, harvest_w, uplink_bits))
+                    snrs.append(snr)
 
         # Many positions share a relay range; the same scalar call on the
         # same float gives the same rate, so it is computed once per range.
+        pos = (x, y, z)
         relay_range = max(1.0, math.dist(pos, self._surface_station))
         relay_bits = self._relay_bits.get(relay_range)
         if relay_bits is None:
+            cfg = self.config
             relay_snr = self._sl_auv - transmission_loss_db(relay_range, cfg.channel) - self._nl
             relay_rate = shannon_throughput_bps(
                 relay_snr, cfg.channel, self._auv_modem.min_snr_db
             )
-            relay_bits = self._relay_bits[relay_range] = float(relay_rate) * dt
+            relay_bits = self._relay_bits[relay_range] = float(relay_rate) * cfg.step_duration_s
 
-        if idx.size:
-            gain_bin = int(np.searchsorted(self._gain_edges, float(np.mean(uplink_snr[idx]))))
-        else:
-            gain_bin = 0
+        gain_bin = 0
+        if snrs:
+            mean_snr = _mean(snrs)
+            gain_bin = sum(edge < mean_snr for edge in self._gain_edges)
         links = _PosLinks(
-            covered=tuple(idx.tolist()),
+            covered=tuple(covered),
             nodes=tuple(nodes),
             relay_bits_per_step=relay_bits,
             gain_bin=gain_bin,
@@ -615,10 +697,7 @@ class Environment:
         battery_j = float(auv["battery_level_j"])
         if not 0.0 <= battery_j <= env.config.auv.battery_capacity_j:
             raise ValueError("snapshot battery_level_j must be in [0, battery_capacity_j]")
-        env.node_pos = np.asarray(
-            [[int(c) for c in rec["position"]] for rec in nodes], dtype=float
-        )
-        env._link_cache.clear()
+        env.place_nodes([rec["position"] for rec in nodes])
         env.store_level_j = levels
         env.buffer_bits = [float(rec["data_buffer_bits"]) for rec in nodes]
         env.auv_pos = tuple(int(c) for c in auv["position"])

@@ -17,9 +17,7 @@ import pytest
 from aquaswipt.agents import (
     Algorithm,
     LearnConfig,
-    TabularMdpEnv,
     train,
-    value_iteration_oracle,
 )
 from aquaswipt.auv import AuvSpec, drag_force, move_energy, propulsion_power
 from aquaswipt.campaign import CampaignConfig, desk_campaign_config, run_campaign
@@ -40,6 +38,7 @@ from aquaswipt.coverage import (
 )
 from aquaswipt.env3d import EnvConfig, deploy
 from aquaswipt.harvest import HarvestSpec, harvestable_power, induced_voltage
+from mdp_oracle import TabularMdpEnv, value_iteration_oracle
 
 mp.mp.dps = 50
 

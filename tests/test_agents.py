@@ -11,15 +11,14 @@ from aquaswipt.agents import (
     Algorithm,
     LearnConfig,
     QTable,
-    TabularMdpEnv,
     greedy_rollout,
     random_rollout,
     train,
-    value_iteration_oracle,
 )
 from aquaswipt.auv import AuvSpec
 from aquaswipt.env3d import EnvConfig, deploy, id_to_key
 from aquaswipt.harvest import HarvestSpec
+from mdp_oracle import TabularMdpEnv, value_iteration_oracle
 from reference_loop import q_update, reference_train, sarsa_update, select_action
 
 
@@ -342,8 +341,7 @@ def corridor_env():
         episode_length=12,
     )
     env = deploy(config)
-    env.node_pos = np.asarray([[3.0, 0.0, 1.0]])
-    env._link_cache.clear()
+    env.place_nodes([[3.0, 0.0, 1.0]])
     env.reset()
     return env
 

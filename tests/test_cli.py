@@ -1,5 +1,6 @@
 """CLI tests: verbs, overrides, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -144,6 +145,23 @@ def test_run_prints_real_cell_count(tmp_path, capsys):
     assert "running campaign: 10 cells" in capsys.readouterr().out
 
 
+def test_run_prints_best_ee_ratio_beside_paper(tmp_path, capsys):
+    cfg = tiny_campaign(tmp_path / "out", mc_runs=1)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.DictReader((tmp_path / "out" / "fig_ee.csv").open()))
+    best = max(float(r["ee_ratio_vs_random"]) for r in rows if r["ee_ratio_vs_random"])
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("best EE ratio vs random")]
+    assert f"best EE ratio vs random: {best:.2f} (" in line
+    assert "paper: up to 3.07 (207% improvement)" in line
+    # Without a random baseline there is no ratio to report.
+    assert main(["run", "--config", str(path), "--algos", "q_learning"]) == 0
+    assert "best EE ratio vs random: none" in capsys.readouterr().out
+    assert main(["run", "--config", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_run_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
     cfg = tiny_campaign(tmp_path / "out", algorithms=("random",),
                         node_counts=(4,), mc_runs=1)
@@ -245,6 +263,18 @@ def test_replay_rejects_bad_qtable(tmp_path, capsys):
     assert main(["replay", "--qtable", str(qtable_path),
                  "--snapshot", str(snapshot_path)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_replay_rejects_off_grid_node(tmp_path, capsys):
+    snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
+    snapshot["nodes"][2]["position"] = [2.5, 3, 1]
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(snapshot))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
+    assert main(["replay", "--qtable", str(table_path),
+                 "--snapshot", str(snapshot_path)]) == 2
+    assert "grid points" in capsys.readouterr().err
 
 
 def test_replay_missing_artifacts(tmp_path):

@@ -1,18 +1,21 @@
 """Environment tests: deployment determinism, cone coverage against a
 brute-force oracle, step accounting, reward branches, and serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from aquaswipt.auv import AuvSpec
+from aquaswipt.campaign import desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
 from aquaswipt.env3d import (
     ACTIONS,
     EnvConfig,
     Environment,
     StateKey,
+    _mean,
     config_from_dict,
     deploy,
     env_config_to_dict,
@@ -121,16 +124,14 @@ def downlink_power_w(env, i):
 
 def test_covered_node_directly_below():
     env = deploy(small_config(node_count=1, rng_seed=3))
-    env.node_pos = np.asarray([[10.0, 10.0, 7.0]])
-    env._link_cache.clear()
+    env.place_nodes([[10.0, 10.0, 7.0]])
     env.auv_pos = (10, 10, 0)
     assert env.covered() == [0]
 
 
 def test_covered_node_above_is_not_covered():
     env = deploy(small_config(node_count=1, rng_seed=3))
-    env.node_pos = np.asarray([[10.0, 10.0, 2.0]])
-    env._link_cache.clear()
+    env.place_nodes([[10.0, 10.0, 2.0]])
     env.auv_pos = (10, 10, 6)
     assert env.covered() == []
 
@@ -138,10 +139,8 @@ def test_covered_node_above_is_not_covered():
 def test_covered_matches_brute_force_on_synthetic_layout():
     env = deploy(small_config(node_count=5, rng_seed=3))
     layout = [(10, 10, 9), (11, 10, 2), (3, 3, 9), (10, 12, 5), (10, 10, 0)]
-    env.node_pos = np.asarray(layout, dtype=float)
-    env._link_cache.clear()
+    env.place_nodes(layout)
     for auv_pos in [(10, 10, 0), (10, 10, 4), (3, 3, 0), (0, 0, 0), (10, 11, 3)]:
-        env._link_cache.clear()
         env.auv_pos = auv_pos
         assert env.covered() == brute_force_covered(env), auv_pos
 
@@ -151,7 +150,6 @@ def test_covered_matches_brute_force_on_random_layouts():
     env = deploy(small_config(node_count=40, rng_seed=9))
     for _ in range(25):
         env.auv_pos = tuple(int(v) for v in rng.integers(0, [21, 21, 11]))
-        env._link_cache.clear()
         assert env.covered() == brute_force_covered(env)
 
 
@@ -197,21 +195,74 @@ def test_link_table_matches_reference_over_every_position():
             assert dropped > 0
 
 
+@pytest.mark.parametrize("cfg", [
+    # The table-explore geometry and the desk geometry at its largest
+    # node count: far more nodes per position than the exhaustive boxes.
+    EnvConfig(dims=(100, 100, 50), node_count=50, rng_seed=0),
+    dataclasses.replace(desk_campaign_config().env, node_count=50),
+], ids=["table-explore", "desk-50"])
+def test_links_match_reference_at_bench_scale(cfg):
+    env = deploy(cfg)
+    l, w, h = cfg.dims
+    rng = np.random.default_rng(17)
+    seen = set()
+    for pos in rng.integers(0, [l + 1, w + 1, h + 1], size=(1000, 3)).tolist():
+        links = links_at(env, pos)
+        covered, nodes, relay_bits, gain_bin, _ = reference_links(env, pos)
+        assert (links.covered, links.nodes, links.relay_bits_per_step, links.gain_bin) == (
+            covered, nodes, relay_bits, gain_bin), pos
+        seen.update(covered)
+    assert len(seen) > 10
+
+
+def test_link_mean_equals_numpy_mean():
+    # The gain bin compares the mean covered SNR with fixed edges, so the
+    # mean must be numpy's to the bit; lengths past 128 take numpy's split.
+    rng = np.random.default_rng(4)
+    for n in range(1, 201):
+        for _ in range(5):
+            values = (rng.normal(-20.0, 30.0, n) * 10.0 ** rng.uniform(-8, 8, n)).tolist()
+            assert _mean(values) == float(np.mean(values)), n
+
+
 def test_links_reject_off_grid_node():
     env = deploy(small_config(node_count=3, rng_seed=4))
-    for off_grid in ([10.5, 10.0, 5.0], [10.0, 10.0, 500.0]):
-        env.node_pos[1] = off_grid
-        env._link_cache.clear()
+    placed = env.node_pos.tolist()
+    links = links_at(env, (10, 10, 0))
+    for off_grid in ([10.5, 10.0, 5.0], [10.0, 10.0, 500.0], [-1.0, 10.0, 5.0],
+                     [21.0, 10.0, 5.0], [10.0, 10.0, float("nan")], [10.0, 10.0]):
+        layout = [list(row) for row in placed]
+        layout[1] = off_grid
         with pytest.raises(ValueError, match="grid points"):
-            links_at(env, (10, 10, 0))
+            env.place_nodes(layout)
+        # A rejected layout leaves the nodes and their cached links alone.
+        assert env.node_pos.tolist() == placed
+        assert links_at(env, (10, 10, 0)) == links
+    # The link tables are built from node_pos, so it cannot be edited in place.
+    with pytest.raises(ValueError):
+        env.node_pos[1] = [10.5, 10.0, 5.0]
+    # Placing nodes drops the links cached for the old layout.
+    env.auv_pos = (10, 10, 0)
+    before = env.covered()
+    env.place_nodes([[0, 0, 0], [20, 20, 10], [10.0, 10.0, 5.0]])
+    assert env.node_pos.tolist() == [[0, 0, 0], [20, 20, 10], [10, 10, 5]]
+    assert env.covered() == brute_force_covered(env) == [2] != before
+
+
+def test_snapshot_rejects_off_grid_node():
+    env = deploy(small_config(node_count=3, rng_seed=4))
+    for off_grid in ([10.5, 10.0, 5.0], [10, 10, 500]):
+        snap = env.to_snapshot()
+        snap["nodes"][1]["position"] = off_grid
+        with pytest.raises(ValueError, match="grid points"):
+            Environment.from_snapshot(snap)
 
 
 def test_links_reject_nan_harvest_power():
     # The step books charge()'s arithmetic without its per-call check; the
     # check runs once per position when the links are built.
     env = deploy(small_config(node_count=1, rng_seed=5))
-    env.node_pos = np.asarray([[10.0, 10.0, 5.0]])
-    env._link_cache.clear()
+    env.place_nodes([[10.0, 10.0, 5.0]])
     env._downlink_power_w[:] = float("nan")
     with pytest.raises(ValueError, match="harvest_w"):
         links_at(env, (10, 10, 0))
@@ -225,7 +276,6 @@ def test_step_moves_and_clamps_to_bounds():
     env = deploy(small_config())
     env.reset()
     env.auv_pos = (0, 0, 0)
-    env._link_cache.clear()
     out = env.step(1)  # -x, clamped
     assert env.auv_pos == (0, 0, 0)
     # Clamped dwell charges hotel load only.
@@ -246,8 +296,7 @@ def test_step_motion_energy_unit_move():
 def test_step_no_coverage_reward_is_motion_penalty():
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.reset()
-    env.node_pos = np.asarray([[0.0, 0.0, 10.0]])
-    env._link_cache.clear()
+    env.place_nodes([[0.0, 0.0, 10.0]])
     env.auv_pos = (20, 20, 0)
     out = env.step(0)  # clamped at +x wall, far from the node
     assert env.covered() == []
@@ -260,8 +309,7 @@ def test_step_saturated_and_empty_node_gives_penalty_only():
     env = deploy(small_config(node_count=1, rng_seed=5,
                               node_store_capacity_j=10.0, node_store_level_j=10.0))
     env.reset()
-    env.node_pos = np.asarray([[10.0, 10.0, 8.0]])
-    env._link_cache.clear()
+    env.place_nodes([[10.0, 10.0, 8.0]])
     env.store_level_j[0] = 10.0
     env.buffer_bits[0] = 0.0
     env.auv_pos = (10, 11, 0)
@@ -383,8 +431,7 @@ def test_identical_seed_and_actions_reproduce_rewards():
 def test_encode_state_empty_coverage():
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.reset()
-    env.node_pos = np.asarray([[0.0, 0.0, 10.0]])
-    env._link_cache.clear()
+    env.place_nodes([[0.0, 0.0, 10.0]])
     env.auv_pos = (20, 20, 0)
     key = env.encode_state()
     assert (key.covered_with_data, key.covered_undercharged, key.gain_bin) == (0, 0, 0)
@@ -394,8 +441,7 @@ def test_encode_state_empty_coverage():
 def test_encode_state_clamps_counts_at_three():
     env = deploy(small_config(node_count=5, rng_seed=5))
     env.reset()
-    env.node_pos = np.asarray([[10.0, 10.0, 9.0]] * 5)
-    env._link_cache.clear()
+    env.place_nodes([[10.0, 10.0, 9.0]] * 5)
     env.auv_pos = (10, 10, 0)
     key = env.encode_state()
     assert key.covered_with_data == 3
