@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import StepOutcome, id_to_key, key_to_id
+from .env3d import StepOutcome, key_to_id
 
 
 class Algorithm(str, Enum):
@@ -52,6 +52,15 @@ class LearnConfig:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if not math.isfinite(self.optimistic_init):
             raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init}")
+
+
+def _json_list(length: int, item: str, indent: int) -> str:
+    """Format template of a list of ``length`` items as ``json.dump`` writes
+    it with ``indent=1`` at nesting depth ``indent``."""
+    if not length:
+        return "[]"
+    pad = "\n" + " " * (indent + 1)
+    return "[" + pad + ("," + pad).join([item] * length) + "\n" + " " * indent + "]"
 
 
 class QTable:
@@ -110,22 +119,43 @@ class QTable:
         """Write the table as JSON: one entry per state, key -> action values.
 
         Entries are in key order; int state ids of a table with ``dims``
-        sort, and are written, as their ``StateKey`` tuples.
+        sort, and are written, as their ``StateKey`` tuples. With ``dims``
+        None a key is an int or a tuple of ints. The bytes are those of
+        ``json.dump(doc, fh, indent=1, sort_keys=True)``, streamed one entry
+        at a time: each key field is written as an int and each value with
+        ``float.__repr__``, as json's encoder writes it.
         """
-        entries = []
-        for key in sorted(self._table):
-            if self.dims is not None:
-                key_list = list(id_to_key(key, self.dims))
-            else:
-                key_list = list(key) if isinstance(key, tuple) else [int(key)]
-            entries.append([key_list, list(self._table[key])])
-        doc = {
-            "n_actions": self.n_actions,
-            "default_value": self.default_value,
-            "entries": entries,
-        }
+        n_actions = self.n_actions
+        float_repr = float.__repr__
+        table = self._table
+        dims = self.dims
+        if dims is not None:
+            w1, h1 = dims[1] + 1, dims[2] + 1
+        templates = {}  # key length -> format of one entry
+
+        def entries():
+            separator = ""
+            for key in sorted(table):
+                if dims is None:
+                    fields = key if isinstance(key, tuple) else (key,)
+                else:
+                    p, code = divmod(key, 64)
+                    xy, z = divmod(p, h1)
+                    x, y = divmod(xy, w1)
+                    fields = (x, y, z, code >> 4, (code >> 2) & 3, code & 3)
+                template = templates.get(len(fields))
+                if template is None:
+                    template = templates[len(fields)] = (
+                        "%s\n  [\n   " + _json_list(len(fields), "%d", 3) + ",\n   "
+                        + _json_list(n_actions, "%s", 3) + "\n  ]"
+                    )
+                yield template % (separator, *fields, *map(float_repr, table[key]))
+                separator = ","
+
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write('{\n "default_value": %s,\n "entries": [' % float_repr(self.default_value))
+            fh.writelines(entries())
+            fh.write('%s],\n "n_actions": %d\n}' % ("\n " if table else "", n_actions))
 
     @classmethod
     def load(cls, path, dims=None) -> "QTable":

@@ -361,6 +361,8 @@ class Environment:
         self._link_cache: dict[int, _PosLinks] = {}  # position index -> links
         self._relay_bits: dict[float, float] = {}    # relay range -> bits per step
         self._range_links: dict[float, tuple] = {}   # squared range -> _range_link
+        self.store_level_j: list[float] = []
+        self.buffer_bits: list[float] = []
         self.place_nodes(positions)
         self.reset(randomize_start=False)
 
@@ -555,9 +557,9 @@ class Environment:
 
         ``positions`` is ``[N, 3]`` integer grid points inside the box;
         anything else raises ``ValueError``. ``node_pos`` becomes a read-only
-        float copy, and the link cache and per-range memo start empty. The
-        per-node episode lists are sized by ``reset``, so call it before
-        stepping when the node count changes.
+        float copy, and the link cache and per-range memo start empty. When
+        the node count changes, ``store_level_j`` and ``buffer_bits`` restart
+        at the configured initial levels; otherwise they are kept.
         """
         message = f"node positions must be [N, 3] grid points inside the box {self.dims}"
         try:
@@ -569,6 +571,9 @@ class Environment:
             raise ValueError(message)
         pos.flags.writeable = False
         self.node_pos = pos
+        if len(self.store_level_j) != len(pos):
+            self.store_level_j = [self.config.node_store_level_j] * len(pos)
+            self.buffer_bits = [self.config.node_buffer_bits] * len(pos)
         nx, ny, nz = pos.T
         l, w, h = self.dims
         # Per axis value, the squared offsets to every node. Every entry is

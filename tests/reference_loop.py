@@ -13,11 +13,14 @@ straightforward form of both as an oracle:
 - ``reference_step``, the environment step in separate move, charge
   (``harvest.charge``), uplink, relay and reward stages on the
   environment's public state;
-- ``reference_train``, the episode loop that strings them together.
+- ``reference_train``, the episode loop that strings them together;
+- ``reference_qtable_json``, the text ``QTable.save`` writes, built as a
+  document and encoded by ``json.dumps``.
 
 Tests require the trainer and this loop to agree exactly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -30,7 +33,7 @@ from aquaswipt.channel import (
     source_level,
     transmission_loss_db,
 )
-from aquaswipt.env3d import ACTIONS, StateKey
+from aquaswipt.env3d import ACTIONS, StateKey, id_to_key
 from aquaswipt.harvest import charge, harvestable_power, split_power
 
 
@@ -214,3 +217,17 @@ def reference_train(env, algo: Algorithm, cfg: LearnConfig):
         trace.append((steps, total_reward))
         epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
     return q, trace
+
+
+def reference_qtable_json(q: QTable) -> str:
+    """The JSON text of ``q`` with keys decoded by ``id_to_key``, encoded by
+    ``json.dumps(doc, indent=1, sort_keys=True)``."""
+    entries = []
+    for key in sorted(q._table):
+        if q.dims is not None:
+            key_list = list(id_to_key(key, q.dims))
+        else:
+            key_list = list(key) if isinstance(key, tuple) else [int(key)]
+        entries.append([key_list, list(q._table[key])])
+    doc = {"n_actions": q.n_actions, "default_value": q.default_value, "entries": entries}
+    return json.dumps(doc, indent=1, sort_keys=True)

@@ -3,6 +3,7 @@ the reference loop, training loops, rollouts, and the value-iteration
 oracle on hand-solvable MDPs."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,16 @@ from aquaswipt.agents import (
     train,
 )
 from aquaswipt.auv import AuvSpec
-from aquaswipt.env3d import EnvConfig, deploy, id_to_key
+from aquaswipt.env3d import EnvConfig, deploy, id_to_key, key_to_id
 from aquaswipt.harvest import HarvestSpec
 from mdp_oracle import TabularMdpEnv, value_iteration_oracle
-from reference_loop import q_update, reference_train, sarsa_update, select_action
+from reference_loop import (
+    q_update,
+    reference_qtable_json,
+    reference_train,
+    sarsa_update,
+    select_action,
+)
 
 
 def cfg(**kwargs):
@@ -431,6 +438,66 @@ def test_qtable_save_load_round_trip(tmp_path):
     assert loaded.get((1, 2, 3, 0, 0, 1), 2) == 4.5
     assert loaded.get((0, 0, 0, 0, 0, 0), 0) == -1.25
     assert loaded.get((9, 9, 9, 0, 0, 0), 5) == 0.0
+
+
+def _saved_tables():
+    ints = QTable(n_actions=1)
+    for key, value in enumerate((-0.0, 5e-324, 1e16, 1e22, 1.3587972053336933e-07, -1.25)):
+        ints.set(key * 7, 0, value)
+    tuples = QTable(n_actions=3, default_value=-1.25)
+    tuples.set((4, 0, 2, 1, 1, 3), 1, 1e22)
+    tuples.set((0, 9, 9, 0, 0, 0), 2, -0.0)
+    tuples.set((0, 9), 0, 5e-324)
+    # A row as train stores it when the env returns numpy rewards.
+    numpy_row = QTable(n_actions=2)
+    numpy_row._table[(1, 2)] = [np.float64(1.3587972053336933e-07), 1e16]
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    trained, _ = train(env, Algorithm.Q_LEARNING, cfg(episodes=5, randomize_start=True))
+    return {"empty": QTable(), "one-action-int-keys": ints, "tuple-keys": tuples,
+            "numpy-value": numpy_row, "trained-dims": trained}
+
+
+@pytest.mark.parametrize("name", list(_saved_tables()))
+def test_qtable_save_writes_json_dump_bytes(tmp_path, name):
+    q = _saved_tables()[name]
+    path = tmp_path / "table.json"
+    q.save(path)
+    assert path.read_text() == reference_qtable_json(q)
+    loaded = QTable.load(path, dims=q.dims)
+    assert (loaded.n_actions, loaded.default_value) == (q.n_actions, q.default_value)
+    assert ({k: [repr(float(v)) for v in row] for k, row in loaded._table.items()}
+            == {k: [repr(float(v)) for v in row] for k, row in q._table.items()})
+
+
+def test_qtable_save_decodes_box_corner_ids(tmp_path):
+    dims = (5, 7, 3)
+    keys = [(x, y, z, code >> 4, (code >> 2) & 3, code & 3)
+            for x in (0, 5) for y in (0, 7) for z in (0, 3) for code in (0, 63)]
+    q = QTable(n_actions=1, dims=dims)
+    for key in keys:
+        q.set(key_to_id(key, dims), 0, 1.0)
+    path = tmp_path / "table.json"
+    q.save(path)
+    written = [tuple(key) for key, _ in json.loads(path.read_text())["entries"]]
+    assert written == [tuple(id_to_key(s, dims)) for s in sorted(q._table)] == sorted(keys)
+
+
+def test_qtable_save_streams_entries(tmp_path):
+    # The entries go to the file one at a time. Building the whole text or
+    # the whole document first peaks above the file's size: json.dump of the
+    # document peaked at 1.35x the 2.2 MB file here, the streamed writer at 0.05x.
+    rng = np.random.default_rng(0)
+    q = QTable(dims=(100, 100, 50))
+    for state_id, row in zip(range(0, 10_000 * 53, 53), rng.normal(size=(10_000, 6)).tolist()):
+        q._table[state_id] = row
+    path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        q.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_qtable_load_rejects_bad_rows(tmp_path):

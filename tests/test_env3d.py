@@ -249,6 +249,19 @@ def test_links_reject_off_grid_node():
     assert env.covered() == brute_force_covered(env) == [2] != before
 
 
+def test_place_nodes_with_a_new_count_sizes_the_node_lists():
+    env = deploy(small_config(node_count=1, rng_seed=3))
+    env.place_nodes([[0, 0, 7], [11, 10, 7]])
+    env.auv_pos = (10, 10, 0)
+    env.step(0)  # +x: to the column above the second node
+    assert env.auv_pos == (11, 10, 0) and env.covered() == [1]
+    assert len(env.store_level_j) == len(env.buffer_bits) == 2
+    # The same count keeps the episode's node levels.
+    levels, buffers = list(env.store_level_j), list(env.buffer_bits)
+    env.place_nodes([[1, 0, 7], [12, 10, 7]])
+    assert (env.store_level_j, env.buffer_bits) == (levels, buffers)
+
+
 def test_snapshot_rejects_off_grid_node():
     env = deploy(small_config(node_count=3, rng_seed=4))
     for off_grid in ([10.5, 10.0, 5.0], [10, 10, 500]):
