@@ -53,7 +53,6 @@ from .env3d import (
     EnvConfig,
     Environment,
     StateKey,
-    StepOutcome,
     config_from_dict,
     deploy,
     env_config_to_dict,

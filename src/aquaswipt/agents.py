@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import StepOutcome, key_to_id
+from .env3d import key_to_id
 
 
 class Algorithm(str, Enum):
@@ -207,17 +207,20 @@ class EpisodeMetrics:
     step_throughput_bits: list[float] = field(default_factory=list)
     step_harvested_j: list[float] = field(default_factory=list)
 
-    def record(self, out: StepOutcome) -> None:
+    def record(self, reward: float, reward_throughput_term: float,
+               reward_harvest_term: float, throughput_bits: float, harvested_j: float,
+               motion_energy_j: float, transmit_energy_j: float) -> None:
+        """Add one step: its reward, then ``Environment.last_terms`` in order."""
         self.steps += 1
-        self.throughput_bits += out.throughput_bits
-        self.harvested_j += out.harvested_j
-        self.motion_energy_j += out.motion_energy_j
-        self.transmit_energy_j += out.transmit_energy_j
-        self.reward_throughput_term += out.reward_throughput_term
-        self.reward_harvest_term += out.reward_harvest_term
-        self.total_reward += out.reward
-        self.step_throughput_bits.append(out.throughput_bits)
-        self.step_harvested_j.append(out.harvested_j)
+        self.throughput_bits += throughput_bits
+        self.harvested_j += harvested_j
+        self.motion_energy_j += motion_energy_j
+        self.transmit_energy_j += transmit_energy_j
+        self.reward_throughput_term += reward_throughput_term
+        self.reward_harvest_term += reward_harvest_term
+        self.total_reward += reward
+        self.step_throughput_bits.append(throughput_bits)
+        self.step_harvested_j.append(harvested_j)
 
 
 class EpisodeTotals(NamedTuple):
@@ -235,8 +238,8 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     Epsilon decays once per episode: eps(t) = max(eps_min, eps0 * decay^t).
 
     ``env`` steps on int state ids: it provides ``n_actions``, ``dims`` (the
-    box the ids encode, or None for opaque ids), ``reset(randomize_start)``,
-    ``state_id()`` and ``step_id(action) -> (state_id, reward, done)``.
+    box the ids encode, or None for opaque ids), ``reset(randomize_start) ->
+    state_id`` and ``step(action) -> (state_id, reward, done)``.
     The table is keyed by those ids; the trace holds one ``EpisodeTotals``
     per episode.
     """
@@ -253,7 +256,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     default = q.default_value
     learning_rate = cfg.learning_rate
     discount = cfg.discount
-    step = env.step_id
+    step = env.step
     isfinite = math.isfinite
     epsilon = cfg.epsilon_start
     trace = []
@@ -261,8 +264,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         explore = epsilon > 0.0
-        env.reset(randomize_start=cfg.randomize_start)
-        state = env.state_id()
+        state = env.reset(randomize_start=cfg.randomize_start)
         row = table.get(state)  # None until the state is first updated
         # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
         # action; otherwise the greedy action, ties to the lowest index.
@@ -313,27 +315,31 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
 
 
 def _rollout(env, pick_action) -> tuple[EpisodeMetrics, list[tuple]]:
-    env.reset(randomize_start=False)
+    state = env.reset(randomize_start=False)
     metrics = EpisodeMetrics()
     trajectory = []
-    while True:
-        out = env.step(pick_action(env.state_id()))
+    done = False
+    while not done:
+        state, reward, done = env.step(pick_action(state))
         trajectory.append(env.auv_pos)
-        metrics.record(out)
-        if out.done:
-            return metrics, trajectory
+        metrics.record(reward, *env.last_terms)
+    return metrics, trajectory
 
 
 def greedy_rollout(env, q: QTable) -> tuple[EpisodeMetrics, list[tuple]]:
     """One episode under the pure greedy policy from the fixed start.
 
     Returns the metrics and the sequence of positions visited after each
-    action (the trajectory). ``q`` is keyed by the env's int state ids:
-    a table that holds states must have the env's ``dims``.
+    action (the trajectory). ``q`` is keyed by the env's int state ids: a
+    table that holds states must have the env's ``dims``, and every table
+    its ``n_actions``.
     """
     if len(q) and q.dims != tuple(env.dims):
         raise ValueError(f"the Q-table holds states of the box {q.dims}, not of the "
                          f"environment's {tuple(env.dims)}; load it with dims=env.dims")
+    if q.n_actions != env.n_actions:
+        raise ValueError(f"the Q-table has {q.n_actions} actions, the environment "
+                         f"{env.n_actions}")
     return _rollout(env, q.best_action)
 
 

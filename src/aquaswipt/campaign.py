@@ -94,6 +94,9 @@ class CampaignConfig:
         for name in ("targets_throughput_bits", "targets_harvest_j"):
             if any(t <= 0 for t in getattr(self, name)):
                 raise ValueError(f"{name} entries must be > 0")
+        for name in ("coverage_n_values", "coverage_k_values"):
+            if any(v < 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 0, got {getattr(self, name)}")
         if self.gamma_mc_runs is not None and self.gamma_mc_runs < 1:
             raise ValueError(f"gamma_mc_runs must be >= 1, got {self.gamma_mc_runs}")
         for name, least in (("gamma_node_count", 1), ("coverage_trials", 100),

@@ -171,7 +171,6 @@ def _cmd_replay(args) -> int:
     with open(args.snapshot) as fh:
         env = Environment.from_snapshot(json.load(fh))
     table = QTable.load(args.qtable, dims=env.dims)
-    env.reset(randomize_start=False)
     metrics, trajectory = greedy_rollout(env, table)
     summary = {
         "steps": metrics.steps,

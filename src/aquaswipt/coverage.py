@@ -23,7 +23,6 @@ class ConeGeometry:
     apex: tuple[float, float, float]
     apex_angle_deg: float
     height_m: float
-    base_radius_m: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.apex_angle_deg < 180.0:
@@ -32,14 +31,11 @@ class ConeGeometry:
             )
         if self.height_m < 0:
             raise ValueError(f"height_m must be >= 0, got {self.height_m}")
-        derived = self.height_m * math.tan(math.radians(self.apex_angle_deg / 2.0))
-        if self.base_radius_m is None:
-            object.__setattr__(self, "base_radius_m", derived)
-        elif not math.isclose(self.base_radius_m, derived, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(
-                f"base_radius_m {self.base_radius_m} inconsistent with "
-                f"angle/height (expected {derived})"
-            )
+
+    @property
+    def base_radius_m(self) -> float:
+        """Radius of the base disc, from the apex angle and the height."""
+        return self.height_m * math.tan(math.radians(self.apex_angle_deg / 2.0))
 
 
 class VolumeEstimate(NamedTuple):

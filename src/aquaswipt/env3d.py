@@ -38,9 +38,9 @@ N_ACTIONS = len(ACTIONS)
 class StateKey(NamedTuple):
     """Discretized MDP state: the decoded view of an int state id.
 
-    Training and the Q-table key states by the int id ``key_to_id`` gives;
-    ``encode_state``, ``reset``, ``StepOutcome.next_state`` and saved
-    Q-tables show the same state as this tuple.
+    The environment, training and the Q-table name states by the int id
+    ``key_to_id`` gives; ``id_to_key`` decodes one, and saved Q-tables
+    write states as this tuple.
     """
 
     x: int
@@ -84,19 +84,6 @@ def id_to_key(state_id: int, dims) -> StateKey:
     xy, z = divmod(p, h + 1)
     x, y = divmod(xy, w + 1)
     return StateKey(x, y, z, code >> 4, (code >> 2) & 3, code & 3)
-
-
-@dataclass
-class StepOutcome:
-    next_state: StateKey
-    reward: float
-    reward_throughput_term: float
-    reward_harvest_term: float
-    throughput_bits: float
-    harvested_j: float
-    motion_energy_j: float
-    transmit_energy_j: float
-    done: bool
 
 
 @dataclass(frozen=True)
@@ -189,8 +176,7 @@ class _PosLinks(NamedTuple):
     Bit ``a`` of ``blocked`` is set when action ``a`` would leave the box.
     """
 
-    covered: tuple[int, ...]     # indices of covered nodes, ascending
-    nodes: tuple[tuple[int, float, float], ...]
+    nodes: tuple[tuple[int, float, float], ...]  # ascending node index
     relay_bits_per_step: float
     gain_bin: int
     blocked: int
@@ -261,8 +247,8 @@ class Environment:
     per position; the uplink, harvest and uplink-bits terms of a node are
     worked out once per squared range. ``place_nodes`` empties both caches.
 
-    ``step`` returns a ``StepOutcome``; training goes through ``step_id``,
-    the same step on int state ids (see ``key_to_id``).
+    States are int ids (see ``key_to_id``): ``reset`` returns the first
+    one and ``step`` returns ``(next state id, reward, done)``.
     """
 
     def __init__(self, config: EnvConfig):
@@ -389,11 +375,12 @@ class Environment:
         self._p = (pos[0] * self._w1 + pos[1]) * self._h1 + pos[2]
         self._blocked = _blocked_moves(pos, self.dims)
 
-    def reset(self, randomize_start: bool = False) -> StateKey:
-        """Start a new episode; node placement is untouched.
+    def reset(self, randomize_start: bool = False) -> int:
+        """Start a new episode and return its first state id.
 
-        ``randomize_start`` draws a fresh surface column (x, y) from the
-        seeded episode stream, otherwise the configured start is used.
+        Node placement is untouched. ``randomize_start`` draws a fresh
+        surface column (x, y) from the seeded episode stream, otherwise the
+        configured start is used.
         """
         cfg = self.config
         n = len(self.node_pos)
@@ -412,36 +399,19 @@ class Environment:
         self.total_collected_bits = 0.0
         self.step_index = 0
         self.done = False
-        return self.encode_state()
+        return self.state_id()
 
     def covered(self) -> list[int]:
         """Indices of nodes inside the coverage cone with a usable uplink."""
-        return list(self._links_here().covered)
+        return [i for i, _, _ in self._links_here().nodes]
 
-    def step(self, action: int) -> StepOutcome:
-        """Apply one unit move and resolve power transfer and data relay."""
-        state_id, reward, done = self.step_id(int(action))
-        tput_term, harv_term, relayed_bits, harvested_j, e_move, transmit_j = (
-            self._last_terms
-        )
-        return StepOutcome(
-            next_state=id_to_key(state_id, self.dims),
-            reward=reward,
-            reward_throughput_term=tput_term,
-            reward_harvest_term=harv_term,
-            throughput_bits=relayed_bits,
-            harvested_j=harvested_j,
-            motion_energy_j=e_move,
-            transmit_energy_j=transmit_j,
-            done=done,
-        )
+    def step(self, action: int) -> tuple[int, float, bool]:
+        """Apply one unit move and resolve power transfer and data relay.
 
-    def step_id(self, action: int) -> tuple[int, float, bool]:
-        """``step`` on int state ids: returns (next state id, reward, done).
-
-        The step's other terms (reward throughput and harvest terms, relayed
-        bits, harvested J, motion and transmit energy) are kept in
-        ``_last_terms`` for ``step``.
+        Returns ``(next state id, reward, done)``. The step's other terms
+        are left in ``last_terms``, a plain tuple of the reward throughput
+        term, the reward harvest term, the relayed bits, the harvested J,
+        the motion J and the transmit J.
         """
         if self.done:
             raise RuntimeError("cannot step a finished episode; call reset()")
@@ -511,7 +481,7 @@ class Environment:
         self.total_collected_bits += collected_bits
 
         transmit_j = uplinking_nodes * cfg.node_modem.electrical_power_w * dt
-        if links.covered:
+        if links.nodes:
             transmit_j += self._auv_modem.electrical_power_w * dt
 
         if useful:
@@ -521,8 +491,8 @@ class Environment:
             tput_term = 0.0
             harv_term = 0.0
         reward = tput_term + harv_term - penalty
-        self._last_terms = (tput_term, harv_term, relayed_bits, harvested_j, e_move,
-                            transmit_j)
+        self.last_terms = (tput_term, harv_term, relayed_bits, harvested_j, e_move,
+                           transmit_j)
 
         self.step_index += 1
         self.done = done = battery_j == 0.0 or self.step_index >= cfg.episode_length
@@ -536,15 +506,12 @@ class Environment:
         levels = self.store_level_j
         with_data = 0
         undercharged = 0
-        for i in links.covered:
+        for i, _, _ in links.nodes:
             if buffers[i] > 0:
                 with_data += 1
             if levels[i] < capacity:
                 undercharged += 1
         return _state_id(self._p, with_data, undercharged, links.gain_bin)
-
-    def encode_state(self) -> StateKey:
-        return id_to_key(self.state_id(), self.dims)
 
     # ------------------------------------------------------------------
 
@@ -609,7 +576,6 @@ class Environment:
         x, y = divmod(xy, self._w1)
         horiz2 = self._dx2[x] + self._dy2[y]
         idx = (horiz2 <= self._reach2[z]).nonzero()[0]
-        covered = []
         nodes = []
         snrs = []
         if idx.size:
@@ -620,7 +586,6 @@ class Environment:
                     link = memo[d2] = self._range_link(d2)
                 if link:
                     snr, harvest_w, uplink_bits = link
-                    covered.append(i)
                     nodes.append((i, harvest_w, uplink_bits))
                     snrs.append(snr)
 
@@ -642,7 +607,6 @@ class Environment:
             mean_snr = _mean(snrs)
             gain_bin = sum(edge < mean_snr for edge in self._gain_edges)
         links = _PosLinks(
-            covered=tuple(covered),
             nodes=tuple(nodes),
             relay_bits_per_step=relay_bits,
             gain_bin=gain_bin,

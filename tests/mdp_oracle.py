@@ -85,10 +85,7 @@ class TabularMdpEnv:
         self.done = False
         return self.state
 
-    def state_id(self) -> int:
-        return self.state
-
-    def step_id(self, action: int) -> tuple[int, float, bool]:
+    def step(self, action: int) -> tuple[int, float, bool]:
         if self.done:
             raise RuntimeError("cannot step a finished episode; call reset()")
         if self.deterministic:

@@ -2,8 +2,9 @@
 
 ``agents.train`` runs Q-learning and SARSA in one loop on int state ids,
 with epsilon-greedy selection and the update inline, and
-``Environment.step_id`` books a step in one pass over the covered nodes
-with the link terms cached per position. This module keeps the
+``Environment.step`` books a step in one pass over the covered nodes with
+the link terms cached per position and returns the next state as its int
+id. This module keeps the
 straightforward form of both as an oracle:
 
 - ``select_action``, ``q_update`` and ``sarsa_update`` as separate

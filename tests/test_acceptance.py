@@ -396,9 +396,10 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             initial_buffer_bits = env.config.node_buffer_bits * len(env.node_pos)
             env.reset(randomize_start=bool(rng.integers(2)))
             battery_before = env.auv_battery_j
-            while True:
+            done = False
+            while not done:
                 levels = list(env.store_level_j)
-                out = env.step(int(rng.integers(6)))
+                _, _, done = env.step(int(rng.integers(6)))
                 covered = env.covered()
                 steps_done += 1
                 harvested = 0.0
@@ -410,7 +411,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
                         assert -1e-15 <= gained <= cap * (1 + 1e-9) + 1e-15
                     else:
                         assert gained == 0.0
-                assert harvested == pytest.approx(out.harvested_j, rel=1e-9, abs=1e-12)
+                assert harvested == pytest.approx(env.last_terms[3], rel=1e-9, abs=1e-12)
                 slack = 1e-9 * max(1.0, env.total_collected_bits)
                 assert env.total_relayed_bits <= env.total_collected_bits + slack
                 assert env.total_collected_bits <= initial_buffer_bits + slack
@@ -419,8 +420,6 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
                 assert 0 <= x <= dims[0] and 0 <= y <= dims[1] and 0 <= z <= dims[2]
                 assert env.auv_battery_j <= battery_before
                 battery_before = env.auv_battery_j
-                if out.done:
-                    break
         # Byte-identical campaign outputs for identical (config, seed).
         def tiny(outdir):
             env_cfg = EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8,

@@ -95,6 +95,22 @@ def test_desk_smoke_run_counts_every_step_and_reset(bench, tmp_path, monkeypatch
     assert tracer._resets == learner_cells * episodes + 2 * len(specs)
 
 
+def test_table_smoke_run_counts_every_step_and_reset(bench, tmp_path):
+    """The table workload trains from random starts, so its reset count also
+    checks that each episode starts from the state ``reset`` returns."""
+    tracing, workloads = bench
+    workload = workloads.WORKLOADS["table-explore"]
+    config = _shrunk(workload.config(0))
+    episodes, length = config[1].episodes, config[0].episode_length
+    workload.prepare(config, tmp_path)
+    with tracing.Tracer(full=False) as tracer:
+        workload.run(config, tmp_path)
+    # Training episodes and the greedy rollout all run to the episode length.
+    assert tracer.env_steps == (episodes + 1) * length
+    # One reset per training episode, one for the rollout, one at construction.
+    assert tracer._resets == episodes + 2
+
+
 def test_coverage_smoke_run_tests_every_point_once(bench, tmp_path):
     """``work_per_s`` counts the points each ``points_in_cone`` call tests, and
     ``wall_s`` segments are cut at its returns, so blocked sampling must send

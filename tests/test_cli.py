@@ -11,7 +11,7 @@ import pytest
 
 import aquaswipt
 
-from aquaswipt.agents import Algorithm, LearnConfig, train
+from aquaswipt.agents import Algorithm, LearnConfig, QTable, train
 from aquaswipt.auv import AuvSpec
 from aquaswipt.campaign import campaign_config_to_dict
 from aquaswipt.cli import main
@@ -58,6 +58,8 @@ def test_validate_rejects_bad_node_store(capsys):
         "coverage_volume_samples=10",
         "coverage_dims=[100,100]",
         "coverage_starts=[[1]]",
+        "coverage_k_values=[-1]",
+        "coverage_n_values=[-2]",
         "gamma_node_count=0",
         "learn.optimistic_init=NaN",
         "bogus=1",
@@ -263,6 +265,20 @@ def test_replay_rejects_bad_qtable(tmp_path, capsys):
     assert main(["replay", "--qtable", str(qtable_path),
                  "--snapshot", str(snapshot_path)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_actions", [3, 7])
+def test_replay_rejects_table_of_other_action_count(n_actions, tmp_path, capsys):
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(env.to_snapshot()))
+    table = QTable(n_actions=n_actions, dims=env.dims)
+    table.set(env.state_id(), n_actions - 1, 1.0)  # greedy picks the last action
+    qtable_path = tmp_path / "table.json"
+    table.save(qtable_path)
+    assert main(["replay", "--qtable", str(qtable_path),
+                 "--snapshot", str(snapshot_path)]) == 2
+    assert f"{n_actions} actions" in capsys.readouterr().err
 
 
 def test_replay_rejects_off_grid_node(tmp_path, capsys):

@@ -24,8 +24,7 @@ from aquaswipt.env3d import EnvConfig
 
 
 def test_cone_volume_hand_value():
-    geom = ConeGeometry(apex=(0, 0, 0), apex_angle_deg=143.13010235415598,
-                        height_m=1.0, base_radius_m=None)
+    geom = ConeGeometry(apex=(0, 0, 0), apex_angle_deg=143.13010235415598, height_m=1.0)
     # tan(71.565...) = 3, so r = 3 and V = 3*pi
     assert geom.base_radius_m == pytest.approx(3.0, rel=1e-9)
     assert cone_volume(geom) == pytest.approx(9.42477796076938, rel=1e-9)
@@ -42,12 +41,6 @@ def test_cone_volume_quadratic_in_radius():
     wide = ConeGeometry(apex=(0, 0, 0), apex_angle_deg=90.0, height_m=5.0)
     assert wide.base_radius_m == pytest.approx(2.0 * narrow.base_radius_m, rel=1e-9)
     assert cone_volume(wide) == pytest.approx(4.0 * cone_volume(narrow), rel=1e-9)
-
-
-def test_cone_radius_consistency_validated():
-    with pytest.raises(ValueError):
-        ConeGeometry(apex=(0, 0, 0), apex_angle_deg=60.0, height_m=10.0,
-                     base_radius_m=9.0)
 
 
 def test_points_in_cone_membership():

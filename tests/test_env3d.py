@@ -181,7 +181,7 @@ def test_link_table_matches_reference_over_every_position():
             pos = tuple(int(c) for c in pos)
             links = links_at(env, pos)
             covered, nodes, relay_bits, gain_bin, n_in_cone = reference_links(env, pos)
-            assert links.covered == covered, (cfg.dims, pos)
+            assert tuple(i for i, _, _ in links.nodes) == covered, (cfg.dims, pos)
             assert links.nodes == nodes, (cfg.dims, pos)
             assert links.relay_bits_per_step == relay_bits, (cfg.dims, pos)
             assert links.gain_bin == gain_bin, (cfg.dims, pos)
@@ -209,8 +209,9 @@ def test_links_match_reference_at_bench_scale(cfg):
     for pos in rng.integers(0, [l + 1, w + 1, h + 1], size=(1000, 3)).tolist():
         links = links_at(env, pos)
         covered, nodes, relay_bits, gain_bin, _ = reference_links(env, pos)
-        assert (links.covered, links.nodes, links.relay_bits_per_step, links.gain_bin) == (
-            covered, nodes, relay_bits, gain_bin), pos
+        assert (links.nodes, links.relay_bits_per_step, links.gain_bin) == (
+            nodes, relay_bits, gain_bin), pos
+        assert tuple(i for i, _, _ in links.nodes) == covered, pos
         seen.update(covered)
     assert len(seen) > 10
 
@@ -285,15 +286,20 @@ def test_links_reject_nan_harvest_power():
 # step
 
 
+def motion_j(env):
+    """Motion energy of the env's latest step."""
+    return env.last_terms[4]
+
+
 def test_step_moves_and_clamps_to_bounds():
     env = deploy(small_config())
     env.reset()
     env.auv_pos = (0, 0, 0)
-    out = env.step(1)  # -x, clamped
+    env.step(1)  # -x, clamped
     assert env.auv_pos == (0, 0, 0)
     # Clamped dwell charges hotel load only.
     hotel = env.config.auv.hotel_load_w * env.config.step_duration_s
-    assert out.motion_energy_j == pytest.approx(hotel)
+    assert motion_j(env) == pytest.approx(hotel)
 
 
 def test_step_motion_energy_unit_move():
@@ -301,9 +307,9 @@ def test_step_motion_energy_unit_move():
 
     env = deploy(small_config())
     env.reset()
-    out = env.step(0)
+    env.step(0)
     expected = move_energy(env.config.auv, (0, 0, 0), (1, 0, 0))
-    assert out.motion_energy_j == pytest.approx(expected)
+    assert motion_j(env) == pytest.approx(expected)
 
 
 def test_step_no_coverage_reward_is_motion_penalty():
@@ -311,11 +317,10 @@ def test_step_no_coverage_reward_is_motion_penalty():
     env.reset()
     env.place_nodes([[0.0, 0.0, 10.0]])
     env.auv_pos = (20, 20, 0)
-    out = env.step(0)  # clamped at +x wall, far from the node
+    _, reward, _ = env.step(0)  # clamped at +x wall, far from the node
     assert env.covered() == []
-    assert out.reward == pytest.approx(-out.motion_energy_j / env.motion_scale)
-    assert out.reward_throughput_term == 0.0
-    assert out.reward_harvest_term == 0.0
+    assert reward == pytest.approx(-motion_j(env) / env.motion_scale)
+    assert env.last_terms[:2] == (0.0, 0.0)  # the reward's throughput and harvest terms
 
 
 def test_step_saturated_and_empty_node_gives_penalty_only():
@@ -326,33 +331,33 @@ def test_step_saturated_and_empty_node_gives_penalty_only():
     env.store_level_j[0] = 10.0
     env.buffer_bits[0] = 0.0
     env.auv_pos = (10, 11, 0)
-    out = env.step(3)  # -y onto the covering column
+    _, reward, _ = env.step(3)  # -y onto the covering column
     assert env.covered() == [0]
-    assert out.reward == pytest.approx(-out.motion_energy_j / env.motion_scale)
+    assert reward == pytest.approx(-motion_j(env) / env.motion_scale)
 
 
 def test_step_gamma_one_ignores_harvest():
     env = deploy(small_config(reward_gamma=1.0))
     env.reset()
     for action in (4, 4, 0, 2, 4):
-        out = env.step(action)
-        assert out.reward_harvest_term == 0.0
+        env.step(action)
+        assert env.last_terms[1] == 0.0  # the reward's harvest term
 
 
 def test_step_gamma_zero_ignores_throughput():
     env = deploy(small_config(reward_gamma=0.0))
     env.reset()
     for action in (4, 4, 0, 2, 4):
-        out = env.step(action)
-        assert out.reward_throughput_term == 0.0
+        env.step(action)
+        assert env.last_terms[0] == 0.0  # the reward's throughput term
 
 
 def test_step_rejects_finished_episode():
     env = deploy(small_config(episode_length=2))
     env.reset()
     env.step(0)
-    out = env.step(1)
-    assert out.done
+    _, _, done = env.step(1)
+    assert done
     with pytest.raises(RuntimeError):
         env.step(0)
 
@@ -368,8 +373,8 @@ def test_done_exactly_at_episode_length():
     env = deploy(small_config(episode_length=5))
     env.reset()
     for i in range(5):
-        out = env.step(i % 6)
-        assert out.done == (i == 4)
+        _, _, done = env.step(i % 6)
+        assert done == (i == 4)
 
 
 def test_done_on_battery_depletion():
@@ -377,11 +382,10 @@ def test_done_on_battery_depletion():
     env = deploy(small_config(auv=auv, episode_length=50))
     env.reset()
     steps = 0
-    while True:
-        out = env.step(0)
+    done = False
+    while not done:
+        _, _, done = env.step(0)
         steps += 1
-        if out.done:
-            break
     assert steps < 50
     assert env.auv_battery_j == 0.0
 
@@ -402,9 +406,10 @@ def test_step_conservation_invariants():
     initial_buffer_bits = env.config.node_buffer_bits * len(env.node_pos)
     for _ in range(6):
         env.reset(randomize_start=True)
-        while True:
+        done = False
+        while not done:
             levels_before = list(env.store_level_j)
-            out = env.step(int(rng.integers(6)))
+            _, _, done = env.step(int(rng.integers(6)))
             covered = env.covered()
             dt = env.config.step_duration_s
             split = env.config.node_harvest.split_ratio
@@ -420,8 +425,6 @@ def test_step_conservation_invariants():
             slack = 1e-9 * max(1.0, env.total_collected_bits)
             assert env.total_relayed_bits <= env.total_collected_bits + slack
             assert env.total_collected_bits <= initial_buffer_bits + slack
-            if out.done:
-                break
 
 
 def test_identical_seed_and_actions_reproduce_rewards():
@@ -432,39 +435,45 @@ def test_identical_seed_and_actions_reproduce_rewards():
         env.reset()
         total = 0.0
         for a in actions:
-            total += env.step(int(a)).reward
+            _, reward, _ = env.step(int(a))
+            total += reward
         totals.append(total)
     assert totals[0] == totals[1]
 
 
 # ---------------------------------------------------------------------------
-# encode_state / reset
+# state ids / reset
 
 
-def test_encode_state_empty_coverage():
+def state_key(env):
+    """The decoded view of the env's current state."""
+    return id_to_key(env.state_id(), env.dims)
+
+
+def test_state_key_empty_coverage():
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.reset()
     env.place_nodes([[0.0, 0.0, 10.0]])
     env.auv_pos = (20, 20, 0)
-    key = env.encode_state()
+    key = state_key(env)
     assert (key.covered_with_data, key.covered_undercharged, key.gain_bin) == (0, 0, 0)
     assert (key.x, key.y, key.z) == (20, 20, 0)
 
 
-def test_encode_state_clamps_counts_at_three():
+def test_state_key_clamps_counts_at_three():
     env = deploy(small_config(node_count=5, rng_seed=5))
     env.reset()
     env.place_nodes([[10.0, 10.0, 9.0]] * 5)
     env.auv_pos = (10, 10, 0)
-    key = env.encode_state()
+    key = state_key(env)
     assert key.covered_with_data == 3
     assert key.covered_undercharged == 3
 
 
-def test_encode_state_deterministic():
+def test_state_id_deterministic():
     env = deploy(small_config())
     env.reset()
-    assert env.encode_state() == env.encode_state()
+    assert env.state_id() == env.state_id()
 
 
 def test_reset_fixed_start_is_stable():
@@ -478,8 +487,8 @@ def test_reset_fixed_start_is_stable():
 def test_reset_randomized_start_reproducible_across_deployments():
     a = deploy(small_config(rng_seed=33))
     b = deploy(small_config(rng_seed=33))
-    starts_a = [a.reset(randomize_start=True) for _ in range(10)]
-    starts_b = [b.reset(randomize_start=True) for _ in range(10)]
+    starts_a = [id_to_key(a.reset(randomize_start=True), a.dims) for _ in range(10)]
+    starts_b = [id_to_key(b.reset(randomize_start=True), b.dims) for _ in range(10)]
     assert starts_a == starts_b
     assert len({(k.x, k.y) for k in starts_a}) > 1
 
@@ -527,10 +536,10 @@ def test_snapshot_round_trip_preserves_state_and_dynamics():
     # Identical continuations from the restored state.
     for _ in range(10):
         a = int(rng.integers(6))
-        out_a = env.step(a)
-        out_b = clone.step(a)
-        assert out_b.reward == pytest.approx(out_a.reward, rel=0, abs=0)
-        assert out_b.next_state == out_a.next_state
+        state_a, reward_a, _ = env.step(a)
+        state_b, reward_b, _ = clone.step(a)
+        assert reward_b == pytest.approx(reward_a, rel=0, abs=0)
+        assert state_b == state_a
     assert clone.total_relayed_bits == env.total_relayed_bits
     assert clone.total_collected_bits == env.total_collected_bits
 
@@ -552,7 +561,7 @@ def test_snapshot_is_json_safe():
     assert all(type(c) is int for node in snap["nodes"] for c in node["position"])
     text = json.dumps(snap)
     clone = Environment.from_snapshot(json.loads(text))
-    assert clone.encode_state() == env.encode_state()
+    assert clone.state_id() == env.state_id()
 
 
 def test_snapshot_rejects_out_of_range_levels():
@@ -598,18 +607,26 @@ def test_state_ids_decode_and_sort_in_state_key_order():
             key_to_id(bad, dims)
 
 
-def test_step_id_is_step_on_state_ids():
-    a = deploy(small_config(rng_seed=8))
-    b = deploy(small_config(rng_seed=8))
-    assert a.state_id() == key_to_id(a.encode_state(), a.dims)
+@pytest.mark.parametrize("cfg, randomize_start", [
+    (desk_campaign_config().env, False),
+    (EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0), True),
+], ids=["desk", "table-explore"])
+def test_reset_and_step_return_the_state_id(cfg, randomize_start):
+    env = deploy(cfg)
     rng = np.random.default_rng(4)
-    for action in rng.integers(0, 6, size=a.config.episode_length).tolist():
-        out = a.step(action)
-        state_id, reward, done = b.step_id(action)
-        assert (out.next_state, out.reward, out.done) == (
-            id_to_key(state_id, b.dims), reward, done)
-        assert state_id == b.state_id()
-    assert a.auv_pos == b.auv_pos and a.store_level_j == b.store_level_j
+    clamped = 0
+    for _ in range(3):
+        assert env.reset(randomize_start=randomize_start) == env.state_id()
+        done = False
+        while not done:
+            # -z half the time: the box clamps it at the surface.
+            action = int(rng.integers(6)) if rng.random() < 0.5 else 5
+            before = env.auv_pos
+            state, _, done = env.step(action)
+            clamped += env.auv_pos == before
+            assert state == env.state_id()
+            assert id_to_key(state, env.dims)[:3] == env.auv_pos
+    assert clamped > 0
 
 
 def test_auv_pos_rejects_positions_outside_the_box():
