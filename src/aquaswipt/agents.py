@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import key_to_id
+from .env3d import id_to_tuple, key_to_id
 
 
 class Algorithm(str, Enum):
@@ -108,10 +108,6 @@ class QTable:
             return 0
         return row.index(max(row))
 
-    def best_value(self, state) -> float:
-        row = self._table.get(state)
-        return self.default_value if row is None else max(row)
-
     def __len__(self) -> int:
         return len(self._table)
 
@@ -127,10 +123,9 @@ class QTable:
         """
         n_actions = self.n_actions
         float_repr = float.__repr__
+        decode = id_to_tuple
         table = self._table
         dims = self.dims
-        if dims is not None:
-            w1, h1 = dims[1] + 1, dims[2] + 1
         templates = {}  # key length -> format of one entry
 
         def entries():
@@ -139,10 +134,7 @@ class QTable:
                 if dims is None:
                     fields = key if isinstance(key, tuple) else (key,)
                 else:
-                    p, code = divmod(key, 64)
-                    xy, z = divmod(p, h1)
-                    x, y = divmod(xy, w1)
-                    fields = (x, y, z, code >> 4, (code >> 2) & 3, code & 3)
+                    fields = decode(key, dims)
                 template = templates.get(len(fields))
                 if template is None:
                     template = templates[len(fields)] = (

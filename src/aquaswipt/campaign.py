@@ -23,6 +23,7 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,57 +267,31 @@ def _run_cell(spec: _CellSpec) -> CellResult:
 
 def _build_cell_specs(config: CampaignConfig) -> list[_CellSpec]:
     master = config.env.rng_seed
-    specs = []
-    for ai, algorithm in enumerate(config.algorithms):
-        for ni, node_count in enumerate(config.node_counts):
-            for run in range(config.mc_runs):
-                env_seed, learn_seed = _derive_seeds(master, 0, ai, ni, run)
-                env_cfg = dataclasses.replace(
-                    config.env,
-                    node_count=node_count,
-                    node_density=None,
-                    rng_seed=env_seed,
-                )
-                specs.append(
-                    _CellSpec(
-                        kind="main",
-                        algorithm=algorithm,
-                        node_count=node_count,
-                        gamma=config.env.reward_gamma,
-                        run=run,
-                        env_cfg=env_cfg,
-                        learn_cfg=dataclasses.replace(config.learn, seed=learn_seed),
-                        targets_throughput=tuple(config.targets_throughput_bits),
-                        targets_harvest=tuple(config.targets_harvest_j),
-                    )
-                )
+
+    def spec(kind, algorithm, node_count, gamma, run, seed_key, targets=((), ()),
+             **env_changes):
+        env_seed, learn_seed = _derive_seeds(master, *seed_key)
+        env_cfg = dataclasses.replace(config.env, node_count=node_count,
+                                      node_density=None, rng_seed=env_seed, **env_changes)
+        return _CellSpec(kind, algorithm, node_count, gamma, run, env_cfg,
+                         dataclasses.replace(config.learn, seed=learn_seed), *targets)
+
+    targets = (tuple(config.targets_throughput_bits), tuple(config.targets_harvest_j))
+    specs = [
+        spec("main", algorithm, node_count, config.env.reward_gamma, run,
+             (0, ai, ni, run), targets)
+        for ai, algorithm in enumerate(config.algorithms)
+        for ni, node_count in enumerate(config.node_counts)
+        for run in range(config.mc_runs)
+    ]
     gamma_runs = config.gamma_mc_runs if config.gamma_mc_runs is not None else config.mc_runs
-    for gi, gamma in enumerate(config.gamma_sweep):
-        for run in range(gamma_runs):
-            env_seed, learn_seed = _derive_seeds(master, 1, gi, run)
-            env_cfg = dataclasses.replace(
-                config.env,
-                node_count=config.gamma_node_count,
-                node_density=None,
-                rng_seed=env_seed,
-                reward_gamma=gamma,
-                node_harvest=dataclasses.replace(
-                    config.env.node_harvest, split_ratio=gamma
-                ),
-            )
-            specs.append(
-                _CellSpec(
-                    kind="gamma",
-                    algorithm=Algorithm.Q_LEARNING.value,
-                    node_count=config.gamma_node_count,
-                    gamma=gamma,
-                    run=run,
-                    env_cfg=env_cfg,
-                    learn_cfg=dataclasses.replace(config.learn, seed=learn_seed),
-                    targets_throughput=(),
-                    targets_harvest=(),
-                )
-            )
+    specs += [
+        spec("gamma", Algorithm.Q_LEARNING.value, config.gamma_node_count, gamma, run,
+             (1, gi, run), reward_gamma=gamma,
+             node_harvest=dataclasses.replace(config.env.node_harvest, split_ratio=gamma))
+        for gi, gamma in enumerate(config.gamma_sweep)
+        for run in range(gamma_runs)
+    ]
     return specs
 
 
@@ -376,8 +351,9 @@ class CellAggregate:
     actions_harvest: list[TargetAggregate]
 
 
-@dataclass
-class GammaRow:
+class GammaRow(NamedTuple):
+    """One ``fig_gamma.csv`` row; the field names are its header."""
+
     gamma: float
     runs: int
     reward_mean: float
@@ -550,84 +526,52 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
+def _actions_table(cells: list[CellAggregate], attr: str, target_column: str):
+    """Header and rows of one actions-to-target dataset."""
+    header = ("algorithm", "node_count", target_column, "mean_actions", "reached",
+              "reached_runs", "total_runs")
+    return header, [
+        (c.algorithm, c.node_count, t.target, t.mean_actions, t.reached_runs > 0,
+         t.reached_runs, t.total_runs)
+        for c in cells for t in getattr(c, attr)
+    ]
+
+
 def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     """Write the per-figure CSVs, the seed manifest, and a column README."""
     if not result.cells:
         raise ValueError("campaign produced no cells; nothing to emit")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cells = result.cells
+    tables = {
+        "fig_coverage.csv": (SweepRow._fields, result.coverage_rows),
+        "fig_gamma.csv": (GammaRow._fields, result.gamma_rows),
+        "fig_throughput.csv": (
+            ("algorithm", "node_count", "throughput_mean_bits", "throughput_min_bits",
+             "throughput_max_bits", "runs"),
+            [(c.algorithm, c.node_count, c.throughput_mean, c.throughput_min,
+              c.throughput_max, c.runs) for c in cells],
+        ),
+        "fig_actions_throughput.csv": _actions_table(cells, "actions_throughput",
+                                                     "target_bits"),
+        "fig_ee.csv": (
+            ("algorithm", "node_count", "ee_mean_bits_per_j", "ee_ratio_vs_random"),
+            [(c.algorithm, c.node_count, c.ee_mean, c.ee_ratio_vs_random) for c in cells],
+        ),
+        "fig_harvest.csv": (
+            ("algorithm", "node_count", "harvested_mean_j", "harvested_min_j",
+             "harvested_max_j", "runs"),
+            [(c.algorithm, c.node_count, c.harvested_mean, c.harvested_min,
+              c.harvested_max, c.runs) for c in cells],
+        ),
+        "fig_actions_harvest.csv": _actions_table(cells, "actions_harvest", "target_j"),
+    }
     paths = []
-
-    p = out / "fig_coverage.csv"
-    write_csv(p, SweepRow._fields, result.coverage_rows)
-    paths.append(p)
-
-    p = out / "fig_gamma.csv"
-    write_csv(
-        p,
-        ["gamma", "runs", "reward_mean", "throughput_term_mean",
-         "harvest_term_mean", "motion_term_mean"],
-        [[g.gamma, g.runs, g.reward_mean, g.throughput_term_mean,
-          g.harvest_term_mean, g.motion_term_mean] for g in result.gamma_rows],
-    )
-    paths.append(p)
-
-    p = out / "fig_throughput.csv"
-    write_csv(
-        p,
-        ["algorithm", "node_count", "throughput_mean_bits",
-         "throughput_min_bits", "throughput_max_bits", "runs"],
-        [[c.algorithm, c.node_count, c.throughput_mean, c.throughput_min,
-          c.throughput_max, c.runs] for c in result.cells],
-    )
-    paths.append(p)
-
-    p = out / "fig_actions_throughput.csv"
-    rows = []
-    for c in result.cells:
-        for t in c.actions_throughput:
-            rows.append([c.algorithm, c.node_count, t.target, t.mean_actions,
-                         t.reached_runs > 0, t.reached_runs, t.total_runs])
-    write_csv(
-        p,
-        ["algorithm", "node_count", "target_bits", "mean_actions", "reached",
-         "reached_runs", "total_runs"],
-        rows,
-    )
-    paths.append(p)
-
-    p = out / "fig_ee.csv"
-    write_csv(
-        p,
-        ["algorithm", "node_count", "ee_mean_bits_per_j", "ee_ratio_vs_random"],
-        [[c.algorithm, c.node_count, c.ee_mean, c.ee_ratio_vs_random]
-         for c in result.cells],
-    )
-    paths.append(p)
-
-    p = out / "fig_harvest.csv"
-    write_csv(
-        p,
-        ["algorithm", "node_count", "harvested_mean_j", "harvested_min_j",
-         "harvested_max_j", "runs"],
-        [[c.algorithm, c.node_count, c.harvested_mean, c.harvested_min,
-          c.harvested_max, c.runs] for c in result.cells],
-    )
-    paths.append(p)
-
-    p = out / "fig_actions_harvest.csv"
-    rows = []
-    for c in result.cells:
-        for t in c.actions_harvest:
-            rows.append([c.algorithm, c.node_count, t.target, t.mean_actions,
-                         t.reached_runs > 0, t.reached_runs, t.total_runs])
-    write_csv(
-        p,
-        ["algorithm", "node_count", "target_j", "mean_actions", "reached",
-         "reached_runs", "total_runs"],
-        rows,
-    )
-    paths.append(p)
+    for name in DATASET_FILES:
+        p = out / name
+        write_csv(p, *tables[name])
+        paths.append(p)
 
     p = out / "run_manifest.json"
     manifest = {
@@ -665,8 +609,8 @@ carries a field schema 2 dropped is rejected with that field's name.
   clipped-cone volume) vs the empirical frequency over seeded placements;
   stderr is the binomial standard error of the empirical column.
 - `fig_gamma.csv`: gamma, runs, reward_mean, throughput_term_mean,
-  harvest_term_mean, motion_term_mean. Converged greedy-rollout reward
-  split per swept weighting value.
+  harvest_term_mean, motion_term_mean. Greedy-rollout reward after
+  training, split per swept weighting value.
 - `fig_throughput.csv`: algorithm, node_count, throughput_mean_bits,
   throughput_min_bits, throughput_max_bits, runs. Rollout bits relayed to
   the surface station.

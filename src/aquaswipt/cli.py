@@ -57,7 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a config and exit")
     add_config_flags(p_val)
 
-    p_rep = sub.add_parser("replay", help="greedy rollout from saved artifacts")
+    p_rep = sub.add_parser(
+        "replay", help="one fresh greedy episode on a snapshot's deployment",
+        description="Run one fresh greedy episode of a saved Q-table on the snapshot's "
+                    "config and node layout. The episode is reset, so the snapshot's "
+                    "AUV position, battery, stores, buffers and step index do not "
+                    "carry over.")
     p_rep.add_argument("--qtable", required=True, metavar="PATH")
     p_rep.add_argument("--snapshot", required=True, metavar="PATH")
     p_rep.add_argument("--out", metavar="PATH", help="write rollout JSON here")

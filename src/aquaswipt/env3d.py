@@ -77,13 +77,18 @@ def _state_id(p: int, with_data: int, undercharged: int, gain_bin: int) -> int:
                       + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
 
 
-def id_to_key(state_id: int, dims) -> StateKey:
-    """The ``StateKey`` an int state id of a box of dimensions ``dims`` stands for."""
+def id_to_tuple(state_id: int, dims) -> tuple[int, int, int, int, int, int]:
+    """The ``StateKey`` fields of an int state id as a plain tuple."""
     _, w, h = dims
     p, code = divmod(state_id, 64)
     xy, z = divmod(p, h + 1)
     x, y = divmod(xy, w + 1)
-    return StateKey(x, y, z, code >> 4, (code >> 2) & 3, code & 3)
+    return x, y, z, code >> 4, (code >> 2) & 3, code & 3
+
+
+def id_to_key(state_id: int, dims) -> StateKey:
+    """The ``StateKey`` an int state id of a box of dimensions ``dims`` stands for."""
+    return StateKey(*id_to_tuple(state_id, dims))
 
 
 @dataclass(frozen=True)
@@ -455,8 +460,8 @@ class Environment:
             # booking it tests the state the step started from.
             if bits > 0 or level < capacity:
                 useful = True
-            # harvest.charge: the store accepts the offered energy up to its
-            # headroom (harvest_w >= 0 is checked when the links are built).
+            # The store accepts the offered energy up to its headroom
+            # (harvest_w >= 0 is checked when the links are built).
             offered_j = harvest_w * dt * efficiency
             headroom_j = capacity - level
             accepted_j = offered_j if offered_j < headroom_j else headroom_j
@@ -618,14 +623,15 @@ class Environment:
     # ------------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """JSON-safe snapshot for replay and debugging.
+        """JSON-safe snapshot for ``from_snapshot`` and debugging.
 
         Schema: ``config`` (the full EnvConfig as nested dicts), ``nodes``
         (list of {position, store_level_j, data_buffer_bits}), and ``auv``
         ({position, battery_level_j, relay_buffer_bits, total_relayed_bits,
         total_collected_bits, step_index, done}). A snapshot without the two
         totals loads with nothing relayed and the relay buffer as the bits
-        collected so far.
+        collected so far. ``aquaswipt replay`` reads only the config and the
+        node positions: its greedy rollout resets the episode state.
         """
         return {
             "config": env_config_to_dict(self.config),

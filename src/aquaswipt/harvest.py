@@ -1,8 +1,9 @@
 """Acoustic energy-harvesting receiver chain.
 
 Converts a received SNR into an induced transducer voltage and harvestable
-electrical power, splits received power between information decoding and
-power transfer, and books harvested energy into a bounded store level.
+electrical power, and splits received power between information decoding
+and power transfer. The environment step books the harvested share into the
+node stores.
 """
 
 import math
@@ -105,19 +106,3 @@ def split_power(received_power_w: float, split_ratio: float) -> tuple[float, flo
     elif info_w < 0.0:
         info_w, harvest_w = 0.0, received_power_w
     return info_w, harvest_w
-
-
-def charge(level_j: float, capacity_j: float, efficiency: float,
-           harvest_w: float, duration_s: float) -> tuple[float, float]:
-    """Charge a store at ``level_j`` from ``harvest_w`` watts over ``duration_s``.
-
-    ``efficiency`` scales the offered energy. Returns the new level and the
-    energy actually accepted (J); the level never exceeds ``capacity_j``.
-    """
-    if not harvest_w >= 0:  # NaN fails too; min() would book the full headroom
-        raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    offered_j = harvest_w * duration_s * efficiency
-    accepted_j = min(capacity_j - level_j, offered_j)
-    return level_j + accepted_j, accepted_j

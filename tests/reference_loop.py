@@ -11,9 +11,9 @@ straightforward form of both as an oracle:
   functions on a ``QTable`` keyed by ``StateKey`` tuples;
 - ``reference_links``, the link terms at one position evaluated from the
   channel and harvest models;
-- ``reference_step``, the environment step in separate move, charge
-  (``harvest.charge``), uplink, relay and reward stages on the
-  environment's public state;
+- ``charge``, the store-charge arithmetic the step books inline;
+- ``reference_step``, the environment step in separate move, charge,
+  uplink, relay and reward stages on the environment's public state;
 - ``reference_train``, the episode loop that strings them together;
 - ``reference_qtable_json``, the text ``QTable.save`` writes, built as a
   document and encoded by ``json.dumps``.
@@ -35,7 +35,7 @@ from aquaswipt.channel import (
     transmission_loss_db,
 )
 from aquaswipt.env3d import ACTIONS, StateKey, id_to_key
-from aquaswipt.harvest import charge, harvestable_power, split_power
+from aquaswipt.harvest import harvestable_power, split_power
 
 
 def select_action(q: QTable, state, epsilon: float, rng: np.random.Generator) -> int:
@@ -53,7 +53,7 @@ def q_update(q: QTable, state, action: int, reward: float, next_state,
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     current = q.get(state, action)
-    target = reward + cfg.discount * q.best_value(next_state)
+    target = reward + cfg.discount * max(q.values(next_state).tolist())
     q.set(state, action, current + cfg.learning_rate * (target - current))
     return q
 
@@ -67,6 +67,22 @@ def sarsa_update(q: QTable, state, action: int, reward: float, next_state,
     target = reward + cfg.discount * q.get(next_state, next_action)
     q.set(state, action, current + cfg.learning_rate * (target - current))
     return q
+
+
+def charge(level_j: float, capacity_j: float, efficiency: float,
+           harvest_w: float, duration_s: float) -> tuple[float, float]:
+    """Charge a store at ``level_j`` from ``harvest_w`` watts over ``duration_s``.
+
+    ``efficiency`` scales the offered energy. Returns the new level and the
+    energy actually accepted (J); the level never exceeds ``capacity_j``.
+    """
+    if not harvest_w >= 0:  # NaN fails too; min() would book the full headroom
+        raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    offered_j = harvest_w * duration_s * efficiency
+    accepted_j = min(capacity_j - level_j, offered_j)
+    return level_j + accepted_j, accepted_j
 
 
 def reference_links(env, pos):

