@@ -21,13 +21,12 @@ class AuvSpec:
     motor_efficiency: float = 0.7
     speed_mps: float = 2.0
     hotel_load_w: float = 20.0
-    battery_capacity_j: float = 5e5
     battery_level_j: float = 5e5
     cone_apex_angle_deg: float = 60.0
 
     def __post_init__(self):
         for name in ("drag_coefficient", "frontal_area_m2", "water_density_kgm3",
-                     "speed_mps", "battery_capacity_j"):
+                     "speed_mps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.motor_efficiency <= 1.0:
@@ -36,11 +35,8 @@ class AuvSpec:
             )
         if self.hotel_load_w < 0:
             raise ValueError(f"hotel_load_w must be >= 0, got {self.hotel_load_w}")
-        if not 0.0 <= self.battery_level_j <= self.battery_capacity_j:
-            raise ValueError(
-                "battery_level_j must be in [0, battery_capacity_j], "
-                f"got {self.battery_level_j}"
-            )
+        if self.battery_level_j < 0:
+            raise ValueError(f"battery_level_j must be >= 0, got {self.battery_level_j}")
         if not 0.0 < self.cone_apex_angle_deg < 180.0:
             raise ValueError(
                 f"cone_apex_angle_deg must be in (0, 180), got {self.cone_apex_angle_deg}"

@@ -271,8 +271,8 @@ def _build_cell_specs(config: CampaignConfig) -> list[_CellSpec]:
     def spec(kind, algorithm, node_count, gamma, run, seed_key, targets=((), ()),
              **env_changes):
         env_seed, learn_seed = _derive_seeds(master, *seed_key)
-        env_cfg = dataclasses.replace(config.env, node_count=node_count,
-                                      node_density=None, rng_seed=env_seed, **env_changes)
+        env_cfg = dataclasses.replace(config.env, node_count=node_count, rng_seed=env_seed,
+                                      **env_changes)
         return _CellSpec(kind, algorithm, node_count, gamma, run, env_cfg,
                          dataclasses.replace(config.learn, seed=learn_seed), *targets)
 
@@ -575,7 +575,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
 
     p = out / "run_manifest.json"
     manifest = {
-        "schema": 2,
+        "schema": 3,
         "config": campaign_config_to_dict(result.config),
         "seeds": dict(sorted(result.cell_seeds.items())),
         "versions": {
@@ -599,10 +599,10 @@ _DATASET_README = """\
 # Campaign datasets
 
 All CSVs are emitted deterministically: identical (config, seed) pairs
-reproduce byte-identical files. `run_manifest.json` (schema 2) echoes the
+reproduce byte-identical files. `run_manifest.json` (schema 3) echoes the
 full config (reusable via `aquaswipt run --config run_manifest.json`), the
-derived seed of every cell, and tool versions. A schema-1 manifest that
-carries a field schema 2 dropped is rejected with that field's name.
+derived seed of every cell, and tool versions. An older manifest that
+carries a field a later schema dropped is rejected with that field's name.
 
 - `fig_coverage.csv`: start_x, start_y, n, k, p_analytic, p_empirical,
   stderr. Analytic tail probability of covering >= k of n nodes (binomial,

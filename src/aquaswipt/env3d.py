@@ -95,15 +95,13 @@ def id_to_key(state_id: int, dims) -> StateKey:
 class EnvConfig:
     """Full environment description; every run-affecting knob lives here.
 
-    Exactly one of ``node_count`` / ``node_density`` must be set. Scale
-    fields left at None are derived from the link budget at deploy time
-    (see Environment). ``surface_station_xy`` and ``auv_start_xy`` default
-    to the centre of the surface plane.
+    Scale fields left at None are derived from the link budget at deploy
+    time (see Environment). ``surface_station_xy`` and ``auv_start_xy``
+    default to the centre of the surface plane.
     """
 
     dims: tuple[int, int, int] = (100, 100, 50)
-    node_count: int | None = 25
-    node_density: float | None = None
+    node_count: int = 25
     episode_length: int = 50
     step_duration_s: float = 1.0
     rng_seed: int = 0
@@ -127,12 +125,8 @@ class EnvConfig:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if (self.node_count is None) == (self.node_density is None):
-            raise ValueError("exactly one of node_count / node_density must be set")
-        if self.node_count is not None and self.node_count < 1:
+        if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
-        if self.node_density is not None and self.node_density <= 0:
-            raise ValueError(f"node_density must be > 0, got {self.node_density}")
         if self.episode_length < 1:
             raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
         if self.step_duration_s <= 0:
@@ -265,19 +259,8 @@ class Environment:
         self._episode_rng = np.random.default_rng(
             [config.rng_seed & 0xFFFFFFFFFFFFFFFF, 1]
         )
-
-        if config.node_count is not None:
-            count = config.node_count
-        else:
-            volume = l * w * h
-            count = int(deploy_rng.poisson(config.node_density * volume))
-            if count == 0:
-                raise ValueError(
-                    "node_density realization produced zero nodes; "
-                    "increase density or use node_count"
-                )
         positions = deploy_rng.integers(
-            low=0, high=[l + 1, w + 1, h + 1], size=(count, 3)
+            low=0, high=[l + 1, w + 1, h + 1], size=(config.node_count, 3)
         )
 
         self._auv_modem = config.auv_modem if config.auv_modem is not None else config.node_modem
@@ -291,16 +274,8 @@ class Environment:
             else (l / 2.0, w / 2.0)
         )
         self._surface_station = (float(sx), float(sy), 0.0)
-        self._start_pos = (
-            config.auv_start_xy
-            if config.auv_start_xy is not None
-            else (l // 2, w // 2)
-        )
-        self._start_pos = (
-            int(self._start_pos[0]),
-            int(self._start_pos[1]),
-            int(config.auv_start_z),
-        )
+        x, y = config.auv_start_xy if config.auv_start_xy is not None else (l // 2, w // 2)
+        self._start_pos = (int(x), int(y), int(config.auv_start_z))
 
         dt = config.step_duration_s
         ref_snr_auv = self._sl_auv - transmission_loss_db(1.0, config.channel) - self._nl
@@ -634,7 +609,7 @@ class Environment:
         node positions: its greedy rollout resets the episode state.
         """
         return {
-            "config": env_config_to_dict(self.config),
+            "config": dataclasses.asdict(self.config),
             "nodes": [
                 {
                     "position": [int(c) for c in pos],
@@ -670,8 +645,8 @@ class Environment:
             raise ValueError("snapshot store_level_j must be in [0, node_store_capacity_j]")
         auv = snapshot["auv"]
         battery_j = float(auv["battery_level_j"])
-        if not 0.0 <= battery_j <= env.config.auv.battery_capacity_j:
-            raise ValueError("snapshot battery_level_j must be in [0, battery_capacity_j]")
+        if not 0.0 <= battery_j <= env.config.auv.battery_level_j:
+            raise ValueError("snapshot battery_level_j must be in [0, auv.battery_level_j]")
         env.place_nodes([rec["position"] for rec in nodes])
         env.store_level_j = levels
         env.buffer_bits = [float(rec["data_buffer_bits"]) for rec in nodes]
@@ -694,10 +669,6 @@ def deploy(config: EnvConfig) -> Environment:
 
 # ---------------------------------------------------------------------------
 # Config (de)serialization, shared by snapshots, manifests and the CLI.
-
-def env_config_to_dict(config: EnvConfig) -> dict:
-    return dataclasses.asdict(config)
-
 
 def config_from_dict(cls, doc: dict):
     """Build the config dataclass ``cls`` from its JSON document ``doc``.

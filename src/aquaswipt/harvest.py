@@ -6,7 +6,6 @@ and power transfer. The environment step books the harvested share into the
 node stores.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,34 +15,16 @@ import numpy as np
 class HarvestSpec:
     """Receiver-side harvesting parameters.
 
-    ``sensitivity_db`` is 20*log10(M) for sensitivity M in V/uPa; passing
-    only one of the pair fills in the other, passing both requires them to
-    be consistent.
+    ``sensitivity_db`` is 20*log10(M) for sensitivity M in V/uPa.
     """
 
     sensitivity_db: float = -160.0
-    sensitivity_v_per_upa: float | None = None
     load_resistance_ohm: float = 125.0
     array_elements: int = 4
     ae_efficiency: float = 0.7
     split_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.sensitivity_v_per_upa is None:
-            object.__setattr__(
-                self, "sensitivity_v_per_upa", 10.0 ** (self.sensitivity_db / 20.0)
-            )
-        else:
-            if self.sensitivity_v_per_upa <= 0:
-                raise ValueError(
-                    f"sensitivity_v_per_upa must be > 0, got {self.sensitivity_v_per_upa}"
-                )
-            derived = 20.0 * math.log10(self.sensitivity_v_per_upa)
-            if not math.isclose(derived, self.sensitivity_db, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError(
-                    "sensitivity_db and sensitivity_v_per_upa disagree: "
-                    f"{self.sensitivity_db} vs {derived}"
-                )
         if self.load_resistance_ohm <= 0:
             raise ValueError(
                 f"load_resistance_ohm must be > 0, got {self.load_resistance_ohm}"

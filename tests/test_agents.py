@@ -263,8 +263,7 @@ BASE_LEARN = dict(learning_rate=0.75, discount=0.9, epsilon_start=1.0, epsilon_d
 DIFFERENTIAL_CASES = {
     "boundary-clamps": (small_env(dims=(3, 3, 2), node_count=3, auv_start_xy=(0, 0)), {}),
     "battery-depletion": (
-        small_env(auv=AuvSpec(hotel_load_w=500.0, battery_capacity_j=9000.0,
-                              battery_level_j=9000.0)), {}),
+        small_env(auv=AuvSpec(hotel_load_w=500.0, battery_level_j=9000.0)), {}),
     "stores-fill": (small_env(node_store_capacity_j=1e-8), {}),
     "split-0": (small_env(node_harvest=HarvestSpec(split_ratio=0.0)), {}),
     "split-1": (small_env(node_harvest=HarvestSpec(split_ratio=1.0)), {}),

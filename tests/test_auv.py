@@ -118,9 +118,7 @@ def test_auv_spec_validation(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"battery_capacity_j": 0.0, "battery_level_j": 0.0},
-        {"battery_capacity_j": 5.0, "battery_level_j": 6.0},
-        {"battery_capacity_j": 5.0, "battery_level_j": -1.0},
+        {"battery_level_j": -1.0},
     ],
 )
 def test_auv_spec_battery_validation(kwargs):

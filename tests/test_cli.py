@@ -95,24 +95,51 @@ def test_validate_partial_config_takes_defaults(tmp_path, capsys):
     assert "config OK" in capsys.readouterr().out
 
 
+def with_field(doc, dotted, value):
+    """``doc`` with ``value`` set at the dotted path ``dotted``."""
+    *block, name = dotted.split(".")
+    node = doc
+    for key in block:
+        node = node[key]
+    node[name] = value
+    return doc
+
+
+# The fields manifest schema 3 dropped, with the values older code wrote.
+SCHEMA_2_ONLY_FIELDS = {
+    "env.node_density": None,
+    "env.node_harvest.sensitivity_v_per_upa": 1e-8,
+    "env.auv.battery_capacity_j": 5e5,
+}
+
+
 def test_config_with_removed_field_is_rejected(tmp_path, capsys):
-    doc = campaign_config_to_dict(tiny_campaign(tmp_path / "out"))
-    del doc["env"]["auv"]["battery_capacity_j"], doc["env"]["auv"]["battery_level_j"]
+    cfg = tiny_campaign(tmp_path / "out")
+    doc = campaign_config_to_dict(cfg)
+    del doc["env"]["auv"]["battery_level_j"]
     doc["env"]["auv"]["battery"] = {"capacity_j": 5e5, "level_j": 5e5}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--config", str(path)]) == 2
     assert "'battery'" in capsys.readouterr().err
 
-    snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
-    snapshot["config"]["channel"]["sound_speed_mps"] = 1500.0
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(snapshot))
+    for dotted, value in SCHEMA_2_ONLY_FIELDS.items():
+        manifest = {"schema": 2, "seeds": {}, "versions": {},
+                    "config": with_field(campaign_config_to_dict(cfg), dotted, value)}
+        path.write_text(json.dumps(manifest))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
+
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
-    assert main(["replay", "--qtable", str(table_path),
-                 "--snapshot", str(snapshot_path)]) == 2
-    assert "sound_speed_mps" in capsys.readouterr().err
+    snapshot_path = tmp_path / "snapshot.json"
+    for dotted, value in {"env.channel.sound_speed_mps": 1500.0, **SCHEMA_2_ONLY_FIELDS}.items():
+        snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
+        with_field(snapshot, "config" + dotted.removeprefix("env"), value)
+        snapshot_path.write_text(json.dumps(snapshot))
+        assert main(["replay", "--qtable", str(table_path),
+                     "--snapshot", str(snapshot_path)]) == 2
+        assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
 
 
 def test_validate_rejects_malformed_set(capsys):
@@ -183,7 +210,7 @@ def test_run_flag_overrides(tmp_path):
         "--seed", "99",
     ]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["schema"] == 2
+    assert manifest["schema"] == 3
     assert manifest["config"]["algorithms"] == ["random"]
     assert manifest["config"]["node_counts"] == [4]
     assert manifest["config"]["mc_runs"] == 1

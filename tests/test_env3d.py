@@ -18,7 +18,6 @@ from aquaswipt.env3d import (
     _mean,
     config_from_dict,
     deploy,
-    env_config_to_dict,
     id_to_key,
     key_to_id,
 )
@@ -56,25 +55,13 @@ def test_deploy_count_and_bounds():
         assert 0 <= x <= 100 and 0 <= y <= 100 and 0 <= z <= 50
 
 
-def test_deploy_density_mean_matches_poisson_intensity():
-    dims = (10, 10, 5)
-    lam = 0.04  # expected count = 20
-    counts = [
-        len(deploy(EnvConfig(dims=dims, node_count=None, node_density=lam,
-                             rng_seed=seed)).node_pos)
-        for seed in range(1000)
-    ]
-    expected = lam * dims[0] * dims[1] * dims[2]
-    assert np.mean(counts) == pytest.approx(expected, rel=0.05)
-
-
 def test_deploy_validates_node_choice():
-    with pytest.raises(ValueError):
-        EnvConfig(node_count=None, node_density=None)
-    with pytest.raises(ValueError):
-        EnvConfig(node_count=10, node_density=0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node_count"):
         EnvConfig(node_count=0)
+    # node_count is the only way to size the field: a config document can
+    # not leave it null.
+    with pytest.raises(ValueError, match="node_count"):
+        config_from_dict(EnvConfig, {"node_count": None})
 
 
 def test_env_config_validates_node_store():
@@ -379,7 +366,7 @@ def test_done_exactly_at_episode_length():
 
 
 def test_done_on_battery_depletion():
-    auv = AuvSpec(battery_capacity_j=2000.0, battery_level_j=2000.0)
+    auv = AuvSpec(battery_level_j=2000.0)
     env = deploy(small_config(auv=auv, episode_length=50))
     env.reset()
     steps = 0
@@ -571,10 +558,12 @@ def test_snapshot_rejects_out_of_range_levels():
     snap["nodes"][0]["store_level_j"] = env.config.node_store_capacity_j * 2
     with pytest.raises(ValueError, match="store_level_j"):
         Environment.from_snapshot(snap)
-    snap = env.to_snapshot()
-    snap["auv"]["battery_level_j"] = -1.0
-    with pytest.raises(ValueError, match="battery_level_j"):
-        Environment.from_snapshot(snap)
+    # The battery only drains, so no snapshot holds more than the configured start.
+    for battery_j in (-1.0, env.config.auv.battery_level_j * 2):
+        snap = env.to_snapshot()
+        snap["auv"]["battery_level_j"] = battery_j
+        with pytest.raises(ValueError, match="battery_level_j"):
+            Environment.from_snapshot(snap)
 
 
 def test_env_config_dict_round_trip():
@@ -585,7 +574,7 @@ def test_env_config_dict_round_trip():
         auv_start_xy=(3, 4),
         motion_scale=123.0,
     )
-    assert config_from_dict(EnvConfig, env_config_to_dict(cfg)) == cfg
+    assert config_from_dict(EnvConfig, dataclasses.asdict(cfg)) == cfg
 
 
 def test_state_key_is_hashable_and_tuple_like():

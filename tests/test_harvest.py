@@ -72,13 +72,6 @@ def test_harvestable_power_strictly_increasing_in_snr():
     assert np.all(np.diff(powers) > 0)
 
 
-def test_sensitivity_pair_is_consistent():
-    s = HarvestSpec(sensitivity_db=-160.0)
-    assert s.sensitivity_v_per_upa == pytest.approx(1e-8, rel=1e-12)
-    with pytest.raises(ValueError):
-        HarvestSpec(sensitivity_db=-160.0, sensitivity_v_per_upa=1e-7)
-
-
 @pytest.mark.parametrize(("alpha", "expected"), [
     (0.5, (1.0, 1.0)),
     (0.0, (0.0, 2.0)),
