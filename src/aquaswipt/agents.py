@@ -10,11 +10,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import id_to_tuple, key_to_id
+from .env3d import id_to_tuple, key_to_id, require_int_fields
 
 
 class Algorithm(str, Enum):
@@ -48,8 +49,11 @@ class LearnConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {val}")
         if self.epsilon_min > self.epsilon_start:
             raise ValueError("epsilon_min must be <= epsilon_start")
+        require_int_fields(self, "episodes", "seed")
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.optimistic_init):
             raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init}")
 
@@ -215,6 +219,52 @@ class EpisodeMetrics:
         self.step_harvested_j.append(harvested_j)
 
 
+# Raw PCG64 words drawn per block; 1024 Python ints take about 40 KB.
+_RAW_BLOCK = 1024
+
+
+def _pcg64_draws(bit_generator: np.random.PCG64):
+    """``uniform()`` and ``integers(n)`` closures over ``bit_generator``'s words.
+
+    They return what ``np.random.Generator(bit_generator)``'s scalar
+    ``random()`` and ``integers(n)`` return, from the same word stream, but
+    take the words from ``random_raw`` in blocks of ``_RAW_BLOCK``.
+    ``uniform()`` is the top 53 bits of one word over 2**53. ``integers(n)``,
+    for 1 <= n <= 2**32, is numpy's Lemire method on 32-bit half-words: a fresh
+    word's low half comes first, and its high half is kept for the next
+    ``integers`` call, across ``uniform()`` calls and block refills.
+    ``integers(1)`` is 0 and draws nothing.
+    """
+    next_word = chain.from_iterable(
+        map(np.ndarray.tolist, map(bit_generator.random_raw, repeat(_RAW_BLOCK)))
+    ).__next__
+    pending = []  # the high half-word waiting for the next integers() call
+
+    def uniform() -> float:
+        return (next_word() >> 11) * 2.0**-53
+
+    def next_half() -> int:
+        if pending:
+            return pending.pop()
+        word = next_word()
+        pending.append(word >> 32)
+        return word & 0xFFFFFFFF
+
+    def integers(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next_half() * n
+        # Reject the 2**32 % n lowest products so that each result is
+        # equally likely; m & 0xFFFFFFFF >= n already rules rejection out.
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_half() * n
+        return m >> 32
+
+    return uniform, integers
+
+
 class EpisodeTotals(NamedTuple):
     """One training episode: env steps taken and their rewards summed in step order."""
 
@@ -225,8 +275,13 @@ class EpisodeTotals(NamedTuple):
 def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeTotals]]:
     """Run the episodic training loop of Q-learning or SARSA.
 
-    Fully reproducible from cfg.seed. The random baseline learns nothing, so
-    it has no training: evaluate it with ``random_rollout``.
+    Fully reproducible from cfg.seed. Its only randomness is the raw word
+    stream of ``np.random.PCG64(cfg.seed)``, read in blocks by
+    ``_pcg64_draws``; on numpy 2.4.6 its draws equal those of
+    ``Generator.random()`` and ``Generator.integers(n_actions)`` on that
+    stream, and ``tests/test_agents.py`` checks that they do. The random
+    baseline learns nothing, so it has no training: evaluate it with
+    ``random_rollout``.
     Epsilon decays once per episode: eps(t) = max(eps_min, eps0 * decay^t).
 
     ``env`` steps on int state ids: it provides ``n_actions``, ``dims`` (the
@@ -239,9 +294,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     if algo is Algorithm.RANDOM:
         raise ValueError("the random baseline does not train; use random_rollout")
     sarsa = algo is Algorithm.SARSA
-    rng = np.random.default_rng(cfg.seed)
-    uniform = rng.random
-    integers = rng.integers
+    uniform, integers = _pcg64_draws(np.random.PCG64(cfg.seed))
     n_actions = env.n_actions
     q = QTable(n_actions=n_actions, default_value=cfg.optimistic_init, dims=env.dims)
     table = q._table
@@ -270,14 +323,14 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
         while not done:
             if action < 0:
                 if explore and uniform() < epsilon:
-                    action = int(integers(n_actions))
+                    action = integers(n_actions)
                 else:
                     action = 0 if row is None else row.index(max(row))
             next_state, reward, done = step(action)
             next_row = table.get(next_state)
             if sarsa:
                 if explore and uniform() < epsilon:
-                    next_action = int(integers(n_actions))
+                    next_action = integers(n_actions)
                 else:
                     next_action = 0 if next_row is None else next_row.index(max(next_row))
                 ahead = default if next_row is None else next_row[next_action]

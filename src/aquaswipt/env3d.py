@@ -91,6 +91,16 @@ def id_to_key(state_id: int, dims) -> StateKey:
     return StateKey(*id_to_tuple(state_id, dims))
 
 
+def require_int_fields(config, *names: str) -> None:
+    """Raise ``ValueError`` naming the field unless each of ``config``'s
+    fields ``names`` holds an int; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{type(config).__name__}.{name} must be of type int, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     """Full environment description; every run-affecting knob lives here.
@@ -125,6 +135,7 @@ class EnvConfig:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
+        require_int_fields(self, "node_count", "episode_length", "auv_start_z")
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if self.episode_length < 1:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from aquaswipt.agents import (
+    _RAW_BLOCK,
     Algorithm,
     LearnConfig,
     QTable,
+    _pcg64_draws,
     greedy_rollout,
     random_rollout,
     train,
@@ -248,6 +250,73 @@ def test_train_sarsa_matches_oracle_policy_with_annealed_epsilon():
 
 
 # ---------------------------------------------------------------------------
+# the trainer's draws from raw PCG64 words against numpy's Generator
+
+
+def assert_draws_match(seed_or_state, calls):
+    """Make ``calls`` (None for ``uniform()``, n for ``integers(n)``) on the
+    helper and on ``np.random.Generator``, both on PCG64 ``seed_or_state``,
+    and require the same numbers."""
+    def bit_generator():
+        if isinstance(seed_or_state, dict):
+            bits = np.random.PCG64()
+            bits.state = seed_or_state
+            return bits
+        return np.random.PCG64(seed_or_state)
+
+    uniform, integers = _pcg64_draws(bit_generator())
+    generator = np.random.Generator(bit_generator())
+    got = [uniform() if n is None else integers(n) for n in calls]
+    want = [generator.random() if n is None else int(generator.integers(n)) for n in calls]
+    assert got == want
+
+
+def test_pcg64_draws_match_generator_on_interleavings():
+    # 2,500 calls take more than one block of words, so each sequence
+    # crosses a refill at some point of the interleaving.
+    sizes = [1, 2, 3, 6, 7]
+    for seed in range(120):
+        plan = np.random.default_rng([seed, 1])
+        kinds = plan.integers(len(sizes) + 3, size=2_500).tolist()
+        assert_draws_match(seed, [sizes[k] if k < len(sizes) else None for k in kinds])
+
+
+@pytest.mark.parametrize("words_before", [_RAW_BLOCK - 2, _RAW_BLOCK - 1, _RAW_BLOCK])
+@pytest.mark.parametrize("words_between", [1, 2 * _RAW_BLOCK + 5])
+def test_pcg64_draws_keep_pending_half_word_across_refills(words_before, words_between):
+    # integers(6) takes the low half of the word after ``words_before``
+    # uniforms; the uniforms after it cross one or more block refills, and
+    # the next integers(6) must still take that word's high half.
+    calls = [None] * words_before + [6] + [None] * words_between + [6, 6, None, 6]
+    for seed in range(3):
+        assert_draws_match(seed, calls)
+
+
+def rotl64(value, shift):
+    return ((value << shift) | (value >> (64 - shift))) & (2**64 - 1)
+
+
+def test_pcg64_draws_take_lemire_rejection_branch_like_numpy():
+    # A PCG64 state whose next word is 0xDEADBEEF00000000: its low half
+    # gives the product 0 * 6, below numpy's threshold (2**32 - 6) % 6 = 4,
+    # so integers(6) rejects it and uses the high half. Random seeds reach
+    # this branch with probability 4 / 2**32.
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    hi = 0x9E3779B97F4A7C15
+    lo = hi ^ rotl64(0xDEADBEEF00000000, hi >> 58)
+    state = ((hi << 64 | lo) - inc) * pow(multiplier, -1, 2**128) % 2**128
+    doc = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+           "has_uint32": 0, "uinteger": 0}
+    bits = np.random.PCG64()
+    bits.state = doc
+    assert int(bits.random_raw()) == 0xDEADBEEF00000000
+    bits.state = doc
+    assert int(np.random.Generator(bits).integers(6)) == 0xDEADBEEF * 6 >> 32 == 5
+    assert_draws_match(doc, [6, None, 6, 7])
+
+
+# ---------------------------------------------------------------------------
 # the trainer against the reference loop
 
 
@@ -395,6 +464,14 @@ def test_learn_config_validation():
         LearnConfig(epsilon_min=0.5, epsilon_start=0.1)
     with pytest.raises(ValueError):
         LearnConfig(episodes=0)
+    for value in (None, 2.5, True):
+        with pytest.raises(ValueError, match="LearnConfig.episodes"):
+            LearnConfig(episodes=value)
+    for value in (None, 1.0):
+        with pytest.raises(ValueError, match="LearnConfig.seed"):
+            LearnConfig(seed=value)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        LearnConfig(seed=-1)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="optimistic_init"):
             LearnConfig(optimistic_init=value)

@@ -64,6 +64,13 @@ def test_deploy_validates_node_choice():
         config_from_dict(EnvConfig, {"node_count": None})
 
 
+@pytest.mark.parametrize("name", ["node_count", "episode_length", "auv_start_z"])
+@pytest.mark.parametrize("value", [None, 2.5, 2.0, True, "3"])
+def test_env_config_rejects_int_fields_of_other_types(name, value):
+    with pytest.raises(ValueError, match=f"EnvConfig.{name} must be of type int"):
+        EnvConfig(**{name: value})
+
+
 def test_env_config_validates_node_store():
     with pytest.raises(ValueError, match="node_store_charge_efficiency"):
         EnvConfig(node_store_charge_efficiency=0.0)
