@@ -38,7 +38,7 @@ from .agents import (
 )
 from .auv import AuvSpec, move_energy
 from .coverage import SweepRow, coverage_sweep
-from .env3d import Environment, EnvConfig
+from .env3d import Environment, EnvConfig, require_int_entries, require_int_fields
 
 DATASET_FILES = (
     "fig_coverage.csv",
@@ -86,6 +86,12 @@ class CampaignConfig:
             Algorithm(name)  # raises on unknown names
         if not self.node_counts:
             raise ValueError("node_counts must be non-empty")
+        # Types first, so that the range checks below compare numbers.
+        require_int_fields(self, "mc_runs", "gamma_node_count", "coverage_trials",
+                           "coverage_volume_samples")
+        if self.gamma_mc_runs is not None:
+            require_int_fields(self, "gamma_mc_runs")
+        require_int_entries(self, "node_counts", "coverage_n_values", "coverage_k_values")
         if any(n < 1 for n in self.node_counts):
             raise ValueError(f"node_counts must be positive, got {self.node_counts}")
         if self.mc_runs < 1:

@@ -94,11 +94,15 @@ def _uniform_blocks(rng: np.random.Generator, cube, rows: int, per_row: int):
     ``uniform`` computes ``0.0 + (cube - 0.0) * random()`` element by
     element in C order, which is exactly ``random() * cube``.
     """
-    scale = np.asarray(cube, dtype=float)
+    scale = [float(c) for c in cube]
     step = max(1, _BLOCK_POINTS // max(per_row, 1))  # rows per block
     for start in range(0, rows, step):
         block = rng.random((min(step, rows - start), per_row, 3))
-        block *= scale
+        # One column at a time: ``block *= scale`` broadcasts a (3,) vector
+        # and runs numpy's inner loop three elements long.
+        points = block.reshape(-1, 3)
+        for axis, c in enumerate(scale):
+            points[:, axis] *= c
         yield block
 
 

@@ -148,6 +148,29 @@ def test_campaign_config_validation(tmp_path, overrides):
         tiny_campaign(tmp_path / "out", **overrides)
 
 
+@pytest.mark.parametrize("name", ["mc_runs", "gamma_node_count", "coverage_trials",
+                                  "coverage_volume_samples"])
+@pytest.mark.parametrize("value", [None, 2.5, 2000.0, True, "3"])
+def test_campaign_config_rejects_int_fields_of_other_types(name, value):
+    with pytest.raises(ValueError, match=f"CampaignConfig.{name} must be of type int"):
+        CampaignConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_campaign_config_rejects_gamma_mc_runs_of_other_types(value):
+    # None is its default: the gamma cells then take mc_runs.
+    assert CampaignConfig(gamma_mc_runs=None).gamma_mc_runs is None
+    with pytest.raises(ValueError, match="CampaignConfig.gamma_mc_runs must be of type int"):
+        CampaignConfig(gamma_mc_runs=value)
+
+
+@pytest.mark.parametrize("name", ["node_counts", "coverage_n_values", "coverage_k_values"])
+@pytest.mark.parametrize("entry", [None, 2.5, 2.0, True, "3"])
+def test_campaign_config_rejects_count_entries_of_other_types(name, entry):
+    with pytest.raises(ValueError, match=f"CampaignConfig.{name} entries must be of type int"):
+        CampaignConfig(**{name: (10, entry)})
+
+
 def test_campaign_config_dict_round_trip(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
     doc = json.loads(json.dumps(campaign_config_to_dict(cfg)))

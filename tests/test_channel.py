@@ -215,3 +215,62 @@ def test_channel_params_validation(kwargs):
 def test_modem_spec_validation(kwargs):
     with pytest.raises(ValueError):
         ModemSpec(**kwargs)
+
+
+# The range checks and the scalar path avoid numpy's Python-level wrappers;
+# these hold them to the np.any checks and the 0-d array arithmetic they
+# replaced.
+RANGE_CHECK_INPUTS = [
+    0.5,                                # 0-d, below the bound
+    np.float64(0.0),
+    np.asarray(-2.0),
+    3.0,                                # 0-d, in range
+    float("nan"),                       # NaN compares False: no raise
+    [5.0, 0.5, 7.0],                    # one bad entry
+    [float("nan"), 0.5],                # NaN mixed with a bad entry
+    [float("nan"), float("nan")],       # all NaN
+    np.zeros(0),                        # empty
+    [[2.0, 3.0], [4.0, -1.0]],
+]
+
+
+def _raises(fn, value) -> bool:
+    try:
+        fn(value)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", RANGE_CHECK_INPUTS)
+def test_transmission_loss_range_check_matches_np_any(value):
+    expected = bool(np.any(np.asarray(value, dtype=float) < 1.0))
+    assert _raises(lambda r: transmission_loss_db(r, ChannelParams()), value) is expected
+
+
+@pytest.mark.parametrize("value", RANGE_CHECK_INPUTS)
+def test_frequency_checks_match_np_any(value):
+    expected = bool(np.any(np.asarray(value, dtype=float) <= 0))
+    assert _raises(thorp_absorption, value) is expected
+    assert _raises(lambda f: noise_psd_db(f, ChannelParams()), value) is expected
+
+
+def test_scalar_link_budget_matches_0d_array_arithmetic():
+    # A single range or SNR is worked out on numpy scalars; the bits must be
+    # those of the 0-d array expressions, ufunc for ufunc.
+    rng = np.random.default_rng(3)
+    params = ChannelParams(frequency_khz=18.0, spreading_factor_k=1.7)
+    alpha = thorp_absorption(params.frequency_khz)
+    ranges = np.concatenate([np.sqrt(np.arange(1.0, 3000.0)), 1.0 + rng.random(3000) * 1e4])
+    for r in ranges.tolist():
+        a = np.asarray(r)
+        expected = float(params.spreading_factor_k * 10.0 * np.log10(a) + (a / 1000.0) * alpha)
+        loss = transmission_loss_db(r, params)
+        assert type(loss) is float and loss == expected, r
+        snr = np.asarray(190.0 - loss - 70.0)
+        rate = params.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr / 10.0))
+        for floor in (0.0, 60.0):
+            expected = float(np.where(snr >= floor, rate, 0.0))
+            got = shannon_throughput_bps(float(snr), params, floor)
+            assert type(got) is float and got == expected, (r, floor)
+    assert shannon_throughput_bps(float("nan"), params, 0.0) == 0.0

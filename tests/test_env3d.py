@@ -64,11 +64,19 @@ def test_deploy_validates_node_choice():
         config_from_dict(EnvConfig, {"node_count": None})
 
 
-@pytest.mark.parametrize("name", ["node_count", "episode_length", "auv_start_z"])
+@pytest.mark.parametrize("name", ["node_count", "episode_length", "auv_start_z", "rng_seed"])
 @pytest.mark.parametrize("value", [None, 2.5, 2.0, True, "3"])
 def test_env_config_rejects_int_fields_of_other_types(name, value):
     with pytest.raises(ValueError, match=f"EnvConfig.{name} must be of type int"):
         EnvConfig(**{name: value})
+
+
+@pytest.mark.parametrize("start", [(1.5, 2), (2, 2.0), (True, 2), (None, 2), ("1", 2)])
+def test_env_config_rejects_start_column_of_other_types(start):
+    # int() would truncate (1.5, 2) to the column (1, 2).
+    with pytest.raises(ValueError, match="EnvConfig.auv_start_xy entries must be of type int"):
+        EnvConfig(auv_start_xy=start)
+    assert EnvConfig(auv_start_xy=(1, 2)).auv_start_xy == (1, 2)
 
 
 def test_env_config_validates_node_store():
@@ -208,6 +216,20 @@ def test_links_match_reference_at_bench_scale(cfg):
         assert tuple(i for i, _, _ in links.nodes) == covered, pos
         seen.update(covered)
     assert len(seen) > 10
+
+
+def test_mean_snr_on_a_gain_edge_takes_the_lower_bin():
+    # The bin counts the edges strictly below the mean covered SNR.
+    env = deploy(small_config(node_count=1, rng_seed=3))
+    env.place_nodes([[10.0, 10.0, 7.0]])
+    snr = float(env._uplink_snr_db[7 * 7])  # the node is 7 m below (10, 10, 0)
+    for edges, expected in [((snr - 1.0, snr, snr + 1.0), 1), ((snr, snr + 1.0, snr + 2.0), 0),
+                            ((snr - 2.0, snr - 1.0, snr), 2),
+                            ((snr - 3.0, snr - 2.0, snr - 1.0), 3)]:
+        env._gain_edges = edges
+        links = links_at(env, (10, 10, 0))
+        assert [i for i, _, _ in links.nodes] == [0]
+        assert links.gain_bin == expected, edges
 
 
 def test_link_mean_equals_numpy_mean():
