@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env3d import id_to_tuple, key_to_id, require_int_fields
+from .checks import require_finite_fields, require_int_fields
+from .env3d import id_to_tuple, key_to_id
 
 
 class Algorithm(str, Enum):
@@ -39,6 +40,8 @@ class LearnConfig:
     optimistic_init: float = 0.0
 
     def __post_init__(self):
+        require_finite_fields(self, "learning_rate", "discount", "epsilon_start",
+                              "epsilon_decay", "epsilon_min", "optimistic_init")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 0.0 < self.discount <= 1.0:
@@ -54,8 +57,6 @@ class LearnConfig:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.optimistic_init):
-            raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init}")
 
 
 def _json_list(length: int, item: str, indent: int) -> str:
@@ -224,24 +225,21 @@ _RAW_BLOCK = 1024
 
 
 def _pcg64_draws(bit_generator: np.random.PCG64):
-    """``uniform()`` and ``integers(n)`` closures over ``bit_generator``'s words.
+    """``next_word()`` and ``integers(n)`` closures over ``bit_generator``'s words.
 
-    They return what ``np.random.Generator(bit_generator)``'s scalar
-    ``random()`` and ``integers(n)`` return, from the same word stream, but
-    take the words from ``random_raw`` in blocks of ``_RAW_BLOCK``.
-    ``uniform()`` is the top 53 bits of one word over 2**53. ``integers(n)``,
-    for 1 <= n <= 2**32, is numpy's Lemire method on 32-bit half-words: a fresh
-    word's low half comes first, and its high half is kept for the next
-    ``integers`` call, across ``uniform()`` calls and block refills.
-    ``integers(1)`` is 0 and draws nothing.
+    Both read the words of ``random_raw`` in blocks of ``_RAW_BLOCK``.
+    ``next_word()`` is the next 64-bit word as an int; numpy's scalar
+    ``Generator.random()`` is ``(next_word() >> 11) * 2**-53`` on the same
+    stream. ``integers(n)`` returns what ``np.random.Generator(bit_generator)``'s
+    scalar ``integers(n)`` returns, for 1 <= n <= 2**32: numpy's Lemire method
+    on 32-bit half-words, where a fresh word's low half comes first and its
+    high half is kept for the next ``integers`` call, across ``next_word()``
+    calls and block refills. ``integers(1)`` is 0 and draws nothing.
     """
     next_word = chain.from_iterable(
         map(np.ndarray.tolist, map(bit_generator.random_raw, repeat(_RAW_BLOCK)))
     ).__next__
     pending = []  # the high half-word waiting for the next integers() call
-
-    def uniform() -> float:
-        return (next_word() >> 11) * 2.0**-53
 
     def next_half() -> int:
         if pending:
@@ -262,7 +260,18 @@ def _pcg64_draws(bit_generator: np.random.PCG64):
                 m = next_half() * n
         return m >> 32
 
-    return uniform, integers
+    return next_word, integers
+
+
+def _epsilon_bound(epsilon: float) -> int:
+    """The int ``b`` with ``word < b`` exactly when ``(word >> 11) * 2**-53 <
+    epsilon``, for every 64-bit ``word`` and ``epsilon`` in [0, 1].
+
+    Multiplying by 2**53 is exact, and the int ``word >> 11`` is below a
+    float exactly when it is below that float's ceiling. ``b`` is 0 only at
+    epsilon 0 and is 2**64 at epsilon 1.
+    """
+    return math.ceil(epsilon * 2.0**53) << 11
 
 
 class EpisodeTotals(NamedTuple):
@@ -279,9 +288,11 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     stream of ``np.random.PCG64(cfg.seed)``, read in blocks by
     ``_pcg64_draws``; on numpy 2.4.6 its draws equal those of
     ``Generator.random()`` and ``Generator.integers(n_actions)`` on that
-    stream, and ``tests/test_agents.py`` checks that they do. The random
-    baseline learns nothing, so it has no training: evaluate it with
-    ``random_rollout``.
+    stream, and ``tests/test_agents.py`` checks that they do. The epsilon
+    test ``random() < epsilon`` compares the raw word with an int bound
+    worked out once per episode (``_epsilon_bound``), with the same
+    outcome; at epsilon 0 it draws nothing. The random baseline learns
+    nothing, so it has no training: evaluate it with ``random_rollout``.
     Epsilon decays once per episode: eps(t) = max(eps_min, eps0 * decay^t).
 
     ``env`` steps on int state ids: it provides ``n_actions``, ``dims`` (the
@@ -294,7 +305,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     if algo is Algorithm.RANDOM:
         raise ValueError("the random baseline does not train; use random_rollout")
     sarsa = algo is Algorithm.SARSA
-    uniform, integers = _pcg64_draws(np.random.PCG64(cfg.seed))
+    next_word, integers = _pcg64_draws(np.random.PCG64(cfg.seed))
     n_actions = env.n_actions
     q = QTable(n_actions=n_actions, default_value=cfg.optimistic_init, dims=env.dims)
     table = q._table
@@ -308,9 +319,12 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     for _ in range(cfg.episodes):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        explore = epsilon > 0.0
+        # A word below this is a uniform draw below epsilon; 0 at epsilon 0,
+        # where the test draws nothing.
+        explore_below = _epsilon_bound(epsilon)
         state = env.reset(randomize_start=cfg.randomize_start)
         row = table.get(state)  # None until the state is first updated
+        best = None  # max(row) when it is known, else None
         # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
         # action; otherwise the greedy action, ties to the lowest index.
         # Q-learning picks each action at the top of the step that takes it;
@@ -322,14 +336,16 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
         done = False
         while not done:
             if action < 0:
-                if explore and uniform() < epsilon:
+                if explore_below and next_word() < explore_below:
                     action = integers(n_actions)
+                elif row is None:
+                    action = 0
                 else:
-                    action = 0 if row is None else row.index(max(row))
+                    action = row.index(max(row) if best is None else best)
             next_state, reward, done = step(action)
             next_row = table.get(next_state)
             if sarsa:
-                if explore and uniform() < epsilon:
+                if explore_below and next_word() < explore_below:
                     next_action = integers(n_actions)
                 else:
                     next_action = 0 if next_row is None else next_row.index(max(next_row))
@@ -349,9 +365,14 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
             total_reward += reward
             steps += 1
             # next_row was read before the update, so on a self-loop it may
-            # predate the row just written.
+            # predate the row just written, and so may its max. Otherwise
+            # Q-learning's ahead is max(row) for the next greedy pick; SARSA
+            # reads best only at an episode's first pick.
             if next_state != state:
                 row = next_row
+                best = ahead
+            else:
+                best = None
             state = next_state
             action = next_action
         trace.append(EpisodeTotals(steps, total_reward))

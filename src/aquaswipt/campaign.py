@@ -37,8 +37,9 @@ from .agents import (
     train,
 )
 from .auv import AuvSpec, move_energy
+from .checks import require_finite_fields, require_int_entries, require_int_fields
 from .coverage import SweepRow, coverage_sweep
-from .env3d import Environment, EnvConfig, require_int_entries, require_int_fields
+from .env3d import Environment, EnvConfig
 
 DATASET_FILES = (
     "fig_coverage.csv",
@@ -92,6 +93,8 @@ class CampaignConfig:
         if self.gamma_mc_runs is not None:
             require_int_fields(self, "gamma_mc_runs")
         require_int_entries(self, "node_counts", "coverage_n_values", "coverage_k_values")
+        require_finite_fields(self, "gamma_sweep", "targets_throughput_bits",
+                              "targets_harvest_j", "coverage_starts")
         if any(n < 1 for n in self.node_counts):
             raise ValueError(f"node_counts must be positive, got {self.node_counts}")
         if self.mc_runs < 1:
@@ -111,8 +114,10 @@ class CampaignConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         dims = self.coverage_dims
-        if dims is not None and (len(dims) != 3 or any(int(d) != d or d < 1 for d in dims)):
-            raise ValueError(f"coverage_dims must be three positive integers, got {dims}")
+        if dims is not None:
+            require_int_entries(self, "coverage_dims")
+            if len(dims) != 3 or any(d < 1 for d in dims):
+                raise ValueError(f"coverage_dims must be three positive integers, got {dims}")
         if any(len(start) != 2 for start in self.coverage_starts or ()):
             raise ValueError(
                 f"coverage_starts entries must be (x, y) pairs, got {self.coverage_starts}"

@@ -12,10 +12,12 @@ All functions are pure and accept numpy arrays in place of scalars.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from .checks import require_finite_fields
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,7 @@ class ChannelParams:
     noise_override_db: float | None = None
 
     def __post_init__(self):
+        require_finite_fields(self, *(f.name for f in fields(self)))
         if self.frequency_khz <= 0:
             raise ValueError(f"frequency_khz must be > 0, got {self.frequency_khz}")
         if self.bandwidth_hz <= 0:
@@ -65,6 +68,7 @@ class ModemSpec:
     min_snr_db: float = 0.0
 
     def __post_init__(self):
+        require_finite_fields(self, *(f.name for f in fields(self)))
         if self.electrical_power_w <= 0:
             raise ValueError(
                 f"electrical_power_w must be > 0, got {self.electrical_power_w}"

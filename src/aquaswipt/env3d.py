@@ -29,6 +29,7 @@ from .channel import (
     source_level,
     transmission_loss_db,
 )
+from .checks import require_finite_fields, require_int_entries, require_int_fields
 from .harvest import HarvestSpec, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
@@ -73,7 +74,10 @@ def key_to_id(key, dims) -> int:
 
 
 def _state_id(p: int, with_data: int, undercharged: int, gain_bin: int) -> int:
-    """State id at position index ``p``; the two node counts are clamped at 3."""
+    """State id at position index ``p``; the two node counts are clamped at 3.
+
+    ``Environment.step`` works the same expression out inline.
+    """
     return (p * 64 + ((with_data if with_data < 3 else 3) * 4
                       + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
 
@@ -90,30 +94,6 @@ def id_to_tuple(state_id: int, dims) -> tuple[int, int, int, int, int, int]:
 def id_to_key(state_id: int, dims) -> StateKey:
     """The ``StateKey`` an int state id of a box of dimensions ``dims`` stands for."""
     return StateKey(*id_to_tuple(state_id, dims))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def require_int_fields(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the field unless each of ``config``'s
-    fields ``names`` holds an int; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{type(config).__name__}.{name} must be of type int, "
-                             f"got {value!r}")
-
-
-def require_int_entries(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the field unless every entry of each of
-    ``config``'s tuple fields ``names`` is an int; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if not all(_is_int(v) for v in value):
-            raise ValueError(f"{type(config).__name__}.{name} entries must be of type "
-                             f"int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +128,14 @@ class EnvConfig:
     motion_scale: float | None = None
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
+        require_int_entries(self, "dims")
+        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
         require_int_fields(self, "node_count", "episode_length", "auv_start_z", "rng_seed")
+        require_finite_fields(
+            self, "step_duration_s", "surface_station_xy", "node_buffer_bits",
+            "node_store_capacity_j", "node_store_level_j", "node_store_charge_efficiency",
+            "reward_gamma", "throughput_scale", "power_scale", "motion_scale")
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if self.episode_length < 1:
@@ -327,6 +312,15 @@ class Environment:
         )
         self._move_penalty = self._unit_move_j / self.motion_scale
         self._idle_penalty = self._idle_j / self.motion_scale
+        # The config constants step() reads, kept as attributes so that a
+        # step does not look them up through the nested config objects.
+        self._dt = dt
+        self._capacity = config.node_store_capacity_j
+        self._efficiency = config.node_store_charge_efficiency
+        self._node_w = config.node_modem.electrical_power_w
+        self._auv_w = self._auv_modem.electrical_power_w
+        self._reward_gamma = config.reward_gamma
+        self._episode_length = config.episode_length
 
         # Fixed SNR thresholds for the gain bin: the reachable uplink band,
         # from the cube diagonal down to the 1 m reference, split in four.
@@ -429,8 +423,6 @@ class Environment:
             raise RuntimeError("cannot step a finished episode; call reset()")
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action must be in [0, {N_ACTIONS}), got {action}")
-        cfg = self.config
-        dt = cfg.step_duration_s
 
         p = self._p
         if self._blocked >> action & 1:
@@ -445,60 +437,66 @@ class Environment:
         links = self._link_cache.get(p)
         if links is None:
             links = self._links(p)
+        nodes, relay_bits, gain_bin, self._blocked = links
         self._p = p
-        self._blocked = links.blocked
 
-        levels = self.store_level_j
-        buffers = self.buffer_bits
-        capacity = cfg.node_store_capacity_j
-        efficiency = cfg.node_store_charge_efficiency
-
-        useful = False
-        harvested_j = 0.0
-        collected_bits = 0.0
         relay_buffer = self.relay_buffer_bits
-        uplinking_nodes = 0
-        with_data = 0
-        undercharged = 0
-        for i, harvest_w, uplink_bits in links.nodes:
-            level = levels[i]
-            bits = buffers[i]
-            # A node only changes its own entries, so testing it before
-            # booking it tests the state the step started from.
-            if bits > 0 or level < capacity:
-                useful = True
-            # The store accepts the offered energy up to its headroom
-            # (harvest_w >= 0 is checked when the links are built).
-            offered_j = harvest_w * dt * efficiency
-            headroom_j = capacity - level
-            accepted_j = offered_j if offered_j < headroom_j else headroom_j
-            levels[i] = level = level + accepted_j
-            harvested_j += accepted_j
-            if uplink_bits > 0 and bits > 0:
-                take = uplink_bits if uplink_bits < bits else bits
-                buffers[i] = bits = bits - take
-                relay_buffer += take
-                collected_bits += take
-                uplinking_nodes += 1
-            # The next state's features count the nodes as the step leaves them.
-            if bits > 0:
-                with_data += 1
-            if level < capacity:
-                undercharged += 1
+        if nodes:
+            dt = self._dt
+            capacity = self._capacity
+            efficiency = self._efficiency
+            levels = self.store_level_j
+            buffers = self.buffer_bits
+            useful = False
+            harvested_j = 0.0
+            collected_bits = 0.0
+            uplinking_nodes = 0
+            with_data = 0
+            undercharged = 0
+            for i, harvest_w, uplink_bits in nodes:
+                level = levels[i]
+                bits = buffers[i]
+                # A node only changes its own entries, so testing it before
+                # booking it tests the state the step started from.
+                if bits > 0 or level < capacity:
+                    useful = True
+                # The store accepts the offered energy up to its headroom
+                # (harvest_w >= 0 is checked when the links are built).
+                offered_j = harvest_w * dt * efficiency
+                headroom_j = capacity - level
+                accepted_j = offered_j if offered_j < headroom_j else headroom_j
+                levels[i] = level = level + accepted_j
+                harvested_j += accepted_j
+                if uplink_bits > 0 and bits > 0:
+                    take = uplink_bits if uplink_bits < bits else bits
+                    buffers[i] = bits = bits - take
+                    relay_buffer += take
+                    collected_bits += take
+                    uplinking_nodes += 1
+                # The next state's features count the nodes as the step leaves them.
+                if bits > 0:
+                    with_data += 1
+                if level < capacity:
+                    undercharged += 1
+            self.total_collected_bits += collected_bits
+            transmit_j = uplinking_nodes * self._node_w * dt + self._auv_w * dt
+            # The state id (see key_to_id), with both counts clamped at 3.
+            state = (p * 64 + ((with_data if with_data < 3 else 3) * 4
+                               + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
+        else:
+            # No node is covered: nothing is harvested, collected or sent
+            # by the modems, but the relay buffer still drains.
+            useful = False
+            harvested_j = transmit_j = 0.0
+            state = p * 64 + gain_bin
 
-        relay_bits = links.relay_bits_per_step
         relayed_bits = relay_bits if relay_bits < relay_buffer else relay_buffer
         self.relay_buffer_bits = relay_buffer - relayed_bits
         self.total_relayed_bits += relayed_bits
-        self.total_collected_bits += collected_bits
-
-        transmit_j = uplinking_nodes * cfg.node_modem.electrical_power_w * dt
-        if links.nodes:
-            transmit_j += self._auv_modem.electrical_power_w * dt
 
         if useful:
-            tput_term = cfg.reward_gamma * (relayed_bits / self.throughput_scale)
-            harv_term = (1.0 - cfg.reward_gamma) * (harvested_j / self.power_scale)
+            tput_term = self._reward_gamma * (relayed_bits / self.throughput_scale)
+            harv_term = (1.0 - self._reward_gamma) * (harvested_j / self.power_scale)
         else:
             tput_term = 0.0
             harv_term = 0.0
@@ -506,9 +504,9 @@ class Environment:
         self.last_terms = (tput_term, harv_term, relayed_bits, harvested_j, e_move,
                            transmit_j)
 
-        self.step_index += 1
-        self.done = done = battery_j == 0.0 or self.step_index >= cfg.episode_length
-        return (_state_id(p, with_data, undercharged, links.gain_bin), reward, done)
+        self.step_index = step_index = self.step_index + 1
+        self.done = done = battery_j == 0.0 or step_index >= self._episode_length
+        return state, reward, done
 
     def state_id(self) -> int:
         """Int id of the current state (see ``key_to_id``)."""

@@ -6,9 +6,11 @@ and power transfer. The environment step books the harvested share into the
 node stores.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .checks import require_finite_fields, require_int_fields
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,8 @@ class HarvestSpec:
     split_ratio: float = 0.5
 
     def __post_init__(self):
+        require_int_fields(self, "array_elements")
+        require_finite_fields(self, *(f.name for f in fields(self)))
         if self.load_resistance_ohm <= 0:
             raise ValueError(
                 f"load_resistance_ohm must be > 0, got {self.load_resistance_ohm}"

@@ -3,6 +3,7 @@ the reference loop, training loops, rollouts, and the value-iteration
 oracle on hand-solvable MDPs."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from aquaswipt.agents import (
     Algorithm,
     LearnConfig,
     QTable,
+    _epsilon_bound,
     _pcg64_draws,
     greedy_rollout,
     random_rollout,
@@ -256,7 +258,8 @@ def test_train_sarsa_matches_oracle_policy_with_annealed_epsilon():
 def assert_draws_match(seed_or_state, calls):
     """Make ``calls`` (None for ``uniform()``, n for ``integers(n)``) on the
     helper and on ``np.random.Generator``, both on PCG64 ``seed_or_state``,
-    and require the same numbers."""
+    and require the same numbers. ``uniform()`` is ``Generator.random()``
+    worked out from the helper's ``next_word()``."""
     def bit_generator():
         if isinstance(seed_or_state, dict):
             bits = np.random.PCG64()
@@ -264,7 +267,11 @@ def assert_draws_match(seed_or_state, calls):
             return bits
         return np.random.PCG64(seed_or_state)
 
-    uniform, integers = _pcg64_draws(bit_generator())
+    next_word, integers = _pcg64_draws(bit_generator())
+
+    def uniform():
+        return (next_word() >> 11) * 2.0**-53
+
     generator = np.random.Generator(bit_generator())
     got = [uniform() if n is None else integers(n) for n in calls]
     want = [generator.random() if n is None else int(generator.integers(n)) for n in calls]
@@ -314,6 +321,75 @@ def test_pcg64_draws_take_lemire_rejection_branch_like_numpy():
     bits.state = doc
     assert int(np.random.Generator(bits).integers(6)) == 0xDEADBEEF * 6 >> 32 == 5
     assert_draws_match(doc, [6, None, 6, 7])
+
+
+def epsilon_cases():
+    """Epsilons whose bound is easy to get wrong by one, plus the desk schedule."""
+    cases = [1.0, 0.5, 0.01, 0.001, 5e-324]
+    for k in (1, 2, 3 * 2**40 + 7, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53):
+        eps = k * 2.0**-53
+        cases += [eps, math.nextafter(eps, 0.0), math.nextafter(eps, 2.0)]
+    eps = 1.0
+    for _ in range(400):  # desk training: decay 0.98 per episode down to 0.01
+        cases.append(eps)
+        eps = max(0.01, eps * 0.98)
+    return sorted({eps for eps in cases if 0.0 < eps <= 1.0})
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_epsilon_bound_matches_generator_random(seed):
+    # On one stream per epsilon, the trainer's test of the raw word against
+    # the bound decides as Generator.random() < epsilon does.
+    for eps in epsilon_cases():
+        bound = _epsilon_bound(eps)
+        next_word, _ = _pcg64_draws(np.random.PCG64([seed, int(eps * 1e6)]))
+        generator = np.random.Generator(np.random.PCG64([seed, int(eps * 1e6)]))
+        got = [next_word() < bound for _ in range(3_000)]
+        assert got == [generator.random() < eps for _ in range(3_000)], eps
+
+
+def test_epsilon_bound_at_the_edges_of_a_draw():
+    # Random words rarely land next to the bound, so try the words whose
+    # top 53 bits are k - 1, k and k + 1 (low 11 bits all 0 and all 1).
+    for eps in epsilon_cases():
+        bound = _epsilon_bound(eps)
+        k = math.ceil(eps * 2.0**53)
+        for top in (k - 1, k, k + 1):
+            for word in (top << 11, top << 11 | 0x7FF):
+                if 0 <= word < 2**64:
+                    assert (word < bound) == ((word >> 11) * 2.0**-53 < eps), (eps, word)
+    assert _epsilon_bound(0.0) == 0
+    assert _epsilon_bound(1.0) == 2**64
+
+
+def test_train_draws_no_words_at_epsilon_zero(monkeypatch):
+    # The trainer calls next_word() once per epsilon test while epsilon > 0
+    # and never once it has decayed to 0; integers() draws its own words,
+    # which are not counted here.
+    counts = []
+
+    def counting_draws(bit_generator):
+        next_word, integers = _pcg64_draws(bit_generator)
+
+        def counted():
+            counts.append(1)
+            return next_word()
+
+        return counted, integers
+
+    monkeypatch.setattr("aquaswipt.agents._pcg64_draws", counting_draws)
+    transitions, rewards, _ = chain_mdp(seed=2)
+    env = TabularMdpEnv(transitions, rewards, episode_length=20, seed=1)
+    train(env, Algorithm.Q_LEARNING, cfg(episodes=5, epsilon_start=0.0, epsilon_min=0.0))
+    assert counts == []
+    for algo in (Algorithm.Q_LEARNING, Algorithm.SARSA):
+        counts.clear()
+        env = TabularMdpEnv(transitions, rewards, episode_length=20, seed=1)
+        _, trace = train(env, algo, cfg(episodes=5, epsilon_start=0.5, epsilon_decay=0.0,
+                                        epsilon_min=0.0))
+        # The first episode tests epsilon once per action it picks: one per
+        # step, plus SARSA's pick before the first step.
+        assert len(counts) == trace[0].steps + (algo is Algorithm.SARSA)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,23 @@ def test_campaign_config_rejects_count_entries_of_other_types(name, entry):
         CampaignConfig(**{name: (10, entry)})
 
 
+@pytest.mark.parametrize("dims", [(100.0, 100, 50), (True, 2, 2), (2, 2, None)])
+def test_campaign_config_rejects_coverage_dims_of_other_types(dims):
+    with pytest.raises(ValueError, match="CampaignConfig.coverage_dims entries must be of type int"):
+        CampaignConfig(coverage_dims=dims)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("gamma_sweep", (0.5, float("nan"))),
+    ("targets_throughput_bits", (float("nan"),)),
+    ("targets_harvest_j", (1.0, float("inf"))),
+    ("coverage_starts", ((1.0, 2.0), (float("nan"), 2.0))),
+])
+def test_campaign_config_rejects_nonfinite_entries(name, value):
+    with pytest.raises(ValueError, match=f"CampaignConfig.{name} must be a finite number"):
+        CampaignConfig(**{name: value})
+
+
 def test_campaign_config_dict_round_trip(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
     doc = json.loads(json.dumps(campaign_config_to_dict(cfg)))

@@ -79,6 +79,41 @@ def test_env_config_rejects_start_column_of_other_types(start):
     assert EnvConfig(auv_start_xy=(1, 2)).auv_start_xy == (1, 2)
 
 
+@pytest.mark.parametrize("dims", [(20.0, 20, 10), (True, 2, 2), (2, None, 2), (2, 2, "2")])
+def test_env_config_rejects_dims_of_other_types(dims):
+    # (20.0, 20, 10) used to build and then fail in Environment with a
+    # TypeError; (True, 2, 2) built a 1 x 2 x 2 box.
+    with pytest.raises(ValueError, match="EnvConfig.dims entries must be of type int"):
+        EnvConfig(dims=dims)
+    assert EnvConfig(dims=(20, 20, 10)).dims == (20, 20, 10)
+
+
+def float_fields(cls):
+    """Names of ``cls``'s fields annotated ``float`` or ``float | None``."""
+    return [f.name for f in dataclasses.fields(cls) if f.type in (float, float | None)]
+
+
+NONFINITE_FIELDS = [(cls, name) for cls in (EnvConfig, AuvSpec, ChannelParams, ModemSpec,
+                                            HarvestSpec)
+                    for name in float_fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", NONFINITE_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NONFINITE_FIELDS])
+def test_configs_reject_nonfinite_floats(cls, name):
+    # Range checks written as ``x <= 0`` let NaN through: EnvConfig(
+    # step_duration_s=nan) used to build and step to a NaN reward.
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{name} must be a finite number"):
+            cls(**{name: value})
+
+
+def test_env_config_rejects_nonfinite_station():
+    with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be a finite number"):
+        EnvConfig(surface_station_xy=(float("nan"), 1.0))
+    assert EnvConfig(surface_station_xy=(1.0, 2)).surface_station_xy == (1.0, 2)
+
+
 def test_env_config_validates_node_store():
     with pytest.raises(ValueError, match="node_store_charge_efficiency"):
         EnvConfig(node_store_charge_efficiency=0.0)
