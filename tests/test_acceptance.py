@@ -3,12 +3,17 @@
 Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL` line. The
 campaign-backed checks (2, 3, 4, 5) share one module-scoped campaign run
 of the desk-scale configuration; everything is seeded, so the suite is
-deterministic end to end.
+deterministic end to end. The same run's seven CSVs are also compared
+with the ones committed under ``tests/golden/desk_campaign/`` and, on the
+pinned Python / numpy pair, with the ``reference`` digests of
+``bench/pins.json``.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +25,12 @@ from aquaswipt.agents import (
     train,
 )
 from aquaswipt.auv import AuvSpec, drag_force, move_energy, propulsion_power
-from aquaswipt.campaign import CampaignConfig, desk_campaign_config, run_campaign
+from aquaswipt.campaign import (
+    DATASET_FILES,
+    CampaignConfig,
+    desk_campaign_config,
+    run_campaign,
+)
 from aquaswipt.channel import (
     ChannelParams,
     ModemSpec,
@@ -39,6 +49,7 @@ from aquaswipt.coverage import (
 from aquaswipt.env3d import EnvConfig, deploy
 from aquaswipt.harvest import HarvestSpec, harvestable_power, induced_voltage
 from mdp_oracle import TabularMdpEnv, value_iteration_oracle
+from test_pinned_outputs import GOLDEN, _sha256, _skip_off_pinned_pair, csv_mismatches
 
 mp.mp.dps = 50
 
@@ -215,6 +226,34 @@ def test_criterion_5_gamma_sweep(campaign):
         assert rows[0.5].throughput_term_mean > rows[0.5].harvest_term_mean
         assert rows[0.0].throughput_term_mean == 0.0
         assert rows[1.0].harvest_term_mean == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The full desk campaign against its pinned outputs
+
+DESK_CAMPAIGN_GOLDEN = GOLDEN / "desk_campaign"
+
+
+def reference_digests() -> dict:
+    pins = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
+    return json.loads(pins.read_text())["reference"]["digests"]
+
+
+def test_full_desk_campaign_csvs_match_golden_files(campaign):
+    _, _, out, _ = campaign
+    # The committed files are the pinned reference run, byte for byte.
+    assert {name: _sha256(DESK_CAMPAIGN_GOLDEN / name)
+            for name in DATASET_FILES} == reference_digests()
+    problems = [m for name in DATASET_FILES
+                for m in csv_mismatches(name, (DESK_CAMPAIGN_GOLDEN / name).read_text(),
+                                        (out / name).read_text())]
+    assert not problems, "\n".join(problems)
+
+
+def test_full_desk_campaign_csvs_match_reference_digests(campaign):
+    _skip_off_pinned_pair()
+    _, _, out, _ = campaign
+    assert {name: _sha256(out / name) for name in DATASET_FILES} == reference_digests()
 
 
 # ---------------------------------------------------------------------------

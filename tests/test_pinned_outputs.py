@@ -13,6 +13,11 @@ runs with results recorded under ``tests/golden/``:
 - a shrunken ``table-explore`` bench workload: Q-learning from random start
   columns on the 100 x 100 x 50 box for 30 episodes, then a greedy rollout.
 
+The full desk campaign (``aquaswipt run`` on the desk defaults, 280 cells)
+is pinned in ``golden/desk_campaign/``; ``tests/test_acceptance.py``
+compares its module-scoped campaign run with those files and, on the
+pinned pair, with the ``reference`` digests of ``bench/pins.json``.
+
 The golden comparison runs on every host: exact on strings, ints, bools and
 empty values, ``rtol=1e-9`` on floats, and a failure names the file, row,
 column, expected and found value. Float results depend on the interpreter
@@ -22,8 +27,8 @@ digests were recorded with.
 
 A deliberate change of the results rewrites the golden files with
 ``PYTHONPATH=src python tests/test_pinned_outputs.py``, updates the digests
-here and in the bench pins, and says why in CHANGES.md; the CSV diff in git
-shows what moved.
+here and both digest sets of the bench pins, and says why in CHANGES.md;
+the CSV diff in git shows what moved.
 """
 
 import csv
@@ -250,6 +255,10 @@ def _write_golden() -> None:
         for name in DATASET_FILES:
             shutil.copyfile(tmp / name, GOLDEN / name)
         summary = run_table_explore(tmp / "qtable.json")
+        run_campaign(desk_campaign_config(output_dir=str(tmp / "campaign")), write=True)
+        (GOLDEN / "desk_campaign").mkdir(exist_ok=True)
+        for name in DATASET_FILES:
+            shutil.copyfile(tmp / "campaign" / name, GOLDEN / "desk_campaign" / name)
         print(f"table-explore qtable.json sha256 {_sha256(tmp / 'qtable.json')}")
     for name, doc in (("cells.json", run_cells()), ("table_explore.json", summary)):
         (GOLDEN / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
