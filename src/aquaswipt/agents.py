@@ -57,6 +57,10 @@ class LearnConfig:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.randomize_start, bool):
+            # A non-empty string such as "no" would be true.
+            raise ValueError("LearnConfig.randomize_start must be of type bool, "
+                             f"got {self.randomize_start!r}")
 
 
 def _json_list(length: int, item: str, indent: int) -> str:

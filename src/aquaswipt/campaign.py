@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -327,6 +326,10 @@ def _worker_count(cells: int) -> int:
 def _execute_cells(specs: list[_CellSpec]) -> list[CellResult]:
     workers = _worker_count(len(specs))
     if workers > 1:
+        # Imported only here, so that importing the package and running at
+        # one worker do not load the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, specs))
     return [_run_cell(spec) for spec in specs]

@@ -9,9 +9,12 @@
 
 Frequencies are in kHz, ranges in metres, levels in dB re 1 uPa @ 1 m.
 All functions are pure and accept numpy arrays in place of scalars.
+``transmission_loss_db`` and ``shannon_throughput_bps`` work a single
+value out in Python floats, with the same bits as the array path.
 """
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -121,15 +124,21 @@ def transmission_loss_db(range_m, params: ChannelParams):
     """One-way transmission loss: k*10*log10(r) + absorption(f)*r_km, in dB.
 
     Ranges below the 1 m reference distance are rejected. A single range
-    is worked out as a numpy scalar, whose arithmetic gives the same bits
-    as a 0-d array's at a fraction of the call overhead.
+    (a Python int or float, ``np.float64`` included) is worked out in
+    Python floats, with only the logarithm a numpy call: IEEE ``+ - * /``
+    round the same in Python as in numpy, so the bits are those of the
+    array path at a fraction of its call overhead.
     """
+    if isinstance(range_m, (int, float)):
+        r = float(range_m)
+        if r < 1.0:  # a NaN range compares False and passes, as below
+            raise ValueError("range_m must be >= 1 m (reference distance)")
+        alpha = _absorption_db_per_km(params.frequency_khz)
+        return params.spreading_factor_k * 10.0 * float(np.log10(r)) + (r / 1000.0) * alpha
     r = np.asarray(range_m, dtype=float)
-    if r.ndim == 0:
-        r = r[()]
     # A NaN range compares False and passes; ``r.min()`` would instead let
     # a NaN entry hide a bad one.
-    if (r < 1.0).any() if r.ndim else r < 1.0:
+    if (r < 1.0).any():
         raise ValueError("range_m must be >= 1 m (reference distance)")
     alpha = _absorption_db_per_km(params.frequency_khz)
     out = params.spreading_factor_k * 10.0 * np.log10(r) + (r / 1000.0) * alpha
@@ -184,10 +193,25 @@ def received_snr_db(source: ModemSpec, range_m, params: ChannelParams,
 
 
 def shannon_throughput_bps(snr_db, params: ChannelParams, min_snr_db: float):
-    """Capacity B*log2(1 + snr) in bit/s, exactly 0 below the outage threshold."""
+    """Capacity B*log2(1 + snr) in bit/s, exactly 0 below the outage threshold.
+
+    A single SNR (a Python int or float, ``np.float64`` included) is worked
+    out in Python floats, with only the logarithm a numpy call. Python's
+    ``10 ** x`` calls libm ``pow``, as numpy's scalar power does, so the
+    bits match the 0-d path; numpy's array power (``np.power``) can differ
+    in the last bit. Where ``pow`` overflows, Python raises and numpy gives
+    inf; the rate is then inf, as on the 0-d path.
+    """
+    if isinstance(snr_db, (int, float)):
+        snr = float(snr_db)
+        if not snr >= min_snr_db:  # a NaN SNR is in outage
+            return 0.0
+        try:
+            linear = 10.0 ** (snr / 10.0)
+        except OverflowError:
+            linear = math.inf
+        return params.bandwidth_hz * float(np.log2(1.0 + linear))
     snr = np.asarray(snr_db, dtype=float)
-    if snr.ndim == 0:
-        snr = snr[()]  # a numpy scalar, as in transmission_loss_db
     rate = params.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr / 10.0))
     if snr.ndim:
         return np.where(snr >= min_snr_db, rate, 0.0)

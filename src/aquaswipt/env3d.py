@@ -136,6 +136,10 @@ class EnvConfig:
             self, "step_duration_s", "surface_station_xy", "node_buffer_bits",
             "node_store_capacity_j", "node_store_level_j", "node_store_charge_efficiency",
             "reward_gamma", "throughput_scale", "power_scale", "motion_scale")
+        station = self.surface_station_xy
+        if station is not None and not (isinstance(station, tuple) and len(station) == 2):
+            raise ValueError("EnvConfig.surface_station_xy must be two numbers (x, y), "
+                             f"got {station!r}")
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if self.episode_length < 1:
@@ -557,11 +561,21 @@ class Environment:
         # an integer, so sums of them are exact squared ranges. Per depth,
         # the squared cone reach (dz * tan(half apex))**2 of every node, or
         # -1 where the node lies above the AUV and no offset can pass.
-        self._dx2 = (nx - np.arange(l + 1.0)[:, None]) ** 2
-        self._dy2 = (ny - np.arange(w + 1.0)[:, None]) ** 2
+        dx2 = (nx - np.arange(l + 1.0)[:, None]) ** 2
+        dy2 = (ny - np.arange(w + 1.0)[:, None]) ** 2
         dz = nz - np.arange(h + 1.0)[:, None]
-        self._reach2 = np.where(dz >= 0, (dz * self._tan_half) ** 2, -1.0)
-        self._dz2 = dz * dz
+        reach2 = np.where(dz >= 0, (dz * self._tan_half) ** 2, -1.0)
+        # A node passes the cone test only where its x offset and its y
+        # offset are each within the widest reach any node has in the box,
+        # so ``_links`` tests only the nodes near both the x and the y value.
+        widest = reach2.max()
+        self._near_x = [row.nonzero()[0].tolist() for row in dx2 <= widest]
+        self._near_y = [set(row.nonzero()[0].tolist()) for row in dy2 <= widest]
+        # ``_links`` reads the tables as row lists of Python floats.
+        self._dx2 = dx2.tolist()
+        self._dy2 = dy2.tolist()
+        self._dz2 = (dz * dz).tolist()
+        self._reach2 = reach2.tolist()
         self._link_cache.clear()
         self._range_links.clear()
 
@@ -584,21 +598,26 @@ class Environment:
         """Build and cache the link terms at position index ``p``."""
         xy, z = divmod(p, self._h1)
         x, y = divmod(xy, self._w1)
-        horiz2 = self._dx2[x] + self._dy2[y]
-        idx = (horiz2 <= self._reach2[z]).nonzero()[0]
+        dx2 = self._dx2[x]
+        dy2 = self._dy2[y]
+        dz2 = self._dz2[z]
+        reach2 = self._reach2[z]
+        near_y = self._near_y[y]
+        memo = self._range_links
         nodes = []
         snrs = []
-        if idx.size:
-            memo = self._range_links
-            horiz2 += self._dz2[z]  # now the squared range to every node
-            for i, d2 in zip(idx.tolist(), horiz2[idx].tolist()):
-                link = memo.get(d2)
-                if link is None:
-                    link = memo[d2] = self._range_link(d2)
-                if link:
-                    snr, harvest_w, uplink_bits = link
-                    nodes.append((i, harvest_w, uplink_bits))
-                    snrs.append(snr)
+        for i in self._near_x[x]:
+            if i in near_y:
+                d2 = dx2[i] + dy2[i]
+                if d2 <= reach2[i]:
+                    d2 += dz2[i]  # now the squared range to the node
+                    link = memo.get(d2)
+                    if link is None:
+                        link = memo[d2] = self._range_link(d2)
+                    if link:
+                        snr, harvest_w, uplink_bits = link
+                        nodes.append((i, harvest_w, uplink_bits))
+                        snrs.append(snr)
 
         # Many positions share a relay range; the same scalar call on the
         # same float gives the same rate, so it is computed once per range.

@@ -551,6 +551,10 @@ def test_learn_config_validation():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="optimistic_init"):
             LearnConfig(optimistic_init=value)
+    # A non-empty string is true, so "no" would train from random starts.
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match="LearnConfig.randomize_start"):
+            LearnConfig(randomize_start=value)
 
 
 def test_qtable_of_state_ids_saves_state_keys_and_loads_for_its_box(tmp_path):

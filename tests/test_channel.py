@@ -2,6 +2,8 @@
 mpmath evaluations of the same closed forms (see test_acceptance for the
 full randomized oracle suite)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -273,4 +275,25 @@ def test_scalar_link_budget_matches_0d_array_arithmetic():
             expected = float(np.where(snr >= floor, rate, 0.0))
             got = shannon_throughput_bps(float(snr), params, floor)
             assert type(got) is float and got == expected, (r, floor)
-    assert shannon_throughput_bps(float("nan"), params, 0.0) == 0.0
+    # Past about 3,083 dB, ``10 ** (snr / 10)`` overflows: Python's ``**``
+    # raises where numpy's gives inf, and the rate is inf on both paths.
+    for snr in (3083.0, 4000.0, 1e308, float("inf")):
+        with np.errstate(over="ignore"):
+            expected = float(params.bandwidth_hz * np.log2(1.0 + 10.0 ** (np.asarray(snr) / 10.0)))
+        got = shannon_throughput_bps(snr, params, 0.0)
+        assert type(got) is float and got == expected == math.inf, snr
+    # A numpy scalar takes the float path and still gives a Python float,
+    # with the bits of the 0-d array path.
+    for r in (1.0, 250.0, 7777.7):
+        loss = transmission_loss_db(np.float64(r), params)
+        assert type(loss) is float and loss == transmission_loss_db(np.asarray(r), params), r
+        rate = shannon_throughput_bps(np.float64(200.0 - loss), params, 0.0)
+        assert type(rate) is float
+        assert rate == shannon_throughput_bps(np.asarray(200.0 - loss), params, 0.0), r
+    # A NaN range compares False and passes the range check; a NaN SNR is
+    # in outage at any floor.
+    assert math.isnan(transmission_loss_db(float("nan"), params))
+    assert math.isnan(transmission_loss_db(np.asarray(float("nan")), params))
+    for floor in (0.0, float("-inf")):
+        assert shannon_throughput_bps(float("nan"), params, floor) == 0.0
+        assert shannon_throughput_bps(np.asarray(float("nan")), params, floor) == 0.0

@@ -114,6 +114,12 @@ def test_env_config_rejects_nonfinite_station():
     assert EnvConfig(surface_station_xy=(1.0, 2)).surface_station_xy == (1.0, 2)
 
 
+@pytest.mark.parametrize("station", [(1.0,), (1.0, 2.0, 3.0), (), 5.0])
+def test_env_config_rejects_station_of_other_lengths(station):
+    with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be two numbers"):
+        EnvConfig(surface_station_xy=station)
+
+
 def test_env_config_validates_node_store():
     with pytest.raises(ValueError, match="node_store_charge_efficiency"):
         EnvConfig(node_store_charge_efficiency=0.0)
@@ -195,23 +201,50 @@ def links_at(env, pos):
     return env._links(key_to_id(StateKey(*pos, 0, 0, 0), env.dims) // 64)
 
 
+def box_face_and_corner_nodes(dims):
+    """Grid points on every corner and at the middle of every face of the box."""
+    l, w, h = dims
+    corners = [(x, y, z) for x in (0, l) for y in (0, w) for z in (0, h)]
+    faces = [(0, w // 2, h // 2), (l, w // 2, h // 2), (l // 2, 0, h // 2),
+             (l // 2, w, h // 2), (l // 2, w // 2, 0), (l // 2, w // 2, h)]
+    return corners + faces
+
+
 def test_link_table_matches_reference_over_every_position():
     from aquaswipt.channel import received_snr_db
 
     cut_snr = received_snr_db(ModemSpec(), 3.0, ChannelParams())
-    configs = [
+    # (config, node positions given to place_nodes, or None to keep the
+    # deployment's).
+    cases = [
         # Odd dims put the surface station at x.5; the SNR floor drops the
         # nodes beyond 3 m, and the AUV modem shares it for the relay.
-        small_config(dims=(7, 5, 3), node_count=30, rng_seed=1,
-                     node_modem=ModemSpec(min_snr_db=cut_snr)),
-        small_config(dims=(6, 4, 5), node_count=30, rng_seed=2, step_duration_s=0.5,
-                     channel=ChannelParams(noise_override_db=90.0),
-                     node_harvest=HarvestSpec(split_ratio=0.0)),
-        small_config(dims=(5, 7, 4), node_count=30, rng_seed=3, step_duration_s=2.5,
-                     node_harvest=HarvestSpec(split_ratio=1.0)),
+        (small_config(dims=(7, 5, 3), node_count=30, rng_seed=1,
+                      node_modem=ModemSpec(min_snr_db=cut_snr)), None),
+        (small_config(dims=(6, 4, 5), node_count=30, rng_seed=2, step_duration_s=0.5,
+                      channel=ChannelParams(noise_override_db=90.0),
+                      node_harvest=HarvestSpec(split_ratio=0.0)), None),
+        (small_config(dims=(5, 7, 4), node_count=30, rng_seed=3, step_duration_s=2.5,
+                      node_harvest=HarvestSpec(split_ratio=1.0)), None),
+        # The widest reach decides which nodes ``_links`` tests: under 1 m
+        # at a 2 degree apex, wider than the box at 170 degrees.
+        (small_config(dims=(6, 5, 6), node_count=30, rng_seed=4,
+                      auv=AuvSpec(cone_apex_angle_deg=2.0)), None),
+        (small_config(dims=(6, 5, 6), node_count=30, rng_seed=5,
+                      auv=AuvSpec(cone_apex_angle_deg=170.0)), None),
+        # Nodes on the box's faces and corners, twice over.
+        (small_config(dims=(6, 4, 5), node_count=28),
+         2 * box_face_and_corner_nodes((6, 4, 5))),
+        # Every node at z = 0: the widest reach is 0, so a node is covered
+        # only from its own grid point.
+        (small_config(dims=(5, 4, 3), node_count=8),
+         [(0, 0, 0), (5, 4, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (0, 4, 0), (5, 0, 0),
+          (2, 1, 0)]),
     ]
-    for cfg in configs:
+    for cfg, layout in cases:
         env = deploy(cfg)
+        if layout is not None:
+            env.place_nodes(layout)
         l, w, h = cfg.dims
         seen = dropped = 0
         for pos in np.ndindex(l + 1, w + 1, h + 1):
@@ -230,6 +263,8 @@ def test_link_table_matches_reference_over_every_position():
         assert seen > 0
         if cfg.node_modem.min_snr_db > 0:
             assert dropped > 0
+        if layout is not None and all(z == 0 for _, _, z in layout):
+            assert seen == len(layout)
 
 
 @pytest.mark.parametrize("cfg", [
