@@ -129,18 +129,17 @@ def transmission_loss_db(range_m, params: ChannelParams):
     round the same in Python as in numpy, so the bits are those of the
     array path at a fraction of its call overhead.
     """
+    alpha = _absorption_db_per_km(params.frequency_khz)
     if isinstance(range_m, (int, float)):
         r = float(range_m)
         if r < 1.0:  # a NaN range compares False and passes, as below
             raise ValueError("range_m must be >= 1 m (reference distance)")
-        alpha = _absorption_db_per_km(params.frequency_khz)
         return params.spreading_factor_k * 10.0 * float(np.log10(r)) + (r / 1000.0) * alpha
     r = np.asarray(range_m, dtype=float)
     # A NaN range compares False and passes; ``r.min()`` would instead let
     # a NaN entry hide a bad one.
     if (r < 1.0).any():
         raise ValueError("range_m must be >= 1 m (reference distance)")
-    alpha = _absorption_db_per_km(params.frequency_khz)
     out = params.spreading_factor_k * 10.0 * np.log10(r) + (r / 1000.0) * alpha
     return out if out.ndim else float(out)
 

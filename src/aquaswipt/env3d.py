@@ -248,18 +248,26 @@ class Environment:
 
     Nodes are placed only through ``place_nodes``, which rejects positions
     that are not integer grid points inside the box and builds the
-    per-axis tables of squared node offsets and cone reach. The node link
-    budget is tabulated once per environment over the integer squared
-    ranges ``0 .. L^2 + W^2 + H^2``. The link terms at a position
-    (``_links``) are built from the tables on the first visit and cached
-    per position; the uplink, harvest and uplink-bits terms of a node are
-    worked out once per squared range. ``place_nodes`` empties both caches.
-    The relay rate is memoised by the float relay range, which does not
-    depend on the nodes; a memo miss makes one scalar call each of
+    per-axis tables of squared node offsets and cone reach, plus per x and
+    per y value the nodes whose offset on that axis is within the widest
+    reach in the box. The node link budget is tabulated once per
+    environment over the integer squared ranges ``0 .. L^2 + W^2 + H^2``.
+    The link terms at a position (``_links``) are built from the tables on
+    the first visit and cached per position: a plain-Python loop runs the
+    cone test over the nodes near both the x and the y value, and the
+    uplink, harvest and uplink-bits terms of a node are worked out once
+    per squared range. ``place_nodes`` empties both caches. The relay rate
+    is memoised by the float relay range, which does not depend on the
+    nodes; a memo miss makes one scalar call each of
     ``transmission_loss_db`` and ``shannon_throughput_bps``. At 100 x 100 x
-    50 with 50 nodes, building a position's links takes about 11 us when
-    the two memos already hold its ranges and about 14 us when they are
-    empty (2-vCPU Xeon VM, Python 3.11, numpy 2.4).
+    50 with 50 nodes, building a position's links at the positions
+    ``table-explore`` visits takes about 4.8 us when the two memos already
+    hold its ranges and about 5.3 us when they are empty (2-vCPU Xeon VM,
+    Python 3.11, numpy 2.4). The loop's cost grows with the node count
+    faster than that of numpy row operations over every node: in that box
+    the loop wins at 50 nodes (4.8 against 5.5 us warm), is about even at
+    100 (7.7 against 7.1 us) and loses at 200 (12.4 against 10.3 us).
+    The paper and every workload use 10-50 nodes, so there is one path.
 
     States are int ids (see ``key_to_id``): ``reset`` returns the first
     one and ``step`` returns ``(next state id, reward, done)``.
