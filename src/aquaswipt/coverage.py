@@ -58,16 +58,28 @@ def cone_volume(geom: ConeGeometry) -> float:
     return math.pi * geom.base_radius_m**2 * geom.height_m / 3.0
 
 
-def points_in_cone(geom: ConeGeometry, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of points (N, 3) inside the cone, boundary inclusive."""
+def points_in_cone(
+    geom: ConeGeometry, points: np.ndarray, scale=(1.0, 1.0, 1.0)
+) -> np.ndarray:
+    """Boolean mask of points (N, 3) inside the cone, boundary inclusive.
+
+    Each column is multiplied by its ``scale`` entry before the test, so
+    unit draws can be tested as points of a box: the offset from the apex
+    is ``fl(fl(u * c) - a)``, the same bits as scaling the points first.
+    The default scale of ones is exact.
+    """
     pts = np.asarray(points, dtype=float)
     ax, ay, az = (float(c) for c in geom.apex)
+    sx, sy, sz = (float(c) for c in scale)
     # One column at a time: broadcasting (N, 3) - (3,) runs numpy's inner
     # loop three elements long and cost more than the rest of the test
     # together. The squares and masks reuse the temporaries made here.
-    dx = pts[:, 0] - ax
-    dy = pts[:, 1] - ay
-    dz = pts[:, 2] - az
+    dx = np.multiply(pts[:, 0], sx)
+    dx -= ax
+    dy = np.multiply(pts[:, 1], sy)
+    dy -= ay
+    dz = np.multiply(pts[:, 2], sz)
+    dz -= az
     horiz2 = np.square(dx, out=dx)
     horiz2 += np.square(dy, out=dy)
     reach2 = dz * math.tan(math.radians(geom.apex_angle_deg / 2.0))
@@ -80,30 +92,26 @@ def points_in_cone(geom: ConeGeometry, points: np.ndarray) -> np.ndarray:
 
 # Points per sampled block. A block holds whole rows (one trial's
 # placements), so a row longer than this is a block of its own. At the
-# coverage-sweep bench scale 2^14 and 2^15 ran fastest, 2^13 and 2^16 about
-# 10% and 25% slower: a 768 KB block and the cone test's temporaries stay
-# near the L2 cache.
+# coverage-sweep bench scale, with the blocks scaled inside the cone test,
+# 2^14 ran level with 2^15 (bench wall_s 4% and 1% slower at seeds 0 and 7,
+# 5 pairs each) and 2^16 about 15% slower in process, on a 2-vCPU Xeon VM:
+# a 768 KB block and the cone test's temporaries stay near the L2 cache.
 _BLOCK_POINTS = 1 << 15
 
 
-def _uniform_blocks(rng: np.random.Generator, cube, rows: int, per_row: int):
-    """Yield ``rng``'s uniform draws over ``cube`` as (rows_in_block, per_row, 3) blocks.
+def _uniform_blocks(rng: np.random.Generator, rows: int, per_row: int):
+    """Yield ``rng``'s unit draws as (rows_in_block, per_row, 3) blocks.
 
     The blocks hold whole rows and, concatenated, equal
-    ``rng.uniform(0.0, cube, size=(rows, per_row, 3))`` byte for byte:
-    ``uniform`` computes ``0.0 + (cube - 0.0) * random()`` element by
-    element in C order, which is exactly ``random() * cube``.
+    ``rng.random((rows, per_row, 3))`` byte for byte. Scaling them by
+    ``cube`` gives ``rng.uniform(0.0, cube, size=(rows, per_row, 3))``
+    byte for byte: ``uniform`` computes ``0.0 + (cube - 0.0) * random()``
+    element by element in C order, which is exactly ``random() * cube``.
+    ``points_in_cone``'s ``scale`` applies it inside the test.
     """
-    scale = [float(c) for c in cube]
     step = max(1, _BLOCK_POINTS // max(per_row, 1))  # rows per block
     for start in range(0, rows, step):
-        block = rng.random((min(step, rows - start), per_row, 3))
-        # One column at a time: ``block *= scale`` broadcasts a (3,) vector
-        # and runs numpy's inner loop three elements long.
-        points = block.reshape(-1, 3)
-        for axis, c in enumerate(scale):
-            points[:, axis] *= c
-        yield block
+        yield rng.random((min(step, rows - start), per_row, 3))
 
 
 def clipped_cone_volume_mc(
@@ -123,8 +131,9 @@ def clipped_cone_volume_mc(
     l, w, h = cube
     rng = np.random.default_rng(seed)
     hits = 0
-    for block in _uniform_blocks(rng, cube, samples, 1):
-        hits += int(np.count_nonzero(points_in_cone(geom, block.reshape(-1, 3))))
+    for block in _uniform_blocks(rng, samples, 1):
+        inside = points_in_cone(geom, block.reshape(-1, 3), cube)
+        hits += int(np.count_nonzero(inside))
     p_hat = hits / samples
     cube_volume = l * w * h
     stderr = cube_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
@@ -168,6 +177,9 @@ def coverage_sweep(
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
+    for n in n_values:
+        if n < 0:
+            raise ValueError(f"n_values entries must be >= 0, got {n}")
     l, w, h = (float(d) for d in config.dims)
     cube_volume = l * w * h
     rows = []
@@ -184,8 +196,8 @@ def coverage_sweep(
         for ni, n in enumerate(n_values):
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, si, ni])
             at_least = [0] * len(k_values)  # trials covering >= k nodes, per k
-            for block in _uniform_blocks(rng, (l, w, h), trials, n):
-                inside = points_in_cone(geom, block.reshape(-1, 3))
+            for block in _uniform_blocks(rng, trials, n):
+                inside = points_in_cone(geom, block.reshape(-1, 3), (l, w, h))
                 counts = inside.reshape(len(block), n).sum(axis=1)
                 for i, k in enumerate(k_values):
                     at_least[i] += int(np.count_nonzero(counts >= k))

@@ -220,19 +220,78 @@ def test_sweep_csv_columns(tmp_path):
     ],
 )
 def test_uniform_blocks_equal_one_uniform_draw(rows, per_row):
-    """Blocking must not move a single sampled byte or the draws after it."""
+    """Blocking must not move a single sampled byte or the draws after it,
+    and the unit draws scaled by the cube must be ``uniform``'s points."""
     cube = (100.0, 37.3, 50.0)
     rng = np.random.default_rng(11)
-    blocks = list(_uniform_blocks(rng, cube, rows, per_row))
+    blocks = list(_uniform_blocks(rng, rows, per_row))
+    got = np.concatenate(blocks)
+    unit_rng = np.random.default_rng(11)
+    unit = unit_rng.random((rows, per_row, 3))
+    assert got.shape == unit.shape
+    assert got.tobytes() == unit.tobytes()
     expected_rng = np.random.default_rng(11)
     expected = expected_rng.uniform(0.0, cube, size=(rows, per_row, 3))
-    got = np.concatenate(blocks)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-    assert rng.random() == expected_rng.random()
+    scaled = got.copy()
+    for axis, c in enumerate(cube):
+        scaled[..., axis] *= c
+    assert scaled.tobytes() == expected.tobytes()
+    assert rng.random() == expected_rng.random() == unit_rng.random()
     if per_row:
         assert len(blocks) > 1
         assert all(len(b) * per_row <= max(_BLOCK_POINTS, per_row) for b in blocks)
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [
+        # Apex at the surface, cone as deep as the box: the shape the sweep uses.
+        ConeGeometry(apex=(40.0, 12.5, 0.0), apex_angle_deg=60.0, height_m=50.0),
+        # Apex below the surface: the apex-depth mask rejects the points above.
+        ConeGeometry(apex=(70.0, 30.0, 17.25), apex_angle_deg=120.0, height_m=50.0),
+        # Shorter than the box: the base-depth mask rejects the points below.
+        ConeGeometry(apex=(0.0, 37.3, 0.0), apex_angle_deg=90.0, height_m=21.7),
+    ],
+)
+def test_points_in_cone_scale_equals_scaling_first(geom):
+    """Testing unit draws with ``scale`` must give the same mask, bit for bit,
+    as scaling the points first and testing them with the default scale."""
+    cube = (100.0, 37.3, 50.0)
+    scale = np.array(cube)
+    unit = np.random.default_rng(5).random((20_000, 3))
+    # Points on the surface, at the apex, on the base plane and above the
+    # apex, written in unit coordinates so the product lands on them or
+    # within a rounding of them.
+    ax, ay, az = geom.apex
+    slope = math.tan(math.radians(geom.apex_angle_deg / 2.0))
+    edge = []
+    for depth in (0.0, 0.5 * geom.height_m, geom.height_m, -1.0, geom.height_m + 1.0):
+        z = az + depth
+        r = max(depth, 0.0) * slope
+        for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+            edge.append((ax + r * math.cos(angle), ay + r * math.sin(angle), z))
+    edge.append((ax, ay, az))  # the apex
+    edge = np.array(edge) / scale
+    for points in (unit, edge):
+        fused = points_in_cone(geom, points, cube)
+        first = points_in_cone(geom, points * scale)
+        assert fused.tobytes() == first.tobytes()
+    # The random points reach every mask: some are inside, and where a depth
+    # mask can cut, some points within the slant's (double) cone are cut by it.
+    d = unit * scale - np.array(geom.apex)
+    slant = d[:, 0] ** 2 + d[:, 1] ** 2 <= (d[:, 2] * slope) ** 2
+    assert 0 < points_in_cone(geom, unit, cube).sum() < len(unit)
+    if az > 0:
+        assert (slant & (d[:, 2] < 0)).any()
+    if az + geom.height_m < cube[2]:
+        assert (slant & (d[:, 2] > geom.height_m)).any()
+
+
+def test_coverage_sweep_rejects_negative_node_count():
+    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
+    with pytest.raises(ValueError, match="n_values.*-3"):
+        coverage_sweep(config, [5, -3], [(0.0, 0.0)], trials=100,
+                       volume_samples=1000)
 
 
 def test_coverage_sweep_memory_does_not_grow_with_samples():
