@@ -87,6 +87,8 @@ class QTable:
             raise ValueError(f"n_actions must be >= 1, got {n_actions}")
         self.n_actions = n_actions
         self.default_value = float(default_value)
+        if not math.isfinite(self.default_value):
+            raise ValueError(f"Q-table default_value must be finite, got {self.default_value}")
         self.dims = None if dims is None else tuple(dims)
         self._table: dict = {}
 
@@ -128,10 +130,14 @@ class QTable:
         None a key is an int or a tuple of ints. The bytes are those of
         ``json.dump(doc, fh, indent=1, sort_keys=True)``, streamed one entry
         at a time: each key field is written as an int and each value with
-        ``float.__repr__``, as json's encoder writes it.
+        ``float.__repr__``, as json's encoder writes it. A value that is the
+        default object itself, as every entry of a new row is, reuses the
+        default's repr.
         """
         n_actions = self.n_actions
         float_repr = float.__repr__
+        default = self.default_value
+        default_repr = float_repr(default)
         decode = id_to_tuple
         table = self._table
         dims = self.dims
@@ -150,11 +156,12 @@ class QTable:
                         "%s\n  [\n   " + _json_list(len(fields), "%d", 3) + ",\n   "
                         + _json_list(n_actions, "%s", 3) + "\n  ]"
                     )
-                yield template % (separator, *fields, *map(float_repr, table[key]))
+                yield template % (separator, *fields, *[
+                    default_repr if v is default else float_repr(v) for v in table[key]])
                 separator = ","
 
         with open(path, "w") as fh:
-            fh.write('{\n "default_value": %s,\n "entries": [' % float_repr(self.default_value))
+            fh.write('{\n "default_value": %s,\n "entries": [' % default_repr)
             fh.writelines(entries())
             fh.write('%s],\n "n_actions": %d\n}' % ("\n " if table else "", n_actions))
 
@@ -171,8 +178,6 @@ class QTable:
             doc = json.load(fh)
         table = cls(n_actions=doc["n_actions"], default_value=doc["default_value"],
                     dims=dims)
-        if not math.isfinite(table.default_value):
-            raise ValueError(f"Q-table default_value must be finite, got {table.default_value}")
         for key_list, values in doc["entries"]:
             row = [float(v) for v in values]
             if len(row) != table.n_actions:

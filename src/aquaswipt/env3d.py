@@ -249,9 +249,10 @@ class Environment:
     Nodes are placed only through ``place_nodes``, which rejects positions
     that are not integer grid points inside the box and builds the
     per-axis tables of squared node offsets and cone reach, plus per x and
-    per y value the nodes whose offset on that axis is within the widest
-    reach in the box. The node link budget is tabulated once per
-    environment over the integer squared ranges ``0 .. L^2 + W^2 + H^2``.
+    per y value the nodes whose offset on that axis is within that node's
+    own widest reach (its reach from the surface). The node link budget
+    is tabulated once per environment over the integer squared ranges
+    ``0 .. L^2 + W^2 + H^2``.
     The link terms at a position (``_links``) are built from the tables on
     the first visit and cached per position: a plain-Python loop runs the
     cone test over the nodes near both the x and the y value, and the
@@ -261,13 +262,12 @@ class Environment:
     nodes; a memo miss makes one scalar call each of
     ``transmission_loss_db`` and ``shannon_throughput_bps``. At 100 x 100 x
     50 with 50 nodes, building a position's links at the positions
-    ``table-explore`` visits takes about 4.8 us when the two memos already
-    hold its ranges and about 5.3 us when they are empty (2-vCPU Xeon VM,
-    Python 3.11, numpy 2.4). The loop's cost grows with the node count
-    faster than that of numpy row operations over every node: in that box
-    the loop wins at 50 nodes (4.8 against 5.5 us warm), is about even at
-    100 (7.7 against 7.1 us) and loses at 200 (12.4 against 10.3 us).
-    The paper and every workload use 10-50 nodes, so there is one path.
+    ``table-explore`` visits takes about 3.9 us when the two memos already
+    hold its ranges and about 4.8 us when they are empty (fastest of seven
+    processes on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4). In that box
+    the loop also beat numpy row operations over every node at 50, 100
+    and 200 nodes (4.4 against 7.8, 7.4 against 10.3 and 11.8 against
+    14.2 us warm, in alternating processes on a slower spell of the VM).
 
     States are int ids (see ``key_to_id``): ``reset`` returns the first
     one and ``step`` returns ``(next state id, reward, done)``.
@@ -469,8 +469,9 @@ class Environment:
                 level = levels[i]
                 bits = buffers[i]
                 # A node only changes its own entries, so testing it before
-                # booking it tests the state the step started from.
-                if bits > 0 or level < capacity:
+                # booking it tests the state the step started from. The
+                # float literals keep the compares on CPython's float path.
+                if bits > 0.0 or level < capacity:
                     useful = True
                 # The store accepts the offered energy up to its headroom
                 # (harvest_w >= 0 is checked when the links are built).
@@ -479,14 +480,14 @@ class Environment:
                 accepted_j = offered_j if offered_j < headroom_j else headroom_j
                 levels[i] = level = level + accepted_j
                 harvested_j += accepted_j
-                if uplink_bits > 0 and bits > 0:
+                if uplink_bits > 0.0 and bits > 0.0:
                     take = uplink_bits if uplink_bits < bits else bits
                     buffers[i] = bits = bits - take
                     relay_buffer += take
                     collected_bits += take
                     uplinking_nodes += 1
                 # The next state's features count the nodes as the step leaves them.
-                if bits > 0:
+                if bits > 0.0:
                     with_data += 1
                 if level < capacity:
                     undercharged += 1
@@ -529,7 +530,7 @@ class Environment:
         with_data = 0
         undercharged = 0
         for i, _, _ in links.nodes:
-            if buffers[i] > 0:
+            if buffers[i] > 0.0:
                 with_data += 1
             if levels[i] < capacity:
                 undercharged += 1
@@ -574,9 +575,9 @@ class Environment:
         dz = nz - np.arange(h + 1.0)[:, None]
         reach2 = np.where(dz >= 0, (dz * self._tan_half) ** 2, -1.0)
         # A node passes the cone test only where its x offset and its y
-        # offset are each within the widest reach any node has in the box,
-        # so ``_links`` tests only the nodes near both the x and the y value.
-        widest = reach2.max()
+        # offset are each within its own widest reach over every depth, so
+        # ``_links`` tests only the nodes near both the x and the y value.
+        widest = reach2.max(axis=0)
         self._near_x = [row.nonzero()[0].tolist() for row in dx2 <= widest]
         self._near_y = [set(row.nonzero()[0].tolist()) for row in dy2 <= widest]
         # ``_links`` reads the tables as row lists of Python floats.
@@ -643,9 +644,11 @@ class Environment:
 
         # The edges ascend, so this counts the edges below the mean SNR.
         gain_bin = bisect_left(self._gain_edges, _mean(snrs)) if snrs else 0
-        links = self._link_cache[p] = _PosLinks(
+        # tuple.__new__ skips the namedtuple's Python-level __new__: about
+        # 0.2 us less per build, with the same named fields.
+        links = self._link_cache[p] = tuple.__new__(_PosLinks, (
             tuple(nodes), relay_bits, gain_bin,
-            self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z])
+            self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z]))
         return links
 
     # ------------------------------------------------------------------

@@ -607,10 +607,21 @@ def _saved_tables():
     # A row as train stores it when the env returns numpy rewards.
     numpy_row = QTable(n_actions=2)
     numpy_row._table[(1, 2)] = [np.float64(1.3587972053336933e-07), 1e16]
+    # save writes a value that is the default object with the default's
+    # repr: 0.0 equals a -0.0 default but must keep its own repr, and a
+    # value equal to the default may be another object.
+    negative_zero = QTable(n_actions=3, default_value=-0.0)
+    negative_zero.set((1, 2), 1, 0.0)
+    negative_zero.set((0, 5), 0, 0.0)
+    negative_zero.set((0, 5), 2, 0.0)
+    equal_value = QTable(n_actions=2, default_value=0.5)
+    equal_value.set((3, 1), 0, float("0.5"))
+    assert equal_value._table[(3, 1)][0] is not equal_value.default_value
     env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
     trained, _ = train(env, Algorithm.Q_LEARNING, cfg(episodes=5, randomize_start=True))
     return {"empty": QTable(), "one-action-int-keys": ints, "tuple-keys": tuples,
-            "numpy-value": numpy_row, "trained-dims": trained}
+            "numpy-value": numpy_row, "trained-dims": trained,
+            "negative-zero-default": negative_zero, "equal-to-default": equal_value}
 
 
 @pytest.mark.parametrize("name", list(_saved_tables()))
@@ -678,3 +689,14 @@ def test_qtable_load_rejects_bad_rows(tmp_path):
 def test_qtable_rejects_nonfinite():
     with pytest.raises(ValueError):
         QTable().set("s", 0, float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_qtable_rejects_nonfinite_default(tmp_path, bad):
+    with pytest.raises(ValueError, match="default_value must be finite"):
+        QTable(n_actions=2, default_value=bad)
+    # json writes the value as NaN or Infinity, which load reads back.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n_actions": 2, "default_value": bad, "entries": []}))
+    with pytest.raises(ValueError, match="default_value must be finite"):
+        QTable.load(path)

@@ -287,6 +287,20 @@ def test_points_in_cone_scale_equals_scaling_first(geom):
         assert (slant & (d[:, 2] > geom.height_m)).any()
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("apex", dict(apex=(float("nan"), 5.0, 0.0))),
+    ("apex", dict(apex=(5.0, 5.0))),
+    ("apex", dict(apex=(5.0, 5.0, 0.0, 1.0))),
+    ("height_m", dict(height_m=float("nan"))),
+    ("height_m", dict(height_m=float("inf"))),
+    ("apex_angle_deg", dict(apex_angle_deg=float("nan"))),
+])
+def test_cone_geometry_rejects_bad_geometry(field, kwargs):
+    good = dict(apex=(5.0, 5.0, 0.0), apex_angle_deg=60.0, height_m=10.0)
+    with pytest.raises(ValueError, match=f"ConeGeometry.{field} must be"):
+        ConeGeometry(**{**good, **kwargs})
+
+
 def test_coverage_sweep_rejects_negative_node_count():
     config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
     with pytest.raises(ValueError, match="n_values.*-3"):

@@ -240,6 +240,12 @@ def test_link_table_matches_reference_over_every_position():
         (small_config(dims=(5, 4, 3), node_count=8),
          [(0, 0, 0), (5, 4, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (0, 4, 0), (5, 0, 0),
           (2, 1, 0)]),
+        # Mixed depths under a wide apex: the bottom nodes reach across the
+        # box, while the nodes at z = 0 and z = 1 reach 0 and 3.7 m, so each
+        # node's own widest reach, not the box's, decides where it is tested.
+        (small_config(dims=(8, 7, 6), node_count=12, auv=AuvSpec(cone_apex_angle_deg=150.0)),
+         [(0, 0, 6), (8, 7, 6), (4, 3, 6), (1, 6, 6), (0, 0, 0), (8, 7, 0), (4, 3, 0),
+          (6, 1, 0), (0, 7, 1), (4, 4, 1), (8, 0, 1), (3, 3, 1)]),
     ]
     for cfg, layout in cases:
         env = deploy(cfg)
