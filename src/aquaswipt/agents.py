@@ -63,6 +63,12 @@ class LearnConfig:
                              f"got {self.randomize_start!r}")
 
 
+# Sorted entries ``QTable.save`` formats in one pass. At 128 a chunk's text
+# is about 28 KB at six actions, and the save's memory peak stays near a
+# tenth of a 10,000-state file (a fifth at 256).
+_SAVE_CHUNK = 128
+
+
 def _json_list(length: int, item: str, indent: int) -> str:
     """Format template of a list of ``length`` items as ``json.dump`` writes
     it with ``indent=1`` at nesting depth ``indent``."""
@@ -79,7 +85,8 @@ class QTable:
     an ``Environment`` has ``dims`` set to its box and is keyed by int state
     ids (``env3d.key_to_id``); ``save`` writes those ids as ``StateKey``
     lists and ``load(path, dims)`` reads them back as ids. With ``dims``
-    None the keys are stored as they are.
+    None the keys are stored as they are. A box whose largest id does not
+    fit in an int64 is refused, since ``save`` decodes ids as int64 arrays.
     """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
@@ -90,6 +97,15 @@ class QTable:
         if not math.isfinite(self.default_value):
             raise ValueError(f"Q-table default_value must be finite, got {self.default_value}")
         self.dims = None if dims is None else tuple(dims)
+        if self.dims is not None:
+            try:
+                top = key_to_id((*self.dims, 3, 3, 3), self.dims)
+            except ValueError:
+                raise ValueError("Q-table dims must be three integers >= 0, "
+                                 f"got {self.dims}") from None
+            if top >= 1 << 63:
+                # save decodes the ids of a chunk as one int64 array.
+                raise ValueError(f"Q-table dims {self.dims} give state ids beyond int64")
         self._table: dict = {}
 
     def values(self, state) -> np.ndarray:
@@ -128,41 +144,52 @@ class QTable:
         Entries are in key order; int state ids of a table with ``dims``
         sort, and are written, as their ``StateKey`` tuples. With ``dims``
         None a key is an int or a tuple of ints. The bytes are those of
-        ``json.dump(doc, fh, indent=1, sort_keys=True)``, streamed one entry
-        at a time: each key field is written as an int and each value with
-        ``float.__repr__``, as json's encoder writes it. A value that is the
-        default object itself, as every entry of a new row is, reuses the
-        default's repr.
+        ``json.dump(doc, fh, indent=1, sort_keys=True)``, streamed
+        ``_SAVE_CHUNK`` sorted entries at a time. Each chunk takes three
+        passes: ``id_to_tuple`` decodes its ids as one int64 array, one
+        comprehension writes its values with ``float.__repr__``, as json's
+        encoder does (a value that is the default object itself, as every
+        entry of a new row is, reuses the default's repr), and one ``%``
+        over the joined entry templates formats the chunk, each key field
+        as an int.
         """
         n_actions = self.n_actions
         float_repr = float.__repr__
         default = self.default_value
         default_repr = float_repr(default)
-        decode = id_to_tuple
         table = self._table
         dims = self.dims
+        values_format = _json_list(n_actions, "%s", 3)
         templates = {}  # key length -> format of one entry
 
-        def entries():
+        def template(length: int) -> str:
+            entry = templates.get(length)
+            if entry is None:
+                entry = templates[length] = ("\n  [\n   " + _json_list(length, "%d", 3)
+                                             + ",\n   " + values_format + "\n  ]")
+            return entry
+
+        def chunks():
+            keys = sorted(table)
             separator = ""
-            for key in sorted(table):
+            for start in range(0, len(keys), _SAVE_CHUNK):
+                part = keys[start:start + _SAVE_CHUNK]
                 if dims is None:
-                    fields = key if isinstance(key, tuple) else (key,)
+                    fields = [key if isinstance(key, tuple) else (key,) for key in part]
+                    text = ",".join(map(template, map(len, fields)))
                 else:
-                    fields = decode(key, dims)
-                template = templates.get(len(fields))
-                if template is None:
-                    template = templates[len(fields)] = (
-                        "%s\n  [\n   " + _json_list(len(fields), "%d", 3) + ",\n   "
-                        + _json_list(n_actions, "%s", 3) + "\n  ]"
-                    )
-                yield template % (separator, *fields, *[
-                    default_repr if v is default else float_repr(v) for v in table[key]])
+                    columns = id_to_tuple(np.array(part, dtype=np.int64), dims)
+                    fields = zip(*map(np.ndarray.tolist, columns))
+                    text = ",".join([template(len(columns))] * len(part))
+                values = [default_repr if v is default else float_repr(v)
+                          for v in chain.from_iterable(map(table.__getitem__, part))]
+                rows = zip(*[iter(values)] * n_actions)
+                yield separator + text % tuple(chain.from_iterable(map(chain, fields, rows)))
                 separator = ","
 
         with open(path, "w") as fh:
             fh.write('{\n "default_value": %s,\n "entries": [' % default_repr)
-            fh.writelines(entries())
+            fh.writelines(chunks())
             fh.write('%s],\n "n_actions": %d\n}' % ("\n " if table else "", n_actions))
 
     @classmethod

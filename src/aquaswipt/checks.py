@@ -5,6 +5,8 @@ in Python fails where the config is built, as a bad config document does.
 """
 
 import math
+from dataclasses import fields
+from typing import get_args, get_origin
 
 
 def _is_int(value) -> bool:
@@ -22,6 +24,13 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except TypeError:
         return False
+
+
+def _is_tuple_field(config, name: str) -> bool:
+    """Whether ``config``'s field ``name`` is annotated as a tuple or an
+    optional tuple."""
+    (annotation,) = (f.type for f in fields(config) if f.name == name)
+    return any(get_origin(a) is tuple for a in (annotation, *get_args(annotation)))
 
 
 def require_int_fields(config, *names: str) -> None:
@@ -48,9 +57,17 @@ def require_finite_fields(config, *names: str) -> None:
     """Raise ``ValueError`` naming the field unless each of ``config``'s
     fields ``names`` holds a finite number; a bool is not one. None (an
     optional field left unset) passes, and a tuple field's entries are
-    checked one by one."""
+    checked one by one. A list given for a tuple field, or for an entry of
+    one, is reported as not a tuple."""
     for name in names:
         value = getattr(config, name)
-        if not _is_finite(value):
-            raise ValueError(f"{type(config).__name__}.{name} must be a finite number, "
-                             f"got {value!r}")
+        if _is_finite(value):
+            continue
+        field_name = f"{type(config).__name__}.{name}"
+        if _is_tuple_field(config, name):
+            # A list where a tuple belongs is not a number, but saying so misleads.
+            if isinstance(value, list):
+                raise ValueError(f"{field_name} must be a tuple, got the list {value!r}")
+            if isinstance(value, tuple) and any(isinstance(v, list) for v in value):
+                raise ValueError(f"{field_name} entries must be tuples, got {value!r}")
+        raise ValueError(f"{field_name} must be a finite number, got {value!r}")

@@ -82,8 +82,12 @@ def _state_id(p: int, with_data: int, undercharged: int, gain_bin: int) -> int:
                       + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
 
 
-def id_to_tuple(state_id: int, dims) -> tuple[int, int, int, int, int, int]:
-    """The ``StateKey`` fields of an int state id as a plain tuple."""
+def id_to_tuple(state_id, dims) -> tuple:
+    """The ``StateKey`` fields of an int state id as a plain tuple.
+
+    ``state_id`` may also be an int64 array of ids; each field is then an
+    int64 array, as ``QTable.save`` decodes a chunk of ids at once.
+    """
     _, w, h = dims
     p, code = divmod(state_id, 64)
     xy, z = divmod(p, h + 1)

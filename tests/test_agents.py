@@ -11,6 +11,7 @@ import pytest
 
 from aquaswipt.agents import (
     _RAW_BLOCK,
+    _SAVE_CHUNK,
     Algorithm,
     LearnConfig,
     QTable,
@@ -619,9 +620,45 @@ def _saved_tables():
     assert equal_value._table[(3, 1)][0] is not equal_value.default_value
     env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
     trained, _ = train(env, Algorithm.Q_LEARNING, cfg(episodes=5, randomize_start=True))
-    return {"empty": QTable(), "one-action-int-keys": ints, "tuple-keys": tuples,
-            "numpy-value": numpy_row, "trained-dims": trained,
-            "negative-zero-default": negative_zero, "equal-to-default": equal_value}
+    tables = {"empty": QTable(), "one-action-int-keys": ints, "tuple-keys": tuples,
+              "numpy-value": numpy_row, "trained-dims": trained,
+              "negative-zero-default": negative_zero, "equal-to-default": equal_value}
+    # save formats _SAVE_CHUNK entries at a time: tables of sizes at and
+    # around the chunk edges.
+    for n_states in (0, 1, _SAVE_CHUNK - 1, _SAVE_CHUNK, _SAVE_CHUNK + 1, 2 * _SAVE_CHUNK + 1):
+        tables[f"dims-{n_states}-states"] = _random_dims_table(n_states, seed=n_states)
+    # The largest box QTable accepts: its top id, (L + 1)(W + 1)(H + 1) * 64 - 1,
+    # is the largest int64.
+    int64_edge = QTable(n_actions=1, dims=(2**19 - 1,) * 3)
+    int64_edge.set(2**63 - 1, 0, 1.0)
+    int64_edge.set(0, 0, 2.0)
+    tables["dims-int64-top-id"] = int64_edge
+    # Int keys, one past int64, across a chunk edge.
+    wide_ints = QTable(n_actions=1)
+    for key in range(_SAVE_CHUNK):
+        wide_ints.set(key * 3, 0, key / 7)
+    wide_ints.set(2**70, 0, 2.5)
+    tables["int-keys-across-chunk"] = wide_ints
+    # 2-field and 6-field tuple keys alternate in key order, so every chunk
+    # edge falls between keys of different lengths.
+    mixed_lengths = QTable(n_actions=2, default_value=1.5)
+    for i in range(_SAVE_CHUNK + 1):
+        mixed_lengths.set((i, 0), 0, -i / 3)
+        mixed_lengths.set((i, 0, 1, 2, 3, 0), 1, i * 1e20)
+    tables["tuple-lengths-across-chunk"] = mixed_lengths
+    return tables
+
+
+def _random_dims_table(n_states: int, seed: int) -> QTable:
+    dims = (9, 8, 7)
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(key_to_id((*dims, 3, 3, 3), dims) + 1, size=n_states, replace=False)
+    q = QTable(n_actions=6, default_value=-0.5, dims=dims)
+    for state_id, action, value in zip(ids.tolist(), rng.integers(6, size=n_states).tolist(),
+                                       rng.normal(size=n_states).tolist()):
+        q.set(state_id, action, value)
+    assert len(q) == n_states
+    return q
 
 
 @pytest.mark.parametrize("name", list(_saved_tables()))
@@ -649,10 +686,29 @@ def test_qtable_save_decodes_box_corner_ids(tmp_path):
     assert written == [tuple(id_to_key(s, dims)) for s in sorted(q._table)] == sorted(keys)
 
 
+@pytest.mark.parametrize("dims, message", [
+    # save decodes ids as int64 arrays; dims-int64-top-id above is the
+    # largest box it takes.
+    ((2**19, 2**19 - 1, 2**19 - 1),
+     r"dims \(524288, 524287, 524287\) give state ids beyond int64"),
+    ((6.0, 6, 4), r"dims must be three integers >= 0, got \(6.0, 6, 4\)"),
+    ((-1, 2, 2), "dims must be three integers"),
+    ((2, 2), "dims must be three integers"),
+])
+def test_qtable_rejects_bad_dims(tmp_path, dims, message):
+    with pytest.raises(ValueError, match=message):
+        QTable(dims=dims)
+    path = tmp_path / "table.json"
+    QTable(n_actions=1).save(path)
+    with pytest.raises(ValueError, match=message):
+        QTable.load(path, dims=dims)
+
+
 def test_qtable_save_streams_entries(tmp_path):
-    # The entries go to the file one at a time. Building the whole text or
-    # the whole document first peaks above the file's size: json.dump of the
-    # document peaked at 1.35x the 2.2 MB file here, the streamed writer at 0.05x.
+    # The entries go to the file _SAVE_CHUNK at a time. Building the whole
+    # text or the whole document first peaks above the file's size: json.dump
+    # of the document peaked at 1.35x the 2.2 MB file here, the chunked writer
+    # at 0.11x with 128 entries a chunk and 0.18x with 256.
     rng = np.random.default_rng(0)
     q = QTable(dims=(100, 100, 50))
     for state_id, row in zip(range(0, 10_000 * 53, 53), rng.normal(size=(10_000, 6)).tolist()):
@@ -664,7 +720,8 @@ def test_qtable_save_streams_entries(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size / 4
+    assert peak < path.stat().st_size / 4, (
+        f"save peaked at {peak / path.stat().st_size:.3f}x the file's size")
 
 
 def test_qtable_load_rejects_bad_rows(tmp_path):

@@ -3,13 +3,15 @@ brute-force oracle, step accounting, reward branches, and serialization."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from aquaswipt.auv import AuvSpec
-from aquaswipt.campaign import desk_campaign_config
+from aquaswipt.campaign import CampaignConfig, desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
+from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
     ACTIONS,
     EnvConfig,
@@ -19,6 +21,7 @@ from aquaswipt.env3d import (
     config_from_dict,
     deploy,
     id_to_key,
+    id_to_tuple,
     key_to_id,
 )
 from aquaswipt.harvest import HarvestSpec
@@ -112,6 +115,25 @@ def test_env_config_rejects_nonfinite_station():
     with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be a finite number"):
         EnvConfig(surface_station_xy=(float("nan"), 1.0))
     assert EnvConfig(surface_station_xy=(1.0, 2)).surface_station_xy == (1.0, 2)
+
+
+def test_tuple_fields_given_a_list_say_tuple():
+    # A list is not a number either, but the old "must be a finite number"
+    # message sent the caller looking at the values.
+    with pytest.raises(ValueError, match=re.escape(
+            "ConeGeometry.apex must be a tuple, got the list [5.0, 5.0, 0.0]")):
+        ConeGeometry(apex=[5.0, 5.0, 0.0], apex_angle_deg=60.0, height_m=10.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "EnvConfig.surface_station_xy must be a tuple, got the list [5.0, 5.0]")):
+        EnvConfig(surface_station_xy=[5.0, 5.0])
+    starts = ((1.0, 2.0), [3.0, 4.0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"CampaignConfig.coverage_starts entries must be tuples, got {starts!r}")):
+        CampaignConfig(coverage_starts=starts)
+    # A list given for a scalar field is still not a finite number.
+    with pytest.raises(ValueError, match=re.escape(
+            "EnvConfig.step_duration_s must be a finite number, got [1.0]")):
+        EnvConfig(step_duration_s=[1.0])
 
 
 @pytest.mark.parametrize("station", [(1.0,), (1.0, 2.0, 3.0), (), 5.0])
@@ -700,6 +722,21 @@ def test_state_ids_decode_and_sort_in_state_key_order():
                 (0, 0, 0, 0, 0), (0.0, 0, 0, 0, 0, 0)]:
         with pytest.raises(ValueError, match="state key"):
             key_to_id(bad, dims)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (5, 7, 3), (100, 100, 50), (2**19 - 1,) * 3])
+def test_id_to_tuple_decodes_int64_arrays_as_each_id(dims):
+    # QTable.save decodes a chunk of ids as one int64 array.
+    corners = [key_to_id((x, y, z, code >> 4, (code >> 2) & 3, code & 3), dims)
+               for x in (0, dims[0]) for y in (0, dims[1]) for z in (0, dims[2])
+               for code in (0, 63)]
+    top = key_to_id((*dims, 3, 3, 3), dims)
+    rng = np.random.default_rng(5)
+    ids = corners + rng.integers(top, size=200, endpoint=True).tolist()
+    columns = id_to_tuple(np.array(ids, dtype=np.int64), dims)
+    assert all(column.dtype == np.int64 for column in columns)
+    assert list(zip(*[column.tolist() for column in columns])) == [
+        id_to_tuple(i, dims) for i in ids]
 
 
 @pytest.mark.parametrize("cfg, randomize_start", [
