@@ -84,15 +84,17 @@ class QTable:
     Each row is a list of Python floats, one per action. A table trained on
     an ``Environment`` has ``dims`` set to its box and is keyed by int state
     ids (``env3d.key_to_id``); ``save`` writes those ids as ``StateKey``
-    lists and ``load(path, dims)`` reads them back as ids. With ``dims``
-    None the keys are stored as they are. A box whose largest id does not
-    fit in an int64 is refused, since ``save`` decodes ids as int64 arrays.
+    lists and ``load(path, dims)`` reads them back as ids. A table with
+    ``dims`` None holds opaque keys and cannot be saved. A box whose
+    largest id does not fit in an int64 is refused, since ``save`` decodes
+    ids as int64 arrays.
     """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
-        if n_actions < 1:
-            raise ValueError(f"n_actions must be >= 1, got {n_actions}")
         self.n_actions = n_actions
+        require_int_fields(self, "n_actions")
+        if n_actions < 1:
+            raise ValueError(f"QTable.n_actions must be >= 1, got {n_actions}")
         self.default_value = float(default_value)
         if not math.isfinite(self.default_value):
             raise ValueError(f"Q-table default_value must be finite, got {self.default_value}")
@@ -139,51 +141,44 @@ class QTable:
         return len(self._table)
 
     def save(self, path) -> None:
-        """Write the table as JSON: one entry per state, key -> action values.
+        """Write the table as JSON: one entry per state, its ``StateKey``
+        list -> action values.
 
-        Entries are in key order; int state ids of a table with ``dims``
-        sort, and are written, as their ``StateKey`` tuples. With ``dims``
-        None a key is an int or a tuple of ints. The bytes are those of
-        ``json.dump(doc, fh, indent=1, sort_keys=True)``, streamed
-        ``_SAVE_CHUNK`` sorted entries at a time. Each chunk takes three
-        passes: ``id_to_tuple`` decodes its ids as one int64 array, one
-        comprehension writes its values with ``float.__repr__``, as json's
-        encoder does (a value that is the default object itself, as every
-        entry of a new row is, reuses the default's repr), and one ``%``
-        over the joined entry templates formats the chunk, each key field
-        as an int.
+        Only a table with ``dims`` is saved; one without raises
+        ``ValueError``. Entries are in id order, which is ``StateKey``
+        order. The bytes are those of ``json.dump(doc, fh, indent=1,
+        sort_keys=True)``, streamed ``_SAVE_CHUNK`` sorted entries at a
+        time. Each chunk takes three passes: ``id_to_tuple`` decodes its ids
+        as one int64 array, one comprehension writes its values with
+        ``float.__repr__``, as json's encoder does (a value that is the
+        default object itself, as every entry of a new row is, reuses the
+        default's repr), and one ``%`` over the repeated entry template
+        formats the chunk, each key field as an int.
         """
+        dims = self.dims
+        if dims is None:
+            raise ValueError("a Q-table without dims cannot be saved: its keys are not "
+                             "state ids of a box")
         n_actions = self.n_actions
         float_repr = float.__repr__
         default = self.default_value
         default_repr = float_repr(default)
         table = self._table
-        dims = self.dims
-        values_format = _json_list(n_actions, "%s", 3)
-        templates = {}  # key length -> format of one entry
-
-        def template(length: int) -> str:
-            entry = templates.get(length)
-            if entry is None:
-                entry = templates[length] = ("\n  [\n   " + _json_list(length, "%d", 3)
-                                             + ",\n   " + values_format + "\n  ]")
-            return entry
+        # One entry: the six StateKey fields, then the action values.
+        entry = ("\n  [\n   " + _json_list(6, "%d", 3) + ",\n   "
+                 + _json_list(n_actions, "%s", 3) + "\n  ]")
 
         def chunks():
             keys = sorted(table)
             separator = ""
             for start in range(0, len(keys), _SAVE_CHUNK):
                 part = keys[start:start + _SAVE_CHUNK]
-                if dims is None:
-                    fields = [key if isinstance(key, tuple) else (key,) for key in part]
-                    text = ",".join(map(template, map(len, fields)))
-                else:
-                    columns = id_to_tuple(np.array(part, dtype=np.int64), dims)
-                    fields = zip(*map(np.ndarray.tolist, columns))
-                    text = ",".join([template(len(columns))] * len(part))
+                columns = id_to_tuple(np.array(part, dtype=np.int64), dims)
+                fields = zip(*map(np.ndarray.tolist, columns))
                 values = [default_repr if v is default else float_repr(v)
                           for v in chain.from_iterable(map(table.__getitem__, part))]
                 rows = zip(*[iter(values)] * n_actions)
+                text = ",".join([entry] * len(part))
                 yield separator + text % tuple(chain.from_iterable(map(chain, fields, rows)))
                 separator = ","
 
@@ -193,13 +188,13 @@ class QTable:
             fh.write('%s],\n "n_actions": %d\n}' % ("\n " if table else "", n_actions))
 
     @classmethod
-    def load(cls, path, dims=None) -> "QTable":
-        """Read a table written by ``save``.
+    def load(cls, path, dims) -> "QTable":
+        """Read a table written by ``save`` as a table of the box ``dims``.
 
-        With ``dims``, each saved ``StateKey`` list becomes its int state id
-        in that box. Raises ``ValueError`` on a row whose length is not
-        ``n_actions``, on a value or default that is not finite, and, with
-        ``dims``, on a key that is not a state of the box.
+        Each saved ``StateKey`` list becomes its int state id in that box.
+        Raises ``ValueError`` on a key that is not a state of the box, a row
+        whose length is not ``n_actions``, a value that is not finite, and
+        an ``n_actions``, default or ``dims`` the constructor refuses.
         """
         with open(path) as fh:
             doc = json.load(fh)
@@ -214,11 +209,7 @@ class QTable:
                 )
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"Q-table row for state {key_list} has a non-finite value")
-            if dims is not None:
-                key = key_to_id(key_list, dims)
-            else:
-                key = tuple(key_list) if len(key_list) > 1 else key_list[0]
-            table._table[key] = row
+            table._table[key_to_id(key_list, dims)] = row
         return table
 
 

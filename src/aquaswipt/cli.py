@@ -60,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "replay", help="one fresh greedy episode on a snapshot's deployment",
         description="Run one fresh greedy episode of a saved Q-table on the snapshot's "
-                    "config and node layout. The episode is reset, so the snapshot's "
-                    "AUV position, battery, stores, buffers and step index do not "
-                    "carry over.")
+                    "config and node positions, the only fields a snapshot holds. A "
+                    "snapshot with any other field, such as an episode state, is "
+                    "refused.")
     p_rep.add_argument("--qtable", required=True, metavar="PATH")
     p_rep.add_argument("--snapshot", required=True, metavar="PATH")
     p_rep.add_argument("--out", metavar="PATH", help="write rollout JSON here")

@@ -388,12 +388,17 @@ class Environment:
 
     @auv_pos.setter
     def auv_pos(self, pos) -> None:
-        pos = tuple(int(c) for c in pos)
+        pos = tuple(pos)
         l, w, h = self.dims
-        if not (len(pos) == 3 and 0 <= pos[0] <= l and 0 <= pos[1] <= w
-                and 0 <= pos[2] <= h):
-            raise ValueError(f"AUV position {pos} is outside the box {self.dims}")
-        x, y, z = pos
+        # NaN and the infinities fail the range test, so int() never sees
+        # them; the compare then refuses a coordinate int() would truncate.
+        grid = None
+        if len(pos) == 3 and 0 <= pos[0] <= l and 0 <= pos[1] <= w and 0 <= pos[2] <= h:
+            grid = (int(pos[0]), int(pos[1]), int(pos[2]))
+        if grid != pos:
+            raise ValueError(f"AUV position {pos} is off the grid or outside the box "
+                             f"{self.dims}")
+        x, y, z = grid
         self._p = (x * self._w1 + y) * self._h1 + z
         self._blocked = self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z]
 
@@ -417,8 +422,6 @@ class Environment:
         else:
             self.auv_pos = self._start_pos
         self.relay_buffer_bits = 0.0
-        self.total_relayed_bits = 0.0
-        self.total_collected_bits = 0.0
         self.step_index = 0
         self.done = False
         return self.state_id()
@@ -465,7 +468,6 @@ class Environment:
             buffers = self.buffer_bits
             useful = False
             harvested_j = 0.0
-            collected_bits = 0.0
             uplinking_nodes = 0
             with_data = 0
             undercharged = 0
@@ -488,14 +490,12 @@ class Environment:
                     take = uplink_bits if uplink_bits < bits else bits
                     buffers[i] = bits = bits - take
                     relay_buffer += take
-                    collected_bits += take
                     uplinking_nodes += 1
                 # The next state's features count the nodes as the step leaves them.
                 if bits > 0.0:
                     with_data += 1
                 if level < capacity:
                     undercharged += 1
-            self.total_collected_bits += collected_bits
             transmit_j = uplinking_nodes * self._node_w * dt + self._auv_w * dt
             # The state id (see key_to_id), with both counts clamped at 3.
             state = (p * 64 + ((with_data if with_data < 3 else 3) * 4
@@ -509,7 +509,6 @@ class Environment:
 
         relayed_bits = relay_bits if relay_bits < relay_buffer else relay_buffer
         self.relay_buffer_bits = relay_buffer - relayed_bits
-        self.total_relayed_bits += relayed_bits
 
         if useful:
             tput_term = self._reward_gamma * (relayed_bits / self.throughput_scale)
@@ -658,68 +657,53 @@ class Environment:
     # ------------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """JSON-safe snapshot for ``from_snapshot`` and debugging.
+        """The deployment as a JSON-safe document: what ``from_snapshot`` reads.
 
-        Schema: ``config`` (the full EnvConfig as nested dicts), ``nodes``
-        (list of {position, store_level_j, data_buffer_bits}), and ``auv``
-        ({position, battery_level_j, relay_buffer_bits, total_relayed_bits,
-        total_collected_bits, step_index, done}). A snapshot without the two
-        totals loads with nothing relayed and the relay buffer as the bits
-        collected so far. ``aquaswipt replay`` reads only the config and the
-        node positions: its greedy rollout resets the episode state.
+        Schema: ``config`` (the full EnvConfig as nested dicts) and
+        ``nodes``, one ``{"position": [x, y, z]}`` per node. The episode
+        state is not recorded.
         """
         return {
             "config": dataclasses.asdict(self.config),
-            "nodes": [
-                {
-                    "position": [int(c) for c in pos],
-                    "store_level_j": level,
-                    "data_buffer_bits": bits,
-                }
-                for pos, level, bits in zip(
-                    self.node_pos, self.store_level_j, self.buffer_bits
-                )
-            ],
-            "auv": {
-                "position": list(self.auv_pos),
-                "battery_level_j": self.auv_battery_j,
-                "relay_buffer_bits": self.relay_buffer_bits,
-                "total_relayed_bits": self.total_relayed_bits,
-                "total_collected_bits": self.total_collected_bits,
-                "step_index": self.step_index,
-                "done": self.done,
-            },
+            "nodes": [{"position": [int(c) for c in pos]} for pos in self.node_pos.tolist()],
         }
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "Environment":
-        env = cls(config_from_dict(EnvConfig, snapshot["config"]))
-        nodes = snapshot["nodes"]
-        if len(nodes) != len(env.node_pos):
+        """A fresh episode on the snapshot's config, with its nodes placed.
+
+        Raises ``ValueError`` naming the field when the snapshot or one of
+        its nodes is not a JSON object with exactly the fields
+        ``to_snapshot`` writes (so a snapshot that records episode state is
+        refused), when it holds a node count other than the config's, or
+        when ``place_nodes`` refuses a position.
+        """
+        config, nodes = _snapshot_fields(snapshot, "snapshot", ("config", "nodes"))
+        env = cls(config_from_dict(EnvConfig, config))
+        if not isinstance(nodes, list):
+            raise ValueError(f"snapshot nodes must be a JSON array, got {type(nodes).__name__}")
+        positions = [_snapshot_fields(node, "snapshot node", ("position",))[0]
+                     for node in nodes]
+        if len(positions) != len(env.node_pos):
             raise ValueError(
-                f"snapshot has {len(nodes)} nodes, deployment has {len(env.node_pos)}"
+                f"snapshot has {len(positions)} nodes, deployment has {len(env.node_pos)}"
             )
-        capacity = env.config.node_store_capacity_j
-        levels = [float(rec["store_level_j"]) for rec in nodes]
-        if not all(0.0 <= level <= capacity for level in levels):
-            raise ValueError("snapshot store_level_j must be in [0, node_store_capacity_j]")
-        auv = snapshot["auv"]
-        battery_j = float(auv["battery_level_j"])
-        if not 0.0 <= battery_j <= env.config.auv.battery_level_j:
-            raise ValueError("snapshot battery_level_j must be in [0, auv.battery_level_j]")
-        env.place_nodes([rec["position"] for rec in nodes])
-        env.store_level_j = levels
-        env.buffer_bits = [float(rec["data_buffer_bits"]) for rec in nodes]
-        env.auv_pos = tuple(int(c) for c in auv["position"])
-        env.auv_battery_j = battery_j
-        env.relay_buffer_bits = float(auv["relay_buffer_bits"])
-        env.total_relayed_bits = float(auv.get("total_relayed_bits", 0.0))
-        env.total_collected_bits = float(
-            auv.get("total_collected_bits", env.relay_buffer_bits)
-        )
-        env.step_index = int(auv["step_index"])
-        env.done = bool(auv["done"])
+        env.place_nodes(positions)
         return env
+
+
+def _snapshot_fields(doc, what: str, names: tuple) -> list:
+    """The values of ``names`` in the JSON object ``doc``, which must hold
+    exactly those fields."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{what} has no field {key!r}")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{what} lacks the field {name!r}")
+    return [doc[name] for name in names]
 
 
 def deploy(config: EnvConfig) -> Environment:

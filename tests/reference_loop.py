@@ -161,7 +161,6 @@ def reference_step(env, action: int, links) -> tuple[StateKey, float, bool]:
     capacity = cfg.node_store_capacity_j
     useful = False
     harvested_j = 0.0
-    collected_bits = 0.0
     relay_buffer = env.relay_buffer_bits
     for i, harvest_w, uplink_bits in nodes:
         if buffers[i] > 0 or levels[i] < capacity:
@@ -173,12 +172,9 @@ def reference_step(env, action: int, links) -> tuple[StateKey, float, bool]:
             take = min(buffers[i], uplink_bits)
             buffers[i] -= take
             relay_buffer += take
-            collected_bits += take
 
     relayed_bits = min(relay_buffer, relay_bits_per_step)
     env.relay_buffer_bits = relay_buffer - relayed_bits
-    env.total_relayed_bits += relayed_bits
-    env.total_collected_bits += collected_bits
     if useful:
         tput_term = cfg.reward_gamma * (relayed_bits / env.throughput_scale)
         harv_term = (1.0 - cfg.reward_gamma) * (harvested_j / env.power_scale)
@@ -237,14 +233,8 @@ def reference_train(env, algo: Algorithm, cfg: LearnConfig):
 
 
 def reference_qtable_json(q: QTable) -> str:
-    """The JSON text of ``q`` with keys decoded by ``id_to_key``, encoded by
-    ``json.dumps(doc, indent=1, sort_keys=True)``."""
-    entries = []
-    for key in sorted(q._table):
-        if q.dims is not None:
-            key_list = list(id_to_key(key, q.dims))
-        else:
-            key_list = list(key) if isinstance(key, tuple) else [int(key)]
-        entries.append([key_list, list(q._table[key])])
+    """The JSON text of ``q``, a table with ``dims``, with keys decoded by
+    ``id_to_key``, encoded by ``json.dumps(doc, indent=1, sort_keys=True)``."""
+    entries = [[list(id_to_key(key, q.dims)), list(q._table[key])] for key in sorted(q._table)]
     doc = {"n_actions": q.n_actions, "default_value": q.default_value, "entries": entries}
     return json.dumps(doc, indent=1, sort_keys=True)

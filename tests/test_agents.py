@@ -421,8 +421,7 @@ DIFFERENTIAL_CASES = {
 
 def env_state(env):
     return (env.auv_pos, env.store_level_j, env.buffer_bits, env.auv_battery_j,
-            env.relay_buffer_bits, env.total_relayed_bits, env.total_collected_bits,
-            env.step_index, env.done)
+            env.relay_buffer_bits, env.step_index, env.done)
 
 
 @pytest.mark.parametrize("algo", [Algorithm.Q_LEARNING, Algorithm.SARSA])
@@ -570,8 +569,9 @@ def test_qtable_of_state_ids_saves_state_keys_and_loads_for_its_box(tmp_path):
     loaded = QTable.load(path, dims=env.dims)
     assert loaded._table == q._table
     assert greedy_rollout(env, loaded)[1] == greedy_rollout(env, q)[1]
+    # The saved states are states of a larger box too, but not this env's.
     with pytest.raises(ValueError, match="dims=env.dims"):
-        greedy_rollout(env, QTable.load(path))
+        greedy_rollout(env, QTable.load(path, dims=(7, 7, 5)))
     with pytest.raises(ValueError, match="state key"):
         QTable.load(path, dims=(2, 2, 2))
 
@@ -585,42 +585,55 @@ def test_train_rejects_nonfinite_reward():
 
 
 def test_qtable_save_load_round_trip(tmp_path):
-    q = QTable(n_actions=6, default_value=0.0)
-    q.set((1, 2, 3, 0, 0, 1), 2, 4.5)
-    q.set((0, 0, 0, 0, 0, 0), 0, -1.25)
+    dims = (3, 4, 5)
+    q = QTable(n_actions=6, default_value=0.0, dims=dims)
+    q.set(key_to_id((1, 2, 3, 0, 0, 1), dims), 2, 4.5)
+    q.set(key_to_id((0, 0, 0, 0, 0, 0), dims), 0, -1.25)
     path = tmp_path / "table.json"
     q.save(path)
-    loaded = QTable.load(path)
-    assert loaded.n_actions == 6
-    assert loaded.get((1, 2, 3, 0, 0, 1), 2) == 4.5
-    assert loaded.get((0, 0, 0, 0, 0, 0), 0) == -1.25
-    assert loaded.get((9, 9, 9, 0, 0, 0), 5) == 0.0
+    loaded = QTable.load(path, dims=dims)
+    assert (loaded.n_actions, loaded.dims) == (6, dims)
+    assert loaded.get(key_to_id((1, 2, 3, 0, 0, 1), dims), 2) == 4.5
+    assert loaded.get(key_to_id((0, 0, 0, 0, 0, 0), dims), 0) == -1.25
+    assert loaded.get(key_to_id((3, 4, 5, 0, 0, 0), dims), 5) == 0.0
+    # A table without dims holds opaque keys, which the file cannot name.
+    opaque = QTable()
+    opaque.set((5,), 0, 1.0)
+    with pytest.raises(ValueError, match="without dims cannot be saved"):
+        opaque.save(tmp_path / "opaque.json")
+
+
+# The box of the hand-built tables below.
+BOX = (9, 8, 7)
 
 
 def _saved_tables():
-    ints = QTable(n_actions=1)
+    ints = QTable(n_actions=1, dims=BOX)
     for key, value in enumerate((-0.0, 5e-324, 1e16, 1e22, 1.3587972053336933e-07, -1.25)):
         ints.set(key * 7, 0, value)
-    tuples = QTable(n_actions=3, default_value=-1.25)
-    tuples.set((4, 0, 2, 1, 1, 3), 1, 1e22)
-    tuples.set((0, 9, 9, 0, 0, 0), 2, -0.0)
-    tuples.set((0, 9), 0, 5e-324)
+    # States given as StateKey tuples.
+    tuples = QTable(n_actions=3, default_value=-1.25, dims=BOX)
+    tuples.set(key_to_id((4, 0, 2, 1, 1, 3), BOX), 1, 1e22)
+    tuples.set(key_to_id((0, 8, 7, 0, 0, 0), BOX), 2, -0.0)
+    tuples.set(key_to_id((0, 8, 0, 0, 0, 0), BOX), 0, 5e-324)
     # A row as train stores it when the env returns numpy rewards.
-    numpy_row = QTable(n_actions=2)
-    numpy_row._table[(1, 2)] = [np.float64(1.3587972053336933e-07), 1e16]
+    numpy_row = QTable(n_actions=2, dims=BOX)
+    numpy_row._table[key_to_id((1, 2, 0, 0, 0, 0), BOX)] = [
+        np.float64(1.3587972053336933e-07), 1e16]
     # save writes a value that is the default object with the default's
     # repr: 0.0 equals a -0.0 default but must keep its own repr, and a
     # value equal to the default may be another object.
-    negative_zero = QTable(n_actions=3, default_value=-0.0)
-    negative_zero.set((1, 2), 1, 0.0)
-    negative_zero.set((0, 5), 0, 0.0)
-    negative_zero.set((0, 5), 2, 0.0)
-    equal_value = QTable(n_actions=2, default_value=0.5)
-    equal_value.set((3, 1), 0, float("0.5"))
-    assert equal_value._table[(3, 1)][0] is not equal_value.default_value
+    negative_zero = QTable(n_actions=3, default_value=-0.0, dims=BOX)
+    negative_zero.set(key_to_id((1, 2, 0, 0, 0, 0), BOX), 1, 0.0)
+    negative_zero.set(key_to_id((0, 5, 0, 0, 0, 0), BOX), 0, 0.0)
+    negative_zero.set(key_to_id((0, 5, 0, 0, 0, 0), BOX), 2, 0.0)
+    equal_value = QTable(n_actions=2, default_value=0.5, dims=BOX)
+    equal_value.set(key_to_id((3, 1, 0, 0, 0, 0), BOX), 0, float("0.5"))
+    assert all(row[0] is not equal_value.default_value
+               for row in equal_value._table.values())
     env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
     trained, _ = train(env, Algorithm.Q_LEARNING, cfg(episodes=5, randomize_start=True))
-    tables = {"empty": QTable(), "one-action-int-keys": ints, "tuple-keys": tuples,
+    tables = {"empty": QTable(dims=BOX), "one-action-int-keys": ints, "tuple-keys": tuples,
               "numpy-value": numpy_row, "trained-dims": trained,
               "negative-zero-default": negative_zero, "equal-to-default": equal_value}
     # save formats _SAVE_CHUNK entries at a time: tables of sizes at and
@@ -633,24 +646,16 @@ def _saved_tables():
     int64_edge.set(2**63 - 1, 0, 1.0)
     int64_edge.set(0, 0, 2.0)
     tables["dims-int64-top-id"] = int64_edge
-    # Int keys, one past int64, across a chunk edge.
-    wide_ints = QTable(n_actions=1)
-    for key in range(_SAVE_CHUNK):
-        wide_ints.set(key * 3, 0, key / 7)
-    wide_ints.set(2**70, 0, 2.5)
+    # Ids up to the largest int64, across a chunk edge.
+    wide_ints = QTable(n_actions=1, dims=int64_edge.dims)
+    for key in range(_SAVE_CHUNK + 1):
+        wide_ints.set(2**63 - 1 - 3 * key, 0, key / 7)
     tables["int-keys-across-chunk"] = wide_ints
-    # 2-field and 6-field tuple keys alternate in key order, so every chunk
-    # edge falls between keys of different lengths.
-    mixed_lengths = QTable(n_actions=2, default_value=1.5)
-    for i in range(_SAVE_CHUNK + 1):
-        mixed_lengths.set((i, 0), 0, -i / 3)
-        mixed_lengths.set((i, 0, 1, 2, 3, 0), 1, i * 1e20)
-    tables["tuple-lengths-across-chunk"] = mixed_lengths
     return tables
 
 
 def _random_dims_table(n_states: int, seed: int) -> QTable:
-    dims = (9, 8, 7)
+    dims = BOX
     rng = np.random.default_rng(seed)
     ids = rng.choice(key_to_id((*dims, 3, 3, 3), dims) + 1, size=n_states, replace=False)
     q = QTable(n_actions=6, default_value=-0.5, dims=dims)
@@ -699,9 +704,25 @@ def test_qtable_rejects_bad_dims(tmp_path, dims, message):
     with pytest.raises(ValueError, match=message):
         QTable(dims=dims)
     path = tmp_path / "table.json"
-    QTable(n_actions=1).save(path)
+    path.write_text(json.dumps({"n_actions": 1, "default_value": 0.0, "entries": []}))
     with pytest.raises(ValueError, match=message):
         QTable.load(path, dims=dims)
+
+
+@pytest.mark.parametrize("n_actions, message", [
+    (6.0, "QTable.n_actions must be of type int, got 6.0"),
+    ("6", "QTable.n_actions must be of type int, got '6'"),
+    (True, "QTable.n_actions must be of type int, got True"),
+    (0, "QTable.n_actions must be >= 1, got 0"),
+])
+def test_qtable_rejects_bad_n_actions(tmp_path, n_actions, message):
+    with pytest.raises(ValueError, match=message):
+        QTable(n_actions=n_actions, dims=(2, 2, 2))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n_actions": n_actions, "default_value": 0.0,
+                                "entries": [[[0, 0, 0, 0, 0, 0], [1.0] * 6]]}))
+    with pytest.raises(ValueError, match=message):
+        QTable.load(path, dims=(2, 2, 2))
 
 
 def test_qtable_save_streams_entries(tmp_path):
@@ -725,8 +746,8 @@ def test_qtable_save_streams_entries(tmp_path):
 
 
 def test_qtable_load_rejects_bad_rows(tmp_path):
-    q = QTable(n_actions=6)
-    q.set((1, 2, 3, 0, 0, 1), 2, 4.5)
+    q = QTable(n_actions=6, dims=BOX)
+    q.set(key_to_id((1, 2, 3, 0, 0, 1), BOX), 2, 4.5)
     path = tmp_path / "table.json"
     q.save(path)
     good = json.loads(path.read_text())
@@ -734,13 +755,13 @@ def test_qtable_load_rejects_bad_rows(tmp_path):
     short["entries"][0][1] = short["entries"][0][1][:5]
     path.write_text(json.dumps(short))
     with pytest.raises(ValueError, match="has 5 values"):
-        QTable.load(path)
+        QTable.load(path, dims=BOX)
     for bad in (float("nan"), float("inf")):
         doc = json.loads(json.dumps(good))
         doc["entries"][0][1][3] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="non-finite"):
-            QTable.load(path)
+            QTable.load(path, dims=BOX)
 
 
 def test_qtable_rejects_nonfinite():
@@ -756,4 +777,4 @@ def test_qtable_rejects_nonfinite_default(tmp_path, bad):
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"n_actions": 2, "default_value": bad, "entries": []}))
     with pytest.raises(ValueError, match="default_value must be finite"):
-        QTable.load(path)
+        QTable.load(path, dims=BOX)

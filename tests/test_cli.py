@@ -11,7 +11,7 @@ import pytest
 
 import aquaswipt
 
-from aquaswipt.agents import Algorithm, LearnConfig, QTable, train
+from aquaswipt.agents import Algorithm, LearnConfig, QTable, greedy_rollout, train
 from aquaswipt.auv import AuvSpec
 from aquaswipt.campaign import campaign_config_to_dict
 from aquaswipt.cli import main
@@ -295,7 +295,7 @@ def test_replay_runs_a_fresh_episode_whatever_the_snapshot_step(tmp_path):
     for action in (0, 0, 2, 4, 4):
         env.step(action)
     mid = env.to_snapshot()
-    assert mid["auv"] != fresh["auv"]
+    assert mid == fresh  # a snapshot holds the deployment, not the episode
     rollouts = []
     for name, snapshot in (("fresh", fresh), ("mid", mid)):
         snapshot_path = tmp_path / f"{name}.json"
@@ -306,6 +306,66 @@ def test_replay_runs_a_fresh_episode_whatever_the_snapshot_step(tmp_path):
         rollouts.append(out_path.read_text())
     assert rollouts[0] == rollouts[1]
     assert json.loads(rollouts[1])["steps"] == 8
+
+
+def test_replay_runs_on_the_snapshot_node_positions(tmp_path):
+    config = EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3,
+                       auv=AuvSpec(hotel_load_w=500.0))
+    env = deploy(config)
+    seeded = env.node_pos.tolist()
+    env.place_nodes([[3, 3, 4], [4, 3, 2], [1, 5, 3], [3, 2, 1]])
+    table, _ = train(env, Algorithm.Q_LEARNING,
+                     LearnConfig(episodes=20, discount=0.9, randomize_start=False))
+    qtable_path = tmp_path / "table.json"
+    table.save(qtable_path)
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(env.to_snapshot()))
+    out_path = tmp_path / "rollout.json"
+    assert main(["replay", "--qtable", str(qtable_path), "--snapshot", str(snapshot_path),
+                 "--out", str(out_path), "--quiet"]) == 0
+    metrics, trajectory = greedy_rollout(env, table)
+    summary = json.loads(out_path.read_text())
+    assert summary["trajectory"] == [list(p) for p in trajectory]
+    assert summary["throughput_bits"] == metrics.throughput_bits > 0.0
+    # On the seeded layout the same table relays a different amount.
+    assert env.node_pos.tolist() != seeded
+    seeded_metrics, _ = greedy_rollout(deploy(config), table)
+    assert seeded_metrics.throughput_bits != metrics.throughput_bits
+
+
+def test_replay_rejects_snapshot_with_episode_state(tmp_path, capsys):
+    # The layout of snapshots that recorded the episode state as well.
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    snapshot = env.to_snapshot()
+    for node in snapshot["nodes"]:
+        node.update(store_level_j=0.0, data_buffer_bits=4e6)
+    snapshot["auv"] = {"position": [3, 3, 0], "battery_level_j": 5e5,
+                       "relay_buffer_bits": 0.0, "total_relayed_bits": 0.0,
+                       "total_collected_bits": 0.0, "step_index": 0, "done": False}
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
+    snapshot_path = tmp_path / "snapshot.json"
+    # The AUV block is named first; without it, a node's store level is.
+    for dropped in ("auv", "store_level_j"):
+        snapshot_path.write_text(json.dumps(snapshot))
+        assert main(["replay", "--qtable", str(table_path),
+                     "--snapshot", str(snapshot_path)]) == 2
+        assert f"no field '{dropped}'" in capsys.readouterr().err
+        snapshot.pop("auv", None)
+
+
+@pytest.mark.parametrize("n_actions", [6.0, "6"])
+def test_replay_rejects_qtable_with_non_int_action_count(n_actions, tmp_path, capsys):
+    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
+    snapshot_path = tmp_path / "snapshot.json"
+    snapshot_path.write_text(json.dumps(env.to_snapshot()))
+    qtable_path = tmp_path / "table.json"
+    qtable_path.write_text(json.dumps({
+        "n_actions": n_actions, "default_value": 0.0,
+        "entries": [[[3, 3, 0, 0, 0, 0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]]}))
+    assert main(["replay", "--qtable", str(qtable_path),
+                 "--snapshot", str(snapshot_path)]) == 2
+    assert "n_actions must be of type int" in capsys.readouterr().err
 
 
 def test_replay_rejects_bad_qtable(tmp_path, capsys):

@@ -518,9 +518,11 @@ def test_position_always_in_bounds_under_fuzz():
 def test_step_conservation_invariants():
     env = deploy(small_config(episode_length=50))
     rng = np.random.default_rng(13)
-    initial_buffer_bits = env.config.node_buffer_bits * len(env.node_pos)
+    node_buffer_bits = env.config.node_buffer_bits
+    initial_buffer_bits = node_buffer_bits * len(env.node_pos)
     for _ in range(6):
         env.reset(randomize_start=True)
+        relayed = 0.0
         done = False
         while not done:
             levels_before = list(env.store_level_j)
@@ -536,10 +538,15 @@ def test_step_conservation_invariants():
                     assert 0.0 <= gained <= cap + 1e-12
                 else:
                     assert gained == 0.0
-            # Totals are separate float accumulators; allow ulp-scale drift.
-            slack = 1e-9 * max(1.0, env.total_collected_bits)
-            assert env.total_relayed_bits <= env.total_collected_bits + slack
-            assert env.total_collected_bits <= initial_buffer_bits + slack
+            # Every bit the node buffers gave up was relayed or waits in the
+            # relay buffer. The sums are float accumulators: allow ulp-scale drift.
+            relayed += env.last_terms[2]
+            collected = math.fsum(node_buffer_bits - bits for bits in env.buffer_bits)
+            slack = 1e-9 * max(1.0, collected)
+            assert relayed <= collected + slack
+            assert collected <= initial_buffer_bits + slack
+            assert abs(relayed + env.relay_buffer_bits - collected) <= slack
+        assert relayed > 0.0
 
 
 def test_identical_seed_and_actions_reproduce_rewards():
@@ -634,38 +641,43 @@ def test_reset_restores_buffers_stores_battery():
 # serialization
 
 
-def test_snapshot_round_trip_preserves_state_and_dynamics():
+def test_snapshot_holds_only_the_deployment():
     env = deploy(small_config(rng_seed=8))
-    env.reset()
     rng = np.random.default_rng(3)
     for _ in range(17):
         env.step(int(rng.integers(6)))
     snap = env.to_snapshot()
-    clone = Environment.from_snapshot(snap)
-    assert clone.auv_pos == env.auv_pos
-    assert clone.step_index == env.step_index
-    assert clone.node_pos.tolist() == env.node_pos.tolist()
-    assert clone.store_level_j == env.store_level_j
-    assert clone.buffer_bits == env.buffer_bits
-    assert clone.auv_battery_j == env.auv_battery_j
-    # Identical continuations from the restored state.
-    for _ in range(10):
+    assert set(snap) == {"config", "nodes"}
+    assert snap["nodes"] == [{"position": p} for p in env.node_pos.tolist()]
+    assert config_from_dict(EnvConfig, snap["config"]) == env.config
+    # Mid-episode or fresh, one deployment gives one snapshot.
+    env.reset()
+    assert env.to_snapshot() == snap
+
+
+def test_snapshot_round_trip_preserves_deployment_and_dynamics():
+    env = deploy(small_config(rng_seed=8))
+    seeded = env.node_pos.tolist()
+    # Nodes moved off the seeded layout, so a restore that kept the seeded
+    # positions would differ.
+    moved = np.random.default_rng(5).integers(0, [21, 21, 11], size=(25, 3)).tolist()
+    env.place_nodes(moved)
+    rng = np.random.default_rng(3)
+    for _ in range(17):
+        env.step(int(rng.integers(6)))
+    clone = Environment.from_snapshot(env.to_snapshot())
+    assert clone.node_pos.tolist() == moved != seeded
+    # The clone starts a fresh episode, as the original does after reset.
+    env.reset()
+    assert clone.state_id() == env.state_id()
+    assert ((clone.auv_pos, clone.step_index, clone.done, clone.auv_battery_j,
+             clone.store_level_j, clone.buffer_bits, clone.relay_buffer_bits)
+            == (env.auv_pos, 0, False, env.auv_battery_j, env.store_level_j,
+                env.buffer_bits, 0.0))
+    for _ in range(env.config.episode_length):
         a = int(rng.integers(6))
-        state_a, reward_a, _ = env.step(a)
-        state_b, reward_b, _ = clone.step(a)
-        assert reward_b == pytest.approx(reward_a, rel=0, abs=0)
-        assert state_b == state_a
-    assert clone.total_relayed_bits == env.total_relayed_bits
-    assert clone.total_collected_bits == env.total_collected_bits
-
-
-def test_snapshot_without_totals_counts_relay_buffer_as_collected():
-    snap = deploy(small_config(rng_seed=8)).to_snapshot()
-    del snap["auv"]["total_relayed_bits"], snap["auv"]["total_collected_bits"]
-    snap["auv"]["relay_buffer_bits"] = 1234.5
-    clone = Environment.from_snapshot(snap)
-    assert clone.total_relayed_bits == 0.0
-    assert clone.total_collected_bits == 1234.5
+        assert clone.step(a) == env.step(a)
+        assert clone.last_terms == env.last_terms
 
 
 def test_snapshot_is_json_safe():
@@ -679,17 +691,34 @@ def test_snapshot_is_json_safe():
     assert clone.state_id() == env.state_id()
 
 
-def test_snapshot_rejects_out_of_range_levels():
-    env = deploy(small_config())
-    snap = env.to_snapshot()
-    snap["nodes"][0]["store_level_j"] = env.config.node_store_capacity_j * 2
-    with pytest.raises(ValueError, match="store_level_j"):
-        Environment.from_snapshot(snap)
-    # The battery only drains, so no snapshot holds more than the configured start.
-    for battery_j in (-1.0, env.config.auv.battery_level_j * 2):
+def test_snapshot_rejects_fields_it_does_not_hold():
+    env = deploy(small_config(node_count=3))
+
+    def edited(edit):
         snap = env.to_snapshot()
-        snap["auv"]["battery_level_j"] = battery_j
-        with pytest.raises(ValueError, match="battery_level_j"):
+        edit(snap)
+        return snap
+
+    cases = [
+        # The episode state snapshots used to record.
+        (edited(lambda s: s.update(auv={"position": [10, 10, 0], "step_index": 3})),
+         "snapshot has no field 'auv'"),
+        (edited(lambda s: s["nodes"][1].update(store_level_j=0.0)),
+         "snapshot node has no field 'store_level_j'"),
+        (edited(lambda s: s["nodes"][0].update(data_buffer_bits=4e6)),
+         "snapshot node has no field 'data_buffer_bits'"),
+        (edited(lambda s: s.pop("nodes")), "snapshot lacks the field 'nodes'"),
+        (edited(lambda s: s["nodes"][2].pop("position")),
+         "snapshot node lacks the field 'position'"),
+        (edited(lambda s: s.update(nodes={"position": [1, 1, 1]})),
+         "snapshot nodes must be a JSON array"),
+        (edited(lambda s: s["nodes"].__setitem__(0, [1, 1, 1])),
+         "snapshot node must be a JSON object, got list"),
+        (edited(lambda s: s["nodes"].pop()), "snapshot has 2 nodes, deployment has 3"),
+        ([env.to_snapshot()], "snapshot must be a JSON object, got list"),
+    ]
+    for snap, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
             Environment.from_snapshot(snap)
 
 
@@ -763,9 +792,13 @@ def test_reset_and_step_return_the_state_id(cfg, randomize_start):
 
 def test_auv_pos_rejects_positions_outside_the_box():
     env = deploy(small_config())
-    for pos in [(21, 0, 0), (0, -1, 0), (0, 0, 11)]:
-        with pytest.raises(ValueError, match="outside the box"):
+    # A coordinate off the grid is refused, not truncated.
+    for pos in [(21, 0, 0), (0, -1, 0), (0, 0, 11), (2.7, 3, 0), (0, 0, 0.5),
+                (math.nan, 0, 0), (0, math.inf, 0), (1, 2)]:
+        with pytest.raises(ValueError, match="off the grid or outside the box"):
             env.auv_pos = pos
+    env.auv_pos = (2.0, np.int64(3), 0)
+    assert env.auv_pos == (2, 3, 0) and all(type(c) is int for c in env.auv_pos)
 
 
 def test_actions_are_six_unit_steps():
