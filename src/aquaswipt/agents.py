@@ -8,6 +8,7 @@ explicit small MDPs and compare the result with value iteration.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
@@ -78,6 +79,24 @@ def _json_list(length: int, item: str, indent: int) -> str:
     return "[" + pad + ("," + pad).join([item] * length) + "\n" + " " * indent + "]"
 
 
+def _box_id(state, top: int, dims: tuple[int, int, int]) -> int:
+    """``state`` as a plain int, when it is an integer id in ``0..top``.
+
+    Any integer type but bool is taken, numpy's included.
+    """
+    try:
+        state_id = None if isinstance(state, (bool, np.bool_)) else operator.index(state)
+    except TypeError:
+        state_id = None
+    if state_id is None:
+        raise ValueError(f"state id {state!r} is a {type(state).__name__}, not an integer")
+    if not 0 <= state_id <= top:
+        l, w, h = dims
+        raise ValueError(f"state id {state!r} is not a state of the {l} x {w} x {h} "
+                         f"box (ids 0..{top})")
+    return state_id
+
+
 class QTable:
     """State -> per-action value map; absent states read as the default.
 
@@ -87,7 +106,7 @@ class QTable:
     lists and ``load(path, dims)`` reads them back as ids. A table with
     ``dims`` None holds opaque keys and cannot be saved. A box whose
     largest id does not fit in an int64 is refused, since ``save`` decodes
-    ids as int64 arrays.
+    ids as int64 arrays, and so is a new state that is not an id of the box.
     """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
@@ -99,6 +118,7 @@ class QTable:
         if not math.isfinite(self.default_value):
             raise ValueError(f"Q-table default_value must be finite, got {self.default_value}")
         self.dims = None if dims is None else tuple(dims)
+        self._top_id = None  # the box's largest state id
         if self.dims is not None:
             try:
                 top = key_to_id((*self.dims, 3, 3, 3), self.dims)
@@ -108,6 +128,7 @@ class QTable:
             if top >= 1 << 63:
                 # save decodes the ids of a chunk as one int64 array.
                 raise ValueError(f"Q-table dims {self.dims} give state ids beyond int64")
+            self._top_id = top
         self._table: dict = {}
 
     def values(self, state) -> np.ndarray:
@@ -126,6 +147,10 @@ class QTable:
             raise ValueError(f"Q values must be finite, got {value}")
         row = self._table.get(state)
         if row is None:
+            top = self._top_id
+            if top is not None:
+                # save would write any other id as a key that load refuses.
+                state = _box_id(state, top, self.dims)
             row = [self.default_value] * self.n_actions
             self._table[state] = row
         row[action] = float(value)
@@ -340,6 +365,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     learning_rate = cfg.learning_rate
     discount = cfg.discount
     step = env.step
+    table_get = table.get
     isfinite = math.isfinite
     epsilon = cfg.epsilon_start
     trace = []
@@ -350,7 +376,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
         # where the test draws nothing.
         explore_below = _epsilon_bound(epsilon)
         state = env.reset(randomize_start=cfg.randomize_start)
-        row = table.get(state)  # None until the state is first updated
+        row = table_get(state)  # None until the state is first updated
         best = None  # max(row) when it is known, else None
         # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
         # action; otherwise the greedy action, ties to the lowest index.
@@ -370,7 +396,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
                 else:
                     action = row.index(max(row) if best is None else best)
             next_state, reward, done = step(action)
-            next_row = table.get(next_state)
+            next_row = table_get(next_state)
             if sarsa:
                 if explore_below and next_word() < explore_below:
                     next_action = integers(n_actions)

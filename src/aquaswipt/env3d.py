@@ -70,16 +70,19 @@ def key_to_id(key, dims) -> int:
             and all(0 <= f <= 3 for f in (with_data, undercharged, gain_bin))):
         raise ValueError(f"state key {list(key)} is outside the {l} x {w} x {h} box "
                          "or the feature range 0..3")
-    return _state_id((x * (w + 1) + y) * (h + 1) + z, with_data, undercharged, gain_bin)
+    return _state_id(((x * (w + 1) + y) * (h + 1) + z) * 64 + gain_bin, with_data,
+                     undercharged)
 
 
-def _state_id(p: int, with_data: int, undercharged: int, gain_bin: int) -> int:
-    """State id at position index ``p``; the two node counts are clamped at 3.
+def _state_id(base: int, with_data: int, undercharged: int) -> int:
+    """State id from the base ``p * 64 + gain_bin`` of position index ``p``;
+    the two node counts are clamped at 3.
 
-    ``Environment.step`` works the same expression out inline.
+    The cached link record holds that base, and ``Environment.step`` works
+    the same expression out inline on it.
     """
-    return (p * 64 + ((with_data if with_data < 3 else 3) * 4
-                      + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
+    return base + ((with_data if with_data < 3 else 3) * 4
+                   + (undercharged if undercharged < 3 else 3)) * 4
 
 
 def id_to_tuple(state_id, dims) -> tuple:
@@ -185,20 +188,19 @@ class EnvConfig:
             )
 
 
-class _PosLinks(NamedTuple):
-    """Link-budget terms that depend only on the AUV position.
-
-    ``nodes`` holds one ``(i, harvest_w, uplink_bits_per_step)`` triple per
-    covered node: the harvesting share of the received downlink power and
-    the bits its uplink can carry in one step, which is 0 when the
-    information share is 0 (decoding needs a non-zero information split).
-    Bit ``a`` of ``blocked`` is set when action ``a`` would leave the box.
-    """
-
-    nodes: tuple[tuple[int, float, float], ...]  # ascending node index
-    relay_bits_per_step: float
-    gain_bin: int
-    blocked: int
+# The link record: the link-budget terms that depend only on the AUV
+# position index p, a plain 4-tuple ``(nodes, relay_bits, state_base,
+# blocked)`` that ``Environment._links`` builds and caches per position.
+# - ``nodes`` holds one ``(i, offered_j, uplink_bits)`` triple per covered
+#   node, in ascending node index: the energy one step offers its store,
+#   ``harvest_w * dt * efficiency`` from the harvesting share of the
+#   received downlink power, and the bits its uplink can carry in one step,
+#   which is 0 when the information share is 0 (decoding needs a non-zero
+#   information split).
+# - ``relay_bits`` is what the relay link carries in one step.
+# - ``state_base`` is ``p * 64 + gain_bin``, the state id with both node
+#   counts 0 (see ``key_to_id``).
+# - Bit ``a`` of ``blocked`` is set when action ``a`` would leave the box.
 
 
 def _mean(values: list[float]) -> float:
@@ -207,9 +209,8 @@ def _mean(values: list[float]) -> float:
     numpy adds the elements to its 0.0 identity by pairwise summation:
     below 8 elements in order, up to 128 in eight interleaved partial sums
     combined as a tree plus an in-order tail, and longer runs split in two
-    at a multiple of 8. On the few covered SNRs of a position this takes
-    under 1 us, where ``np.mean`` on the list takes about 8 us, as long as
-    the rest of building the position's links.
+    at a multiple of 8. This avoids ``np.mean``'s per-call cost on the
+    short lists ``_links`` averages.
     """
     return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
@@ -257,21 +258,18 @@ class Environment:
     own widest reach (its reach from the surface). The node link budget
     is tabulated once per environment over the integer squared ranges
     ``0 .. L^2 + W^2 + H^2``.
-    The link terms at a position (``_links``) are built from the tables on
+    The link record at a position (``_links``) is built from the tables on
     the first visit and cached per position: a plain-Python loop runs the
     cone test over the nodes near both the x and the y value, and the
-    uplink, harvest and uplink-bits terms of a node are worked out once
-    per squared range. ``place_nodes`` empties both caches. The relay rate
-    is memoised by the float relay range, which does not depend on the
-    nodes; a memo miss makes one scalar call each of
-    ``transmission_loss_db`` and ``shannon_throughput_bps``. At 100 x 100 x
-    50 with 50 nodes, building a position's links at the positions
-    ``table-explore`` visits takes about 3.9 us when the two memos already
-    hold its ranges and about 4.8 us when they are empty (fastest of seven
-    processes on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4). In that box
-    the loop also beat numpy row operations over every node at 50, 100
-    and 200 nodes (4.4 against 7.8, 7.4 against 10.3 and 11.8 against
-    14.2 us warm, in alternating processes on a slower spell of the VM).
+    uplink SNR, offered energy and uplink-bits terms of a node are worked
+    out once per squared range. ``place_nodes`` empties both caches and
+    tabulates the transmit energy of each count of uplinking nodes. The
+    relay rate is memoised by the float relay range, which does not depend
+    on the nodes; a memo miss makes one scalar call each of
+    ``transmission_loss_db`` and ``shannon_throughput_bps``. Measured
+    costs of these paths are in the bench records (``BENCH_<pr>.json`` at
+    the root of the repository; ``BENCH_18.json`` times the link build
+    against numpy row operations).
 
     States are int ids (see ``key_to_id``): ``reset`` returns the first
     one and ``step`` returns ``(next state id, reward, done)``.
@@ -302,7 +300,7 @@ class Environment:
         )
         self._surface_station = (float(sx), float(sy), 0.0)
         x, y = config.auv_start_xy if config.auv_start_xy is not None else (l // 2, w // 2)
-        self._start_pos = (int(x), int(y), int(config.auv_start_z))
+        start_pos = (int(x), int(y), int(config.auv_start_z))
 
         dt = config.step_duration_s
         ref_snr_auv = self._sl_auv - transmission_loss_db(1.0, config.channel) - self._nl
@@ -336,6 +334,7 @@ class Environment:
         self._node_w = config.node_modem.electrical_power_w
         self._auv_w = self._auv_modem.electrical_power_w
         self._reward_gamma = config.reward_gamma
+        self._harvest_weight = 1.0 - config.reward_gamma
         self._episode_length = config.episode_length
 
         # Fixed SNR thresholds for the gain bin: the reachable uplink band,
@@ -365,12 +364,15 @@ class Environment:
         self._blocked_x = [(x == l) | (x == 0) << 1 for x in range(l + 1)]
         self._blocked_y = [(y == w) << 2 | (y == 0) << 3 for y in range(w + 1)]
         self._blocked_z = [(z == h) << 4 | (z == 0) << 5 for z in range(h + 1)]
-        self._link_cache: dict[int, _PosLinks] = {}  # position index -> links
-        self._relay_bits: dict[float, float] = {}    # relay range -> bits per step
-        self._range_links: dict[float, tuple] = {}   # squared range -> _range_link
+        self._link_cache: dict[int, tuple] = {}     # position index -> link record
+        self._relay_bits: dict[float, float] = {}   # relay range -> bits per step
+        self._range_links: dict[float, tuple] = {}  # squared range -> _range_link
         self.store_level_j: list[float] = []
         self.buffer_bits: list[float] = []
         self.place_nodes(positions)
+        # ``reset`` restores the fixed start as this (_p, _blocked) pair.
+        self.auv_pos = start_pos
+        self._start = (self._p, self._blocked)
         self.reset(randomize_start=False)
 
     # ------------------------------------------------------------------
@@ -420,7 +422,7 @@ class Environment:
             y = int(self._episode_rng.integers(0, w + 1))
             self.auv_pos = (x, y, int(cfg.auv_start_z))
         else:
-            self.auv_pos = self._start_pos
+            self._p, self._blocked = self._start
         self.relay_buffer_bits = 0.0
         self.step_index = 0
         self.done = False
@@ -428,7 +430,7 @@ class Environment:
 
     def covered(self) -> list[int]:
         """Indices of nodes inside the coverage cone with a usable uplink."""
-        return [i for i, _, _ in self._links_here().nodes]
+        return [i for i, _, _ in self._links_here()[0]]
 
     def step(self, action: int) -> tuple[int, float, bool]:
         """Apply one unit move and resolve power transfer and data relay.
@@ -456,14 +458,12 @@ class Environment:
         links = self._link_cache.get(p)
         if links is None:
             links = self._links(p)
-        nodes, relay_bits, gain_bin, self._blocked = links
+        nodes, relay_bits, state, self._blocked = links
         self._p = p
 
         relay_buffer = self.relay_buffer_bits
         if nodes:
-            dt = self._dt
             capacity = self._capacity
-            efficiency = self._efficiency
             levels = self.store_level_j
             buffers = self.buffer_bits
             useful = False
@@ -471,7 +471,7 @@ class Environment:
             uplinking_nodes = 0
             with_data = 0
             undercharged = 0
-            for i, harvest_w, uplink_bits in nodes:
+            for i, offered_j, uplink_bits in nodes:
                 level = levels[i]
                 bits = buffers[i]
                 # A node only changes its own entries, so testing it before
@@ -481,7 +481,6 @@ class Environment:
                     useful = True
                 # The store accepts the offered energy up to its headroom
                 # (harvest_w >= 0 is checked when the links are built).
-                offered_j = harvest_w * dt * efficiency
                 headroom_j = capacity - level
                 accepted_j = offered_j if offered_j < headroom_j else headroom_j
                 levels[i] = level = level + accepted_j
@@ -496,23 +495,22 @@ class Environment:
                     with_data += 1
                 if level < capacity:
                     undercharged += 1
-            transmit_j = uplinking_nodes * self._node_w * dt + self._auv_w * dt
+            transmit_j = self._transmit_j[uplinking_nodes]
             # The state id (see key_to_id), with both counts clamped at 3.
-            state = (p * 64 + ((with_data if with_data < 3 else 3) * 4
-                               + (undercharged if undercharged < 3 else 3)) * 4 + gain_bin)
+            state += ((with_data if with_data < 3 else 3) * 4
+                      + (undercharged if undercharged < 3 else 3)) * 4
         else:
             # No node is covered: nothing is harvested, collected or sent
             # by the modems, but the relay buffer still drains.
             useful = False
             harvested_j = transmit_j = 0.0
-            state = p * 64 + gain_bin
 
         relayed_bits = relay_bits if relay_bits < relay_buffer else relay_buffer
         self.relay_buffer_bits = relay_buffer - relayed_bits
 
         if useful:
             tput_term = self._reward_gamma * (relayed_bits / self.throughput_scale)
-            harv_term = (1.0 - self._reward_gamma) * (harvested_j / self.power_scale)
+            harv_term = self._harvest_weight * (harvested_j / self.power_scale)
         else:
             tput_term = 0.0
             harv_term = 0.0
@@ -526,22 +524,22 @@ class Environment:
 
     def state_id(self) -> int:
         """Int id of the current state (see ``key_to_id``)."""
-        links = self._links_here()
+        nodes, _, state_base, _ = self._links_here()
         capacity = self.config.node_store_capacity_j
         buffers = self.buffer_bits
         levels = self.store_level_j
         with_data = 0
         undercharged = 0
-        for i, _, _ in links.nodes:
+        for i, _, _ in nodes:
             if buffers[i] > 0.0:
                 with_data += 1
             if levels[i] < capacity:
                 undercharged += 1
-        return _state_id(self._p, with_data, undercharged, links.gain_bin)
+        return _state_id(state_base, with_data, undercharged)
 
     # ------------------------------------------------------------------
 
-    def _links_here(self) -> _PosLinks:
+    def _links_here(self) -> tuple:
         links = self._link_cache.get(self._p)
         return links if links is not None else self._links(self._p)
 
@@ -552,7 +550,9 @@ class Environment:
         anything else raises ``ValueError``. ``node_pos`` becomes a read-only
         float copy, and the link cache and per-range memo start empty. When
         the node count changes, ``store_level_j`` and ``buffer_bits`` restart
-        at the configured initial levels; otherwise they are kept.
+        at the configured initial levels; otherwise they are kept. The
+        transmit energy of a step is tabulated for each count of uplinking
+        nodes up to the number placed.
         """
         message = f"node positions must be [N, 3] grid points inside the box {self.dims}"
         try:
@@ -590,10 +590,17 @@ class Environment:
         self._reach2 = reach2.tolist()
         self._link_cache.clear()
         self._range_links.clear()
+        # One step's modem energy when k covered nodes uplink, k = 0..N.
+        node_w, auv_w, dt = self._node_w, self._auv_w, self._dt
+        self._transmit_j = [k * node_w * dt + auv_w * dt for k in range(len(pos) + 1)]
 
     def _range_link(self, d2: float) -> tuple:
-        """``(uplink SNR, harvest_w, uplink bits per step)`` of a covered node
-        at squared range ``d2``, or ``()`` when its uplink is below the SNR floor."""
+        """``(uplink SNR, offered_j, uplink bits per step)`` of a covered node
+        at squared range ``d2``, or ``()`` when its uplink is below the SNR floor.
+
+        ``offered_j`` is ``harvest_w * dt * efficiency``: the energy one
+        step offers the node's store.
+        """
         cfg = self.config
         d2 = int(d2)
         snr = float(self._uplink_snr_db[d2])
@@ -604,10 +611,11 @@ class Environment:
         if not harvest_w >= 0.0:
             raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
         rate_bps = float(self._uplink_rate_bps[d2])
-        return snr, harvest_w, rate_bps * cfg.step_duration_s if info_w > 0 else 0.0
+        return (snr, harvest_w * self._dt * self._efficiency,
+                rate_bps * self._dt if info_w > 0 else 0.0)
 
-    def _links(self, p: int) -> _PosLinks:
-        """Build and cache the link terms at position index ``p``."""
+    def _links(self, p: int) -> tuple:
+        """Build and cache the link record at position index ``p``."""
         xy, z = divmod(p, self._h1)
         x, y = divmod(xy, self._w1)
         dx2 = self._dx2[x]
@@ -627,8 +635,8 @@ class Environment:
                     if link is None:
                         link = memo[d2] = self._range_link(d2)
                     if link:
-                        snr, harvest_w, uplink_bits = link
-                        nodes.append((i, harvest_w, uplink_bits))
+                        snr, offered_j, uplink_bits = link
+                        nodes.append((i, offered_j, uplink_bits))
                         snrs.append(snr)
 
         # Many positions share a relay range; the same scalar call on the
@@ -647,11 +655,9 @@ class Environment:
 
         # The edges ascend, so this counts the edges below the mean SNR.
         gain_bin = bisect_left(self._gain_edges, _mean(snrs)) if snrs else 0
-        # tuple.__new__ skips the namedtuple's Python-level __new__: about
-        # 0.2 us less per build, with the same named fields.
-        links = self._link_cache[p] = tuple.__new__(_PosLinks, (
-            tuple(nodes), relay_bits, gain_bin,
-            self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z]))
+        links = self._link_cache[p] = (
+            tuple(nodes), relay_bits, p * 64 + gain_bin,
+            self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z])
         return links
 
     # ------------------------------------------------------------------

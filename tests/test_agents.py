@@ -4,6 +4,7 @@ oracle on hand-solvable MDPs."""
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -411,6 +412,11 @@ DIFFERENTIAL_CASES = {
     "battery-depletion": (
         small_env(auv=AuvSpec(hotel_load_w=500.0, battery_level_j=9000.0)), {}),
     "stores-fill": (small_env(node_store_capacity_j=1e-8), {}),
+    # A step length and charge efficiency other than 1, so that the offered
+    # energy harvest_w * dt * efficiency is rounded as the reference rounds
+    # it; a store fills only after several steps of partial charges.
+    "dt-efficiency-fill": (small_env(step_duration_s=0.7, node_store_charge_efficiency=0.9,
+                                     node_store_capacity_j=1e-7), {}),
     "split-0": (small_env(node_harvest=HarvestSpec(split_ratio=0.0)), {}),
     "split-1": (small_env(node_harvest=HarvestSpec(split_ratio=1.0)), {}),
     "epsilon-0": (small_env(), dict(epsilon_start=0.0, epsilon_min=0.0)),
@@ -440,7 +446,7 @@ def test_train_matches_reference_loop(case, algo):
     # Each case reaches the branch it is named after.
     if case == "battery-depletion":
         assert min(steps for steps, _ in reference_trace) < env_cfg.episode_length
-    if case == "stores-fill":
+    if case in ("stores-fill", "dt-efficiency-fill"):
         assert env_cfg.node_store_capacity_j in env.store_level_j
 
 
@@ -601,6 +607,31 @@ def test_qtable_save_load_round_trip(tmp_path):
     opaque.set((5,), 0, 1.0)
     with pytest.raises(ValueError, match="without dims cannot be saved"):
         opaque.save(tmp_path / "opaque.json")
+
+
+def test_qtable_set_refuses_an_id_outside_the_box(tmp_path):
+    dims = (2, 2, 2)
+    top = key_to_id((*dims, 3, 3, 3), dims)
+    q = QTable(n_actions=1, dims=dims)
+    # -5 once saved as the key [-1, 2, 2, 3, 2, 3], which load refused.
+    for bad in (-5, top + 1, np.int64(top + 1)):
+        with pytest.raises(ValueError, match=rf"state id {re.escape(repr(bad))} is not a "
+                                             r"state of the 2 x 2 x 2 box \(ids 0\.\.1727\)"):
+            q.set(bad, 0, 2.0)
+    for bad, kind in ((3.0, "float"), (True, "bool"), (np.bool_(True), "bool"), ("3", "str")):
+        with pytest.raises(ValueError, match=rf"state id {re.escape(repr(bad))} is a {kind}, "
+                                             r"not an integer"):
+            q.set(bad, 0, 2.0)
+    assert len(q) == 0
+    q.set(0, 0, 1.0)
+    q.set(top, 0, 2.0)
+    # numpy ids, as id_to_tuple and key_to_id handle them, are stored as ints.
+    q.set(np.int64(5), 0, 3.0)
+    q.set(np.int64(5), 0, 4.0)
+    assert [type(k) for k in q._table] == [int, int, int]
+    path = tmp_path / "table.json"
+    q.save(path)
+    assert QTable.load(path, dims=dims)._table == {0: [1.0], top: [2.0], 5: [4.0]}
 
 
 # The box of the hand-built tables below.

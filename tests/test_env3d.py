@@ -219,8 +219,26 @@ def test_covered_matches_brute_force_on_random_layouts():
 
 
 def links_at(env, pos):
-    """The env's link terms at grid position ``pos``, built afresh."""
+    """The env's link record at grid position ``pos``, built afresh."""
     return env._links(key_to_id(StateKey(*pos, 0, 0, 0), env.dims) // 64)
+
+
+def reference_record(env, pos):
+    """``reference_links`` at ``pos`` in the link record's terms.
+
+    Returns ``(covered, nodes, relay_bits, state_base, n_in_cone)``: each
+    node triple carries the energy a step offers its store, ``harvest_w *
+    dt * efficiency``, and the base is ``p * 64 + gain_bin`` with ``p`` the
+    position index ``(x * (W + 1) + y) * (H + 1) + z``.
+    """
+    covered, nodes, relay_bits, gain_bin, n_in_cone = reference_links(env, pos)
+    cfg = env.config
+    dt, efficiency = cfg.step_duration_s, cfg.node_store_charge_efficiency
+    offered = tuple((i, harvest_w * dt * efficiency, bits) for i, harvest_w, bits in nodes)
+    _, w, h = cfg.dims
+    x, y, z = pos
+    p = (x * (w + 1) + y) * (h + 1) + z
+    return covered, offered, relay_bits, p * 64 + gain_bin, n_in_cone
 
 
 def box_face_and_corner_nodes(dims):
@@ -277,15 +295,15 @@ def test_link_table_matches_reference_over_every_position():
         seen = dropped = 0
         for pos in np.ndindex(l + 1, w + 1, h + 1):
             pos = tuple(int(c) for c in pos)
-            links = links_at(env, pos)
-            covered, nodes, relay_bits, gain_bin, n_in_cone = reference_links(env, pos)
-            assert tuple(i for i, _, _ in links.nodes) == covered, (cfg.dims, pos)
-            assert links.nodes == nodes, (cfg.dims, pos)
-            assert links.relay_bits_per_step == relay_bits, (cfg.dims, pos)
-            assert links.gain_bin == gain_bin, (cfg.dims, pos)
+            nodes, relay_bits, state_base, blocked = links_at(env, pos)
+            covered, offered, ref_relay_bits, ref_base, n_in_cone = reference_record(env, pos)
+            assert tuple(i for i, _, _ in nodes) == covered, (cfg.dims, pos)
+            assert nodes == offered, (cfg.dims, pos)
+            assert relay_bits == ref_relay_bits, (cfg.dims, pos)
+            assert state_base == ref_base, (cfg.dims, pos)
             clamped = [a for a, move in enumerate(ACTIONS)
                        if not all(0 <= c + d <= top for c, d, top in zip(pos, move, cfg.dims))]
-            assert links.blocked == sum(1 << a for a in clamped), (cfg.dims, pos)
+            assert blocked == sum(1 << a for a in clamped), (cfg.dims, pos)
             seen += len(covered)
             dropped += n_in_cone - len(covered)
         assert seen > 0
@@ -307,11 +325,10 @@ def test_links_match_reference_at_bench_scale(cfg):
     rng = np.random.default_rng(17)
     seen = set()
     for pos in rng.integers(0, [l + 1, w + 1, h + 1], size=(1000, 3)).tolist():
-        links = links_at(env, pos)
-        covered, nodes, relay_bits, gain_bin, _ = reference_links(env, pos)
-        assert (links.nodes, links.relay_bits_per_step, links.gain_bin) == (
-            nodes, relay_bits, gain_bin), pos
-        assert tuple(i for i, _, _ in links.nodes) == covered, pos
+        nodes, relay_bits, state_base, _ = links_at(env, pos)
+        covered, offered, ref_relay_bits, ref_base, _ = reference_record(env, pos)
+        assert (nodes, relay_bits, state_base) == (offered, ref_relay_bits, ref_base), pos
+        assert tuple(i for i, _, _ in nodes) == covered, pos
         seen.update(covered)
     assert len(seen) > 10
 
@@ -325,9 +342,9 @@ def test_mean_snr_on_a_gain_edge_takes_the_lower_bin():
                             ((snr - 2.0, snr - 1.0, snr), 2),
                             ((snr - 3.0, snr - 2.0, snr - 1.0), 3)]:
         env._gain_edges = edges
-        links = links_at(env, (10, 10, 0))
-        assert [i for i, _, _ in links.nodes] == [0]
-        assert links.gain_bin == expected, edges
+        nodes, _, state_base, _ = links_at(env, (10, 10, 0))
+        assert [i for i, _, _ in nodes] == [0]
+        assert state_base == key_to_id(StateKey(10, 10, 0, 0, 0, expected), env.dims), edges
 
 
 def test_link_mean_equals_numpy_mean():
@@ -375,6 +392,25 @@ def test_place_nodes_with_a_new_count_sizes_the_node_lists():
     levels, buffers = list(env.store_level_j), list(env.buffer_bits)
     env.place_nodes([[1, 0, 7], [12, 10, 7]])
     assert (env.store_level_j, env.buffer_bits) == (levels, buffers)
+
+
+def test_transmit_energy_counts_every_placed_node():
+    # The per-count transmit energies are sized from the placed nodes, not
+    # from config.node_count.
+    cfg = small_config(node_count=1, rng_seed=3, step_duration_s=0.7)
+    env = deploy(cfg)
+    layout = [[11, 10, z] for z in range(3, 9)]
+    env.place_nodes(layout)
+    env.auv_pos = (10, 10, 0)
+    env.step(0)  # +x: to the column above every node
+    k = len(layout)
+    # Every node is covered, uplinked this step and still holds data.
+    assert env.covered() == list(range(k))
+    assert all(0.0 < b < cfg.node_buffer_bits for b in env.buffer_bits)
+    dt = cfg.step_duration_s
+    node_w = cfg.node_modem.electrical_power_w
+    auv_w = (cfg.auv_modem or cfg.node_modem).electrical_power_w
+    assert env.last_terms[5] == k * node_w * dt + auv_w * dt
 
 
 def test_snapshot_rejects_off_grid_node():
