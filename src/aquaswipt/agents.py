@@ -6,7 +6,6 @@ only the stepping interface ``train`` documents, so the tests also run it on
 explicit small MDPs and compare the result with value iteration.
 """
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -103,10 +102,10 @@ class QTable:
     Each row is a list of Python floats, one per action. A table trained on
     an ``Environment`` has ``dims`` set to its box and is keyed by int state
     ids (``env3d.key_to_id``); ``save`` writes those ids as ``StateKey``
-    lists and ``load(path, dims)`` reads them back as ids. A table with
-    ``dims`` None holds opaque keys and cannot be saved. A box whose
-    largest id does not fit in an int64 is refused, since ``save`` decodes
-    ids as int64 arrays, and so is a new state that is not an id of the box.
+    lists. A table with ``dims`` None holds opaque keys and cannot be saved.
+    A box whose largest id does not fit in an int64 is refused, since
+    ``save`` decodes ids as int64 arrays, and so is a new state that is not
+    an id of the box.
     """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
@@ -149,7 +148,7 @@ class QTable:
         if row is None:
             top = self._top_id
             if top is not None:
-                # save would write any other id as a key that load refuses.
+                # save could not decode any other id into a key of the box.
                 state = _box_id(state, top, self.dims)
             row = [self.default_value] * self.n_actions
             self._table[state] = row
@@ -211,31 +210,6 @@ class QTable:
             fh.write('{\n "default_value": %s,\n "entries": [' % default_repr)
             fh.writelines(chunks())
             fh.write('%s],\n "n_actions": %d\n}' % ("\n " if table else "", n_actions))
-
-    @classmethod
-    def load(cls, path, dims) -> "QTable":
-        """Read a table written by ``save`` as a table of the box ``dims``.
-
-        Each saved ``StateKey`` list becomes its int state id in that box.
-        Raises ``ValueError`` on a key that is not a state of the box, a row
-        whose length is not ``n_actions``, a value that is not finite, and
-        an ``n_actions``, default or ``dims`` the constructor refuses.
-        """
-        with open(path) as fh:
-            doc = json.load(fh)
-        table = cls(n_actions=doc["n_actions"], default_value=doc["default_value"],
-                    dims=dims)
-        for key_list, values in doc["entries"]:
-            row = [float(v) for v in values]
-            if len(row) != table.n_actions:
-                raise ValueError(
-                    f"Q-table row for state {key_list} has {len(row)} values, "
-                    f"expected {table.n_actions}"
-                )
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"Q-table row for state {key_list} has a non-finite value")
-            table._table[key_to_id(key_list, dims)] = row
-        return table
 
 
 @dataclass
@@ -349,9 +323,13 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
 
     ``env`` steps on int state ids: it provides ``n_actions``, ``dims`` (the
     box the ids encode, or None for opaque ids), ``reset(randomize_start) ->
-    state_id`` and ``step(action) -> (state_id, reward, done)``.
-    The table is keyed by those ids; the trace holds one ``EpisodeTotals``
-    per episode.
+    state_id``, ``step(action) -> (state_id, reward, done)`` and
+    ``terminated``, read only after a step that returns done: true when the
+    episode ended in a terminal state, whose update targets the reward alone,
+    and false when it was cut short (truncated), whose update still
+    bootstraps from the next state (Pardo et al., "Time Limits in
+    Reinforcement Learning", ICML 2018). The table is keyed by those ids; the
+    trace holds one ``EpisodeTotals`` per episode.
     """
     algo = Algorithm(algo)
     if algo is Algorithm.RANDOM:
@@ -398,6 +376,8 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
             next_state, reward, done = step(action)
             next_row = table_get(next_state)
             if sarsa:
+                # Drawn at an episode's last step too, terminal or not: the
+                # action goes unused, but the draw advances the stream.
                 if explore_below and next_word() < explore_below:
                     next_action = integers(n_actions)
                 else:
@@ -407,7 +387,7 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
                 next_action = -1
                 ahead = default if next_row is None else max(next_row)
             current = default if row is None else row[action]
-            target = reward + discount * ahead
+            target = reward if done and env.terminated else reward + discount * ahead
             value = current + learning_rate * (target - current)
             if not isfinite(value):
                 raise ValueError(f"reward and Q values must be finite, got reward "
@@ -455,7 +435,7 @@ def greedy_rollout(env, q: QTable) -> tuple[EpisodeMetrics, list[tuple]]:
     """
     if len(q) and q.dims != tuple(env.dims):
         raise ValueError(f"the Q-table holds states of the box {q.dims}, not of the "
-                         f"environment's {tuple(env.dims)}; load it with dims=env.dims")
+                         f"environment's {tuple(env.dims)}")
     if q.n_actions != env.n_actions:
         raise ValueError(f"the Q-table has {q.n_actions} actions, the environment "
                          f"{env.n_actions}")

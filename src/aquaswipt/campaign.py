@@ -242,15 +242,26 @@ def _derive_seeds(master_seed: int, *key: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _run_cell(spec: _CellSpec) -> CellResult:
+def _seed_key(cell) -> str:
+    """The manifest's key of a cell (a spec or a result):
+    ``kind/algorithm/node_count/gamma/run``."""
+    return f"{cell.kind}/{cell.algorithm}/{cell.node_count}/{cell.gamma}/{cell.run}"
+
+
+def _play_cell(spec: _CellSpec) -> tuple[EpisodeMetrics, list[tuple]]:
+    """The cell's scored episode: the metrics and trajectory of a learner's
+    greedy rollout after training, or of the random baseline's rollout."""
     env = Environment(spec.env_cfg)
     algo = Algorithm(spec.algorithm)
     if algo is Algorithm.RANDOM:
         eval_rng = np.random.default_rng([spec.learn_cfg.seed & 0xFFFFFFFFFFFFFFFF, 99])
-        metrics, _ = random_rollout(env, eval_rng)
-    else:
-        q, _ = train(env, algo, spec.learn_cfg)
-        metrics, _ = greedy_rollout(env, q)
+        return random_rollout(env, eval_rng)
+    q, _ = train(env, algo, spec.learn_cfg)
+    return greedy_rollout(env, q)
+
+
+def _run_cell(spec: _CellSpec) -> CellResult:
+    metrics, _ = _play_cell(spec)
     total_energy = metrics.transmit_energy_j + metrics.motion_energy_j
     ee = energy_efficiency(metrics.throughput_bits, total_energy)
     return CellResult(
@@ -468,10 +479,7 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
             )
         )
 
-    seeds = {
-        f"{r.kind}/{r.algorithm}/{r.node_count}/{r.gamma}/{r.run}": r.env_seed
-        for r in results
-    }
+    seeds = {_seed_key(r): r.env_seed for r in results}
     return AggregateResult(
         config=config,
         cells=cells,

@@ -8,10 +8,12 @@ import json
 import sys
 from pathlib import Path
 
-from .agents import QTable, greedy_rollout
+from .agents import Algorithm
 from .campaign import (
     CampaignConfig,
     _build_cell_specs,
+    _play_cell,
+    _seed_key,
     campaign_config_to_dict,
     desk_campaign_config,
     run_campaign,
@@ -19,7 +21,7 @@ from .campaign import (
     write_csv,
 )
 from .coverage import SweepRow
-from .env3d import Environment, config_from_dict
+from .env3d import config_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,13 +60,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_flags(p_val)
 
     p_rep = sub.add_parser(
-        "replay", help="one fresh greedy episode on a snapshot's deployment",
-        description="Run one fresh greedy episode of a saved Q-table on the snapshot's "
-                    "config and node positions, the only fields a snapshot holds. A "
-                    "snapshot with any other field, such as an episode state, is "
-                    "refused.")
-    p_rep.add_argument("--qtable", required=True, metavar="PATH")
-    p_rep.add_argument("--snapshot", required=True, metavar="PATH")
+        "replay", help="re-run one campaign cell from its run manifest",
+        description="Rebuild one cell of the campaign that a run_manifest.json "
+                    "records, run it as the campaign does (training, then the scored "
+                    "rollout) and report that rollout. The cell's env seed, derived "
+                    "from the manifest's config, must equal the one its seeds record.")
+    p_rep.add_argument("--manifest", required=True, metavar="PATH",
+                       help="run_manifest.json written by aquaswipt run")
+    p_rep.add_argument("--cell", required=True, metavar="KEY",
+                       help="the cell's key in the manifest's seeds, "
+                            "kind/algorithm/node_count/gamma/run")
     p_rep.add_argument("--out", metavar="PATH", help="write rollout JSON here")
     p_rep.add_argument("--quiet", action="store_true")
     return parser
@@ -141,16 +146,28 @@ PAPER_EE_RATIO = 3.07
 
 
 def _headline(cells) -> str:
-    """The run's best EE ratio over the random baseline beside the paper's."""
+    """The run's best EE ratio over the random baseline beside the paper's.
+
+    A learner's ratio is undefined at a node count whose random cells all
+    scored EE 0; the line names each such node count with that cell count.
+    """
+    random = Algorithm.RANDOM.value
+    learned = {c.node_count for c in cells if c.algorithm != random}
+    undefined = [f"n={c.node_count} (all {c.runs} random cells scored EE 0)"
+                 for c in cells
+                 if c.algorithm == random and c.ee_mean == 0.0 and c.node_count in learned]
     rated = [c for c in cells if c.ee_ratio_vs_random is not None]
-    paper = (f"paper: up to {PAPER_EE_RATIO:.2f} "
-             f"({(PAPER_EE_RATIO - 1.0) * 100.0:.0f}% improvement)")
-    if not rated:
-        return f"best EE ratio vs random: none (no learner with a random baseline); {paper}"
-    best = max(rated, key=lambda c: c.ee_ratio_vs_random)
-    return (f"best EE ratio vs random: {best.ee_ratio_vs_random:.2f} "
-            f"({(best.ee_ratio_vs_random - 1.0) * 100.0:.0f}% improvement, "
-            f"{best.algorithm} n={best.node_count}); {paper}")
+    parts = []
+    if rated:
+        best = max(rated, key=lambda c: c.ee_ratio_vs_random)
+        parts.append(f"{best.ee_ratio_vs_random:.2f} "
+                     f"({(best.ee_ratio_vs_random - 1.0) * 100.0:.0f}% improvement, "
+                     f"{best.algorithm} n={best.node_count})")
+    if undefined:
+        parts.append("undefined at " + ", ".join(undefined))
+    ratio = "; ".join(parts) or "none (no learner with a random baseline)"
+    return (f"best EE ratio vs random: {ratio}; paper: up to {PAPER_EE_RATIO:.2f} "
+            f"({(PAPER_EE_RATIO - 1.0) * 100.0:.0f}% improvement)")
 
 
 def _cmd_coverage(args) -> int:
@@ -173,10 +190,23 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.snapshot) as fh:
-        env = Environment.from_snapshot(json.load(fh))
-    table = QTable.load(args.qtable, dims=env.dims)
-    metrics, trajectory = greedy_rollout(env, table)
+    with open(args.manifest) as fh:
+        manifest = json.load(fh)
+    for name in ("seeds", "config"):
+        if not isinstance(manifest, dict) or name not in manifest:
+            raise ValueError(f"{args.manifest} is not a run manifest: it lacks the "
+                             f"field {name!r}")
+    config = config_from_dict(CampaignConfig, manifest["config"])
+    spec = next((s for s in _build_cell_specs(config) if _seed_key(s) == args.cell), None)
+    if spec is None:
+        raise ValueError(f"the manifest's campaign has no cell {args.cell!r} "
+                         "(keys are kind/algorithm/node_count/gamma/run)")
+    seeds = manifest["seeds"]
+    recorded = seeds.get(args.cell) if isinstance(seeds, dict) else None
+    if recorded != spec.env_cfg.rng_seed:
+        raise ValueError(f"cell {args.cell!r}: the manifest's seeds record env seed "
+                         f"{recorded!r}, its config derives {spec.env_cfg.rng_seed}")
+    metrics, trajectory = _play_cell(spec)
     summary = {
         "steps": metrics.steps,
         "throughput_bits": metrics.throughput_bits,
@@ -190,7 +220,7 @@ def _cmd_replay(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
     if not args.quiet:
-        print(f"replay: {metrics.steps} steps, "
+        print(f"replay {args.cell}: {metrics.steps} steps, "
               f"{metrics.throughput_bits:.3e} bits relayed, "
               f"{metrics.harvested_j:.3e} J harvested")
     return EXIT_OK

@@ -272,7 +272,9 @@ class Environment:
     against numpy row operations).
 
     States are int ids (see ``key_to_id``): ``reset`` returns the first
-    one and ``step`` returns ``(next state id, reward, done)``.
+    one and ``step`` returns ``(next state id, reward, done)``; after a
+    step that returns done, ``terminated`` tells a spent battery from the
+    ``episode_length`` cut.
     """
 
     def __init__(self, config: EnvConfig):
@@ -380,6 +382,13 @@ class Environment:
     @property
     def n_actions(self) -> int:
         return N_ACTIONS
+
+    @property
+    def terminated(self) -> bool:
+        """Whether the episode has reached its terminal state, a spent AUV
+        battery. An episode that ends at ``episode_length`` with charge left
+        is truncated, not terminated."""
+        return self.auv_battery_j == 0.0
 
     @property
     def auv_pos(self) -> tuple[int, int, int]:
@@ -660,57 +669,6 @@ class Environment:
             self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z])
         return links
 
-    # ------------------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """The deployment as a JSON-safe document: what ``from_snapshot`` reads.
-
-        Schema: ``config`` (the full EnvConfig as nested dicts) and
-        ``nodes``, one ``{"position": [x, y, z]}`` per node. The episode
-        state is not recorded.
-        """
-        return {
-            "config": dataclasses.asdict(self.config),
-            "nodes": [{"position": [int(c) for c in pos]} for pos in self.node_pos.tolist()],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "Environment":
-        """A fresh episode on the snapshot's config, with its nodes placed.
-
-        Raises ``ValueError`` naming the field when the snapshot or one of
-        its nodes is not a JSON object with exactly the fields
-        ``to_snapshot`` writes (so a snapshot that records episode state is
-        refused), when it holds a node count other than the config's, or
-        when ``place_nodes`` refuses a position.
-        """
-        config, nodes = _snapshot_fields(snapshot, "snapshot", ("config", "nodes"))
-        env = cls(config_from_dict(EnvConfig, config))
-        if not isinstance(nodes, list):
-            raise ValueError(f"snapshot nodes must be a JSON array, got {type(nodes).__name__}")
-        positions = [_snapshot_fields(node, "snapshot node", ("position",))[0]
-                     for node in nodes]
-        if len(positions) != len(env.node_pos):
-            raise ValueError(
-                f"snapshot has {len(positions)} nodes, deployment has {len(env.node_pos)}"
-            )
-        env.place_nodes(positions)
-        return env
-
-
-def _snapshot_fields(doc, what: str, names: tuple) -> list:
-    """The values of ``names`` in the JSON object ``doc``, which must hold
-    exactly those fields."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in names:
-            raise ValueError(f"{what} has no field {key!r}")
-    for name in names:
-        if name not in doc:
-            raise ValueError(f"{what} lacks the field {name!r}")
-    return [doc[name] for name in names]
-
 
 def deploy(config: EnvConfig) -> Environment:
     """Place nodes and the AUV per the seeded configuration."""
@@ -718,7 +676,7 @@ def deploy(config: EnvConfig) -> Environment:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization, shared by snapshots, manifests and the CLI.
+# Config (de)serialization, shared by manifests and the CLI.
 
 def config_from_dict(cls, doc: dict):
     """Build the config dataclass ``cls`` from its JSON document ``doc``.

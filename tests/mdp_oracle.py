@@ -62,6 +62,7 @@ class TabularMdpEnv:
     """
 
     dims = None
+    terminated = False  # no episode ends in a terminal state
 
     def __init__(self, transitions: np.ndarray, rewards: np.ndarray,
                  episode_length: int = 50, start_state: int = 0, seed: int = 0):

@@ -48,23 +48,31 @@ def select_action(q: QTable, state, epsilon: float, rng: np.random.Generator) ->
 
 
 def q_update(q: QTable, state, action: int, reward: float, next_state,
-             cfg: LearnConfig) -> QTable:
-    """Off-policy one-step update toward reward + discount * max_a' Q(s', a')."""
+             cfg: LearnConfig, terminal: bool = False) -> QTable:
+    """Off-policy one-step update toward reward + discount * max_a' Q(s', a'),
+    or toward the reward alone when ``next_state`` is terminal."""
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     current = q.get(state, action)
-    target = reward + cfg.discount * max(q.values(next_state).tolist())
+    if terminal:
+        target = reward
+    else:
+        target = reward + cfg.discount * max(q.values(next_state).tolist())
     q.set(state, action, current + cfg.learning_rate * (target - current))
     return q
 
 
 def sarsa_update(q: QTable, state, action: int, reward: float, next_state,
-                 next_action: int, cfg: LearnConfig) -> QTable:
-    """On-policy one-step update toward reward + discount * Q(s', a')."""
+                 next_action: int, cfg: LearnConfig, terminal: bool = False) -> QTable:
+    """On-policy one-step update toward reward + discount * Q(s', a'), or
+    toward the reward alone when ``next_state`` is terminal."""
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     current = q.get(state, action)
-    target = reward + cfg.discount * q.get(next_state, next_action)
+    if terminal:
+        target = reward
+    else:
+        target = reward + cfg.discount * q.get(next_state, next_action)
     q.set(state, action, current + cfg.learning_rate * (target - current))
     return q
 
@@ -137,8 +145,13 @@ def reference_state(env, links) -> StateKey:
     return StateKey(*env.auv_pos, min(3, with_data), min(3, undercharged), gain_bin)
 
 
-def reference_step(env, action: int, links) -> tuple[StateKey, float, bool]:
-    """One environment step on ``env``'s public state: (next state, reward, done)."""
+def reference_step(env, action: int, links) -> tuple[StateKey, float, bool, bool]:
+    """One environment step on ``env``'s public state: (next state, reward,
+    terminated, truncated).
+
+    A spent battery terminates the episode; reaching ``episode_length``
+    with charge left truncates it.
+    """
     if env.done:
         raise RuntimeError("cannot step a finished episode; call reset()")
     cfg = env.config
@@ -184,8 +197,9 @@ def reference_step(env, action: int, links) -> tuple[StateKey, float, bool]:
     reward = tput_term + harv_term - e_move / env.motion_scale
 
     env.step_index += 1
-    env.done = depleted or env.step_index >= cfg.episode_length
-    return reference_state(env, links), reward, env.done
+    truncated = not depleted and env.step_index >= cfg.episode_length
+    env.done = depleted or truncated
+    return reference_state(env, links), reward, depleted, truncated
 
 
 def reference_train(env, algo: Algorithm, cfg: LearnConfig):
@@ -215,17 +229,19 @@ def reference_train(env, algo: Algorithm, cfg: LearnConfig):
         while True:
             if algo is Algorithm.Q_LEARNING:
                 action = select_action(q, state, epsilon, rng)
-            next_state, reward, done = reference_step(env, action, links)
+            next_state, reward, terminated, truncated = reference_step(env, action, links)
             if algo is Algorithm.Q_LEARNING:
-                q_update(q, state, action, reward, next_state, cfg)
+                q_update(q, state, action, reward, next_state, cfg, terminated)
             else:
+                # Drawn even when the episode ends, as the trainer draws it.
                 next_action = select_action(q, next_state, epsilon, rng)
-                sarsa_update(q, state, action, reward, next_state, next_action, cfg)
+                sarsa_update(q, state, action, reward, next_state, next_action, cfg,
+                             terminated)
                 action = next_action
             state = next_state
             steps += 1
             total_reward += reward
-            if done:
+            if terminated or truncated:
                 break
         trace.append((steps, total_reward))
         epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)

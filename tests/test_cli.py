@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,8 @@ import pytest
 
 import aquaswipt
 
-from aquaswipt.agents import Algorithm, LearnConfig, QTable, greedy_rollout, train
-from aquaswipt.auv import AuvSpec
-from aquaswipt.campaign import campaign_config_to_dict
-from aquaswipt.cli import main
-from aquaswipt.env3d import EnvConfig, deploy
+from aquaswipt.campaign import CellAggregate, campaign_config_to_dict, run_campaign
+from aquaswipt.cli import _build_parser, _headline, main
 
 from test_campaign import tiny_campaign
 
@@ -123,22 +122,15 @@ def test_config_with_removed_field_is_rejected(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     assert "'battery'" in capsys.readouterr().err
 
-    for dotted, value in SCHEMA_2_ONLY_FIELDS.items():
+    # Validate and replay both read an older manifest's config and name the field.
+    for dotted, value in {"env.channel.sound_speed_mps": 1500.0, **SCHEMA_2_ONLY_FIELDS}.items():
         manifest = {"schema": 2, "seeds": {}, "versions": {},
                     "config": with_field(campaign_config_to_dict(cfg), dotted, value)}
         path.write_text(json.dumps(manifest))
         assert main(["validate", "--config", str(path)]) == 2
         assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
-
-    table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
-    snapshot_path = tmp_path / "snapshot.json"
-    for dotted, value in {"env.channel.sound_speed_mps": 1500.0, **SCHEMA_2_ONLY_FIELDS}.items():
-        snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
-        with_field(snapshot, "config" + dotted.removeprefix("env"), value)
-        snapshot_path.write_text(json.dumps(snapshot))
-        assert main(["replay", "--qtable", str(table_path),
-                     "--snapshot", str(snapshot_path)]) == 2
+        assert main(["replay", "--manifest", str(path),
+                     "--cell", "main/q_learning/4/0.5/0"]) == 2
         assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
 
 
@@ -189,6 +181,25 @@ def test_run_prints_best_ee_ratio_beside_paper(tmp_path, capsys):
     assert "best EE ratio vs random: none" in capsys.readouterr().out
     assert main(["run", "--config", str(path), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_headline_names_node_counts_whose_random_cells_all_scored_zero():
+    def cell(algorithm, node_count, ee_mean, ratio=None, runs=20):
+        return CellAggregate(algorithm, node_count, 0.5, runs, *[1.0] * 6, ee_mean, ratio,
+                             [], [])
+
+    paper = "; paper: up to 3.07 (207% improvement)"
+    zero_at_10 = [cell("q_learning", 10, 3.0), cell("random", 10, 0.0)]
+    assert _headline(zero_at_10) == (
+        "best EE ratio vs random: undefined at n=10 (all 20 random cells scored EE 0)"
+        + paper)
+    rated_at_25 = [cell("q_learning", 25, 4.0, ratio=2.0), cell("random", 25, 2.0)]
+    assert _headline(zero_at_10 + rated_at_25 + [cell("random", 50, 0.0, runs=3)]) == (
+        "best EE ratio vs random: 2.00 (100% improvement, q_learning n=25); "
+        "undefined at n=10 (all 20 random cells scored EE 0)" + paper)
+    # A random cell with no learner beside it gives no ratio to leave undefined.
+    assert _headline([cell("random", 10, 0.0)]) == (
+        "best EE ratio vs random: none (no learner with a random baseline)" + paper)
 
 
 def test_run_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
@@ -261,155 +272,81 @@ def test_coverage_verb(tmp_path):
     assert text.startswith("start_x,start_y,n,k,p_analytic,p_empirical,stderr")
 
 
+def replay_campaign(tmp_path):
+    """A tiny campaign with every cell kind, run and written to ``tmp_path / "out"``."""
+    cfg = tiny_campaign(tmp_path / "out", algorithms=("q_learning", "sarsa", "random"),
+                        node_counts=(4,), gamma_node_count=4)
+    return run_campaign(cfg, write=True), tmp_path / "out" / "run_manifest.json"
+
+
 def test_replay_round_trip(tmp_path, capsys):
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8,
-                           rng_seed=3, auv=AuvSpec(hotel_load_w=500.0)))
-    learn = LearnConfig(episodes=4, epsilon_decay=0.9, discount=0.9,
-                        randomize_start=False)
-    table, _ = train(env, Algorithm.Q_LEARNING, learn)
-    qtable_path = tmp_path / "table.json"
-    table.save(qtable_path)
-    env.reset()
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(env.to_snapshot()))
-    out_path = tmp_path / "rollout.json"
-    assert main(["replay", "--qtable", str(qtable_path),
-                 "--snapshot", str(snapshot_path), "--out", str(out_path)]) == 0
-    summary = json.loads(out_path.read_text())
-    assert summary["steps"] == 8
-    assert len(summary["trajectory"]) == 8
-    assert "bits relayed" in capsys.readouterr().out
+    result, manifest_path = replay_campaign(tmp_path)
+    raw = {f"{c.kind}/{c.algorithm}/{c.node_count}/{c.gamma}/{c.run}": c
+           for c in result.raw_cells}
+    for key in ("main/q_learning/4/0.5/1", "main/sarsa/4/0.5/0", "main/random/4/0.5/1",
+                "gamma/q_learning/4/1.0/1"):
+        out_path = tmp_path / "rollout.json"
+        assert main(["replay", "--manifest", str(manifest_path), "--cell", key,
+                     "--out", str(out_path)]) == 0
+        assert f"replay {key}: 8 steps" in capsys.readouterr().out
+        summary = json.loads(out_path.read_text())
+        cell = raw[key]
+        assert ((summary["throughput_bits"], summary["harvested_j"], summary["total_reward"])
+                == (cell.throughput_bits, cell.harvested_j, cell.reward_total))
+        assert summary["steps"] == len(summary["trajectory"]) == 8
 
 
-def test_replay_runs_a_fresh_episode_whatever_the_snapshot_step(tmp_path):
-    # Replay resets the episode: a snapshot taken mid-episode replays the
-    # same as one taken fresh on the same deployment.
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8,
-                           rng_seed=3, auv=AuvSpec(hotel_load_w=500.0)))
-    table, _ = train(env, Algorithm.Q_LEARNING,
-                     LearnConfig(episodes=4, discount=0.9, randomize_start=False))
-    qtable_path = tmp_path / "table.json"
-    table.save(qtable_path)
-    env.reset()
-    fresh = env.to_snapshot()
-    for action in (0, 0, 2, 4, 4):
-        env.step(action)
-    mid = env.to_snapshot()
-    assert mid == fresh  # a snapshot holds the deployment, not the episode
-    rollouts = []
-    for name, snapshot in (("fresh", fresh), ("mid", mid)):
-        snapshot_path = tmp_path / f"{name}.json"
-        snapshot_path.write_text(json.dumps(snapshot))
-        out_path = tmp_path / f"{name}_rollout.json"
-        assert main(["replay", "--qtable", str(qtable_path), "--snapshot",
-                     str(snapshot_path), "--out", str(out_path), "--quiet"]) == 0
-        rollouts.append(out_path.read_text())
-    assert rollouts[0] == rollouts[1]
-    assert json.loads(rollouts[1])["steps"] == 8
+def test_replay_rejects_a_cell_the_manifest_does_not_hold(tmp_path, capsys):
+    _, manifest_path = replay_campaign(tmp_path)
+    for key in ("main/q_learning/6/0.5/0", "main/q_learning/4/0.5/2", "q_learning"):
+        assert main(["replay", "--manifest", str(manifest_path), "--cell", key]) == 2
+        assert f"no cell {key!r}" in capsys.readouterr().err
 
 
-def test_replay_runs_on_the_snapshot_node_positions(tmp_path):
-    config = EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3,
-                       auv=AuvSpec(hotel_load_w=500.0))
-    env = deploy(config)
-    seeded = env.node_pos.tolist()
-    env.place_nodes([[3, 3, 4], [4, 3, 2], [1, 5, 3], [3, 2, 1]])
-    table, _ = train(env, Algorithm.Q_LEARNING,
-                     LearnConfig(episodes=20, discount=0.9, randomize_start=False))
-    qtable_path = tmp_path / "table.json"
-    table.save(qtable_path)
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(env.to_snapshot()))
-    out_path = tmp_path / "rollout.json"
-    assert main(["replay", "--qtable", str(qtable_path), "--snapshot", str(snapshot_path),
-                 "--out", str(out_path), "--quiet"]) == 0
-    metrics, trajectory = greedy_rollout(env, table)
-    summary = json.loads(out_path.read_text())
-    assert summary["trajectory"] == [list(p) for p in trajectory]
-    assert summary["throughput_bits"] == metrics.throughput_bits > 0.0
-    # On the seeded layout the same table relays a different amount.
-    assert env.node_pos.tolist() != seeded
-    seeded_metrics, _ = greedy_rollout(deploy(config), table)
-    assert seeded_metrics.throughput_bits != metrics.throughput_bits
+def test_replay_rejects_an_edited_seed(tmp_path, capsys):
+    _, manifest_path = replay_campaign(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    key = "main/sarsa/4/0.5/1"
+    manifest["seeds"][key] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", "--manifest", str(manifest_path), "--cell", key]) == 2
+    assert f"cell {key!r}: the manifest's seeds record env seed" in capsys.readouterr().err
+    # A seed the manifest does not record at all is refused the same way.
+    del manifest["seeds"][key]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", "--manifest", str(manifest_path), "--cell", key]) == 2
+    assert "record env seed None" in capsys.readouterr().err
 
 
-def test_replay_rejects_snapshot_with_episode_state(tmp_path, capsys):
-    # The layout of snapshots that recorded the episode state as well.
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
-    snapshot = env.to_snapshot()
-    for node in snapshot["nodes"]:
-        node.update(store_level_j=0.0, data_buffer_bits=4e6)
-    snapshot["auv"] = {"position": [3, 3, 0], "battery_level_j": 5e5,
-                       "relay_buffer_bits": 0.0, "total_relayed_bits": 0.0,
-                       "total_collected_bits": 0.0, "step_index": 0, "done": False}
-    table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
-    snapshot_path = tmp_path / "snapshot.json"
-    # The AUV block is named first; without it, a node's store level is.
-    for dropped in ("auv", "store_level_j"):
-        snapshot_path.write_text(json.dumps(snapshot))
-        assert main(["replay", "--qtable", str(table_path),
-                     "--snapshot", str(snapshot_path)]) == 2
-        assert f"no field '{dropped}'" in capsys.readouterr().err
-        snapshot.pop("auv", None)
-
-
-@pytest.mark.parametrize("n_actions", [6.0, "6"])
-def test_replay_rejects_qtable_with_non_int_action_count(n_actions, tmp_path, capsys):
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(env.to_snapshot()))
-    qtable_path = tmp_path / "table.json"
-    qtable_path.write_text(json.dumps({
-        "n_actions": n_actions, "default_value": 0.0,
-        "entries": [[[3, 3, 0, 0, 0, 0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]]}))
-    assert main(["replay", "--qtable", str(qtable_path),
-                 "--snapshot", str(snapshot_path)]) == 2
-    assert "n_actions must be of type int" in capsys.readouterr().err
-
-
-def test_replay_rejects_bad_qtable(tmp_path, capsys):
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(env.to_snapshot()))
-    qtable_path = tmp_path / "table.json"
-    doc = {"n_actions": 6, "default_value": 0.0,
-           "entries": [[[3, 3, 0, 0, 0, 0], [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]]]}
-    qtable_path.write_text(json.dumps(doc))
-    assert main(["replay", "--qtable", str(qtable_path),
-                 "--snapshot", str(snapshot_path)]) == 2
-    assert "non-finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n_actions", [3, 7])
-def test_replay_rejects_table_of_other_action_count(n_actions, tmp_path, capsys):
-    env = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, episode_length=8, rng_seed=3))
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(env.to_snapshot()))
-    table = QTable(n_actions=n_actions, dims=env.dims)
-    table.set(env.state_id(), n_actions - 1, 1.0)  # greedy picks the last action
-    qtable_path = tmp_path / "table.json"
-    table.save(qtable_path)
-    assert main(["replay", "--qtable", str(qtable_path),
-                 "--snapshot", str(snapshot_path)]) == 2
-    assert f"{n_actions} actions" in capsys.readouterr().err
-
-
-def test_replay_rejects_off_grid_node(tmp_path, capsys):
-    snapshot = deploy(EnvConfig(dims=(6, 6, 4), node_count=4, rng_seed=3)).to_snapshot()
-    snapshot["nodes"][2]["position"] = [2.5, 3, 1]
-    snapshot_path = tmp_path / "snapshot.json"
-    snapshot_path.write_text(json.dumps(snapshot))
-    table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps({"n_actions": 6, "default_value": 0.0, "entries": []}))
-    assert main(["replay", "--qtable", str(table_path),
-                 "--snapshot", str(snapshot_path)]) == 2
-    assert "grid points" in capsys.readouterr().err
+def test_replay_rejects_a_config_without_seeds(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_campaign(tmp_path / "out"))
+    assert main(["replay", "--manifest", str(path), "--cell", "main/q_learning/4/0.5/0"]) == 2
+    assert "lacks the field 'seeds'" in capsys.readouterr().err
 
 
 def test_replay_missing_artifacts(tmp_path):
-    assert main(["replay", "--qtable", str(tmp_path / "no.json"),
-                 "--snapshot", str(tmp_path / "no2.json")]) == 3
+    assert main(["replay", "--manifest", str(tmp_path / "no.json"),
+                 "--cell", "main/q_learning/4/0.5/0"]) == 3
+
+
+def readme_cli_lines():
+    """Every ``aquaswipt ...`` command in README's code blocks, with its
+    continuation lines joined."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme.read_text(), flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("aquaswipt ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == {"run", "validate", "coverage",
+                                                        "replay"}
+    for line in lines:
+        try:
+            _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README's {line!r} does not parse")
 
 
 def test_console_entry_point_runs():

@@ -15,7 +15,6 @@ from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
     ACTIONS,
     EnvConfig,
-    Environment,
     StateKey,
     _mean,
     config_from_dict,
@@ -413,15 +412,6 @@ def test_transmit_energy_counts_every_placed_node():
     assert env.last_terms[5] == k * node_w * dt + auv_w * dt
 
 
-def test_snapshot_rejects_off_grid_node():
-    env = deploy(small_config(node_count=3, rng_seed=4))
-    for off_grid in ([10.5, 10.0, 5.0], [10, 10, 500]):
-        snap = env.to_snapshot()
-        snap["nodes"][1]["position"] = off_grid
-        with pytest.raises(ValueError, match="grid points"):
-            Environment.from_snapshot(snap)
-
-
 def test_links_reject_nan_harvest_power():
     # The step books the store charge without a per-node check of the
     # harvested power; the check runs once per position when the links are
@@ -675,87 +665,6 @@ def test_reset_restores_buffers_stores_battery():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_snapshot_holds_only_the_deployment():
-    env = deploy(small_config(rng_seed=8))
-    rng = np.random.default_rng(3)
-    for _ in range(17):
-        env.step(int(rng.integers(6)))
-    snap = env.to_snapshot()
-    assert set(snap) == {"config", "nodes"}
-    assert snap["nodes"] == [{"position": p} for p in env.node_pos.tolist()]
-    assert config_from_dict(EnvConfig, snap["config"]) == env.config
-    # Mid-episode or fresh, one deployment gives one snapshot.
-    env.reset()
-    assert env.to_snapshot() == snap
-
-
-def test_snapshot_round_trip_preserves_deployment_and_dynamics():
-    env = deploy(small_config(rng_seed=8))
-    seeded = env.node_pos.tolist()
-    # Nodes moved off the seeded layout, so a restore that kept the seeded
-    # positions would differ.
-    moved = np.random.default_rng(5).integers(0, [21, 21, 11], size=(25, 3)).tolist()
-    env.place_nodes(moved)
-    rng = np.random.default_rng(3)
-    for _ in range(17):
-        env.step(int(rng.integers(6)))
-    clone = Environment.from_snapshot(env.to_snapshot())
-    assert clone.node_pos.tolist() == moved != seeded
-    # The clone starts a fresh episode, as the original does after reset.
-    env.reset()
-    assert clone.state_id() == env.state_id()
-    assert ((clone.auv_pos, clone.step_index, clone.done, clone.auv_battery_j,
-             clone.store_level_j, clone.buffer_bits, clone.relay_buffer_bits)
-            == (env.auv_pos, 0, False, env.auv_battery_j, env.store_level_j,
-                env.buffer_bits, 0.0))
-    for _ in range(env.config.episode_length):
-        a = int(rng.integers(6))
-        assert clone.step(a) == env.step(a)
-        assert clone.last_terms == env.last_terms
-
-
-def test_snapshot_is_json_safe():
-    import json
-
-    env = deploy(small_config())
-    snap = env.to_snapshot()
-    assert all(type(c) is int for node in snap["nodes"] for c in node["position"])
-    text = json.dumps(snap)
-    clone = Environment.from_snapshot(json.loads(text))
-    assert clone.state_id() == env.state_id()
-
-
-def test_snapshot_rejects_fields_it_does_not_hold():
-    env = deploy(small_config(node_count=3))
-
-    def edited(edit):
-        snap = env.to_snapshot()
-        edit(snap)
-        return snap
-
-    cases = [
-        # The episode state snapshots used to record.
-        (edited(lambda s: s.update(auv={"position": [10, 10, 0], "step_index": 3})),
-         "snapshot has no field 'auv'"),
-        (edited(lambda s: s["nodes"][1].update(store_level_j=0.0)),
-         "snapshot node has no field 'store_level_j'"),
-        (edited(lambda s: s["nodes"][0].update(data_buffer_bits=4e6)),
-         "snapshot node has no field 'data_buffer_bits'"),
-        (edited(lambda s: s.pop("nodes")), "snapshot lacks the field 'nodes'"),
-        (edited(lambda s: s["nodes"][2].pop("position")),
-         "snapshot node lacks the field 'position'"),
-        (edited(lambda s: s.update(nodes={"position": [1, 1, 1]})),
-         "snapshot nodes must be a JSON array"),
-        (edited(lambda s: s["nodes"].__setitem__(0, [1, 1, 1])),
-         "snapshot node must be a JSON object, got list"),
-        (edited(lambda s: s["nodes"].pop()), "snapshot has 2 nodes, deployment has 3"),
-        ([env.to_snapshot()], "snapshot must be a JSON object, got list"),
-    ]
-    for snap, message in cases:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Environment.from_snapshot(snap)
 
 
 def test_env_config_dict_round_trip():
