@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import require_finite_fields, require_int_fields
+from .checks import check_field_types
 from .env3d import id_to_tuple, key_to_id
 
 
@@ -40,8 +40,7 @@ class LearnConfig:
     optimistic_init: float = 0.0
 
     def __post_init__(self):
-        require_finite_fields(self, "learning_rate", "discount", "epsilon_start",
-                              "epsilon_decay", "epsilon_min", "optimistic_init")
+        check_field_types(self)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 0.0 < self.discount <= 1.0:
@@ -52,15 +51,10 @@ class LearnConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {val}")
         if self.epsilon_min > self.epsilon_start:
             raise ValueError("epsilon_min must be <= epsilon_start")
-        require_int_fields(self, "episodes", "seed")
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.randomize_start, bool):
-            # A non-empty string such as "no" would be true.
-            raise ValueError("LearnConfig.randomize_start must be of type bool, "
-                             f"got {self.randomize_start!r}")
 
 
 # Sorted entries ``QTable.save`` formats in one pass. At 128 a chunk's text
@@ -109,8 +103,9 @@ class QTable:
     """
 
     def __init__(self, n_actions: int = 6, default_value: float = 0.0, dims=None):
+        if not isinstance(n_actions, int) or isinstance(n_actions, bool):
+            raise ValueError(f"QTable.n_actions must be of type int, got {n_actions!r}")
         self.n_actions = n_actions
-        require_int_fields(self, "n_actions")
         if n_actions < 1:
             raise ValueError(f"QTable.n_actions must be >= 1, got {n_actions}")
         self.default_value = float(default_value)

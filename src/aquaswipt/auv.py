@@ -1,9 +1,9 @@
 """AUV motion energetics: drag, propulsion power, per-move energy."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .checks import require_finite_fields
+from .checks import check_field_types
 
 Point = tuple[float, float, float]
 
@@ -27,7 +27,7 @@ class AuvSpec:
     cone_apex_angle_deg: float = 60.0
 
     def __post_init__(self):
-        require_finite_fields(self, *(f.name for f in fields(self)))
+        check_field_types(self)
         for name in ("drag_coefficient", "frontal_area_m2", "water_density_kgm3",
                      "speed_mps"):
             if getattr(self, name) <= 0:

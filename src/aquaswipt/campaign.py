@@ -36,7 +36,7 @@ from .agents import (
     train,
 )
 from .auv import AuvSpec, move_energy
-from .checks import require_finite_fields, require_int_entries, require_int_fields
+from .checks import check_field_types
 from .coverage import SweepRow, coverage_sweep
 from .env3d import Environment, EnvConfig
 
@@ -80,20 +80,13 @@ class CampaignConfig:
     coverage_volume_samples: int = 200_000
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         for name in self.algorithms:
             Algorithm(name)  # raises on unknown names
         if not self.node_counts:
             raise ValueError("node_counts must be non-empty")
-        # Types first, so that the range checks below compare numbers.
-        require_int_fields(self, "mc_runs", "gamma_node_count", "coverage_trials",
-                           "coverage_volume_samples")
-        if self.gamma_mc_runs is not None:
-            require_int_fields(self, "gamma_mc_runs")
-        require_int_entries(self, "node_counts", "coverage_n_values", "coverage_k_values")
-        require_finite_fields(self, "gamma_sweep", "targets_throughput_bits",
-                              "targets_harvest_j", "coverage_starts")
         if any(n < 1 for n in self.node_counts):
             raise ValueError(f"node_counts must be positive, got {self.node_counts}")
         if self.mc_runs < 1:
@@ -112,15 +105,9 @@ class CampaignConfig:
                             ("coverage_volume_samples", 1000)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        dims = self.coverage_dims
-        if dims is not None:
-            require_int_entries(self, "coverage_dims")
-            if len(dims) != 3 or any(d < 1 for d in dims):
-                raise ValueError(f"coverage_dims must be three positive integers, got {dims}")
-        if any(len(start) != 2 for start in self.coverage_starts or ()):
-            raise ValueError(
-                f"coverage_starts entries must be (x, y) pairs, got {self.coverage_starts}"
-            )
+        if self.coverage_dims is not None and any(d < 1 for d in self.coverage_dims):
+            raise ValueError("coverage_dims must be three positive integers, "
+                             f"got {self.coverage_dims}")
 
 
 def desk_campaign_config(**overrides) -> CampaignConfig:

@@ -15,12 +15,12 @@ value out in Python floats, with the same bits as the array path.
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import require_finite_fields
+from .checks import check_field_types
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ChannelParams:
     noise_override_db: float | None = None
 
     def __post_init__(self):
-        require_finite_fields(self, *(f.name for f in fields(self)))
+        check_field_types(self)
         if self.frequency_khz <= 0:
             raise ValueError(f"frequency_khz must be > 0, got {self.frequency_khz}")
         if self.bandwidth_hz <= 0:
@@ -71,7 +71,7 @@ class ModemSpec:
     min_snr_db: float = 0.0
 
     def __post_init__(self):
-        require_finite_fields(self, *(f.name for f in fields(self)))
+        check_field_types(self)
         if self.electrical_power_w <= 0:
             raise ValueError(
                 f"electrical_power_w must be > 0, got {self.electrical_power_w}"

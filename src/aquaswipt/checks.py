@@ -1,73 +1,69 @@
-"""Field checks the config dataclasses share.
+"""The type check the config dataclasses share.
 
-Each raises ``ValueError`` naming ``Class.field``, so that a bad value given
-in Python fails where the config is built, as a bad config document does.
+``check_field_types`` tests every field of a config against its annotation,
+so a field's type is stated once, where it is declared, and each
+``__post_init__`` keeps only its range and cross-field checks. A bad value
+raises ``ValueError`` naming ``Class.field``, so that one given in Python
+fails where the config is built, as one in a config document does.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from types import UnionType
 from typing import get_args, get_origin
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_COUNT_WORDS = {2: "two", 3: "three"}
 
 
-def _is_finite(value) -> bool:
-    if isinstance(value, tuple):
-        return all(_is_finite(v) for v in value)
-    if value is None or _is_int(value):
-        return True
-    if isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+def check_field_types(config) -> None:
+    """Raise ``ValueError`` naming the field unless each field of the
+    dataclass ``config`` holds a value of its annotation.
+
+    ``int`` takes an int and ``float`` a finite float or any int; a bool is
+    neither. ``bool`` and ``str`` take their own type, ``X | None`` takes
+    None or an ``X``, and a config dataclass an instance of it.
+    ``tuple[X, ...]`` takes a tuple of ``X``; a fixed-length tuple of
+    numbers, such as ``tuple[float, float]``, takes a tuple of that length.
+    A list is not a tuple.
+    """
+    owner = type(config).__name__
+    for f in fields(config):
+        value = getattr(config, f.name)
+        _check(f.type, value, f"{owner}.{f.name}", value, "")
 
 
-def _is_tuple_field(config, name: str) -> bool:
-    """Whether ``config``'s field ``name`` is annotated as a tuple or an
-    optional tuple."""
-    (annotation,) = (f.type for f in fields(config) if f.name == name)
-    return any(get_origin(a) is tuple for a in (annotation, *get_args(annotation)))
-
-
-def require_int_fields(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the field unless each of ``config``'s
-    fields ``names`` holds an int; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{type(config).__name__}.{name} must be of type int, "
-                             f"got {value!r}")
-
-
-def require_int_entries(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the field unless every entry of each of
-    ``config``'s tuple fields ``names`` is an int; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if not all(_is_int(v) for v in value):
-            raise ValueError(f"{type(config).__name__}.{name} entries must be of type "
-                             f"int, got {value!r}")
-
-
-def require_finite_fields(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the field unless each of ``config``'s
-    fields ``names`` holds a finite number; a bool is not one. None (an
-    optional field left unset) passes, and a tuple field's entries are
-    checked one by one. A list given for a tuple field, or for an entry of
-    one, is reported as not a tuple."""
-    for name in names:
-        value = getattr(config, name)
-        if _is_finite(value):
-            continue
-        field_name = f"{type(config).__name__}.{name}"
-        if _is_tuple_field(config, name):
+def _check(annotation, value, name: str, whole, entries: str) -> None:
+    """Check ``value`` against ``annotation``. ``whole`` is the field's
+    value, which messages quote, and ``entries`` is " entries" when
+    ``value`` is an entry of a tuple field."""
+    if isinstance(annotation, UnionType):  # X | None
+        if value is None:
+            return
+        (annotation,) = (a for a in get_args(annotation) if a is not type(None))
+    if annotation is float:
+        # Only a float goes to isfinite: an int such as 10**400 would overflow.
+        if isinstance(value, bool) or not (
+                isinstance(value, int) or isinstance(value, float) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {whole!r}")
+    elif annotation in (int, bool, str) or is_dataclass(annotation):
+        if not isinstance(value, annotation) or (
+                isinstance(value, bool) and annotation is not bool):
+            raise ValueError(f"{name}{entries} must be of type {annotation.__name__}, "
+                             f"got {whole!r}")
+    elif get_origin(annotation) is tuple:
+        args = get_args(annotation)
+        if isinstance(value, list):
             # A list where a tuple belongs is not a number, but saying so misleads.
-            if isinstance(value, list):
-                raise ValueError(f"{field_name} must be a tuple, got the list {value!r}")
-            if isinstance(value, tuple) and any(isinstance(v, list) for v in value):
-                raise ValueError(f"{field_name} entries must be tuples, got {value!r}")
-        raise ValueError(f"{field_name} must be a finite number, got {value!r}")
+            raise ValueError(f"{name} entries must be tuples, got {whole!r}" if entries
+                             else f"{name} must be a tuple, got the list {value!r}")
+        if args[-1] is Ellipsis:
+            if not isinstance(value, tuple):
+                raise ValueError(f"{name}{entries} must be a tuple, got {whole!r}")
+            args = args[:1] * len(value)
+        elif not (isinstance(value, tuple) and len(value) == len(args)):
+            count = _COUNT_WORDS.get(len(args), len(args))
+            raise ValueError(f"{name}{entries} must be {count} numbers, got {whole!r}")
+        for element, entry in zip(args, value):
+            _check(element, entry, name, whole, " entries")
+    else:
+        raise TypeError(f"{name} has the annotation {annotation!r}, which is not checked")

@@ -100,6 +100,8 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config} does not hold a JSON object")
         if "seeds" in doc and "config" in doc:
             doc = doc["config"]  # a run_manifest.json round-trips
     else:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import require_finite_fields
+from .checks import check_field_types
 from .env3d import EnvConfig
 
 
@@ -26,10 +26,7 @@ class ConeGeometry:
     height_m: float
 
     def __post_init__(self):
-        require_finite_fields(self, "apex", "apex_angle_deg", "height_m")
-        if not (isinstance(self.apex, tuple) and len(self.apex) == 3):
-            raise ValueError("ConeGeometry.apex must be three numbers (x, y, z), "
-                             f"got {self.apex!r}")
+        check_field_types(self)
         if not 0.0 < self.apex_angle_deg < 180.0:
             raise ValueError(
                 f"apex_angle_deg must be in (0, 180), got {self.apex_angle_deg}"

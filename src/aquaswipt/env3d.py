@@ -29,7 +29,7 @@ from .channel import (
     source_level,
     transmission_loss_db,
 )
-from .checks import require_finite_fields, require_int_entries, require_int_fields
+from .checks import check_field_types
 from .harvest import HarvestSpec, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
@@ -135,18 +135,9 @@ class EnvConfig:
     motion_scale: float | None = None
 
     def __post_init__(self):
-        require_int_entries(self, "dims")
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+        check_field_types(self)
+        if any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        require_int_fields(self, "node_count", "episode_length", "auv_start_z", "rng_seed")
-        require_finite_fields(
-            self, "step_duration_s", "surface_station_xy", "node_buffer_bits",
-            "node_store_capacity_j", "node_store_level_j", "node_store_charge_efficiency",
-            "reward_gamma", "throughput_scale", "power_scale", "motion_scale")
-        station = self.surface_station_xy
-        if station is not None and not (isinstance(station, tuple) and len(station) == 2):
-            raise ValueError("EnvConfig.surface_station_xy must be two numbers (x, y), "
-                             f"got {station!r}")
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if self.episode_length < 1:
@@ -164,7 +155,6 @@ class EnvConfig:
         if not 0 <= self.auv_start_z <= self.dims[2]:
             raise ValueError(f"auv_start_z must be in [0, H], got {self.auv_start_z}")
         if self.auv_start_xy is not None:
-            require_int_entries(self, "auv_start_xy")
             x, y = self.auv_start_xy
             if not (0 <= x <= self.dims[0] and 0 <= y <= self.dims[1]):
                 raise ValueError(f"auv_start_xy out of bounds: {self.auv_start_xy}")
@@ -683,10 +673,9 @@ def config_from_dict(cls, doc: dict):
 
     Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
     field annotations. Fields missing from ``doc`` keep their defaults; an
-    unknown key, a tuple field given something other than an array, a
-    scalar of the wrong JSON type (an int is accepted for a float, a bool
-    is not a number) or null for a field that is not optional raises
-    ``ValueError`` naming the class and the field.
+    unknown key raises ``ValueError`` naming the class and the field, and
+    so does a value of the wrong type, which the dataclass refuses (see
+    ``checks.check_field_types``).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
@@ -694,38 +683,19 @@ def config_from_dict(cls, doc: dict):
     for key in doc:
         if key not in types_by_name:
             raise ValueError(f"{cls.__name__} has no field {key!r}")
-    return cls(**{
-        key: _from_json(types_by_name[key], value, f"{cls.__name__}.{key}")
-        for key, value in doc.items()
-    })
+    return cls(**{key: _from_json(types_by_name[key], value) for key, value in doc.items()})
 
 
-# The Python types of the JSON scalars each scalar annotation accepts.
-_SCALAR_TYPES = {bool: bool, int: int, float: (int, float), str: str}
-
-
-def _from_json(annotation, value, name: str):
+def _from_json(annotation, value):
+    """``value`` with an object for a dataclass field built into it and an
+    array for a tuple field made a tuple; anything else is passed through
+    for the dataclass to check."""
     if isinstance(annotation, types.UnionType):  # X | None
-        if value is None:
-            return None
         (annotation,) = (a for a in get_args(annotation) if a is not type(None))
-    elif value is None:
-        raise ValueError(f"{name} must not be null")
-    if dataclasses.is_dataclass(annotation):
+    if dataclasses.is_dataclass(annotation) and isinstance(value, dict):
         return config_from_dict(annotation, value)
-    if get_origin(annotation) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    if get_origin(annotation) is tuple and isinstance(value, (list, tuple)):
         # Every tuple field holds one element type: tuple[X, ...] or (X, X).
         element = get_args(annotation)[0]
-        return tuple(_from_json(element, v, name) for v in value)
-    accepted = _SCALAR_TYPES.get(annotation)
-    if accepted is not None and (
-        not isinstance(value, accepted)
-        or (isinstance(value, bool) and annotation is not bool)
-    ):
-        raise ValueError(f"{name} must be of type {annotation.__name__}, got {value!r}")
-    # JSON's NaN and Infinity pass range checks written as ``x <= 0``.
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        return tuple(_from_json(element, v) for v in value)
     return value

@@ -6,11 +6,11 @@ and power transfer. The environment step books the harvested share into the
 node stores.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import require_finite_fields, require_int_fields
+from .checks import check_field_types
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class HarvestSpec:
     split_ratio: float = 0.5
 
     def __post_init__(self):
-        require_int_fields(self, "array_elements")
-        require_finite_fields(self, *(f.name for f in fields(self)))
+        check_field_types(self)
         if self.load_resistance_ohm <= 0:
             raise ValueError(
                 f"load_resistance_ohm must be > 0, got {self.load_resistance_ohm}"

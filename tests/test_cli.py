@@ -142,10 +142,20 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 3
 
 
-def test_malformed_config_json_is_config_error(tmp_path):
+def test_malformed_config_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", "--config", str(path)]) == 2
+    # A document that is JSON but not an object: the overrides used to die
+    # descending into the list, and a string holding "seeds" and "config"
+    # was taken for a manifest.
+    for text, flags in (("[1, 2]", ["--set", "env.dims=[5,5,5]"]),
+                        ("[1, 2]", ["--seed", "3"]),
+                        ('"seeds and config"', [])):
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path), *flags]) == 2
+        assert f"{path} does not hold a JSON object" in capsys.readouterr().err
 
 
 def test_run_tiny_campaign(tmp_path, capsys):

@@ -4,13 +4,17 @@ brute-force oracle, step accounting, reward branches, and serialization."""
 import dataclasses
 import math
 import re
+import types
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
 
 from aquaswipt.auv import AuvSpec
+from aquaswipt.agents import LearnConfig
 from aquaswipt.campaign import CampaignConfig, desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
+from aquaswipt.checks import check_field_types
 from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
     ACTIONS,
@@ -139,6 +143,71 @@ def test_tuple_fields_given_a_list_say_tuple():
 def test_env_config_rejects_station_of_other_lengths(station):
     with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be two numbers"):
         EnvConfig(surface_station_xy=station)
+
+
+OTHER_TYPES = [
+    (EnvConfig, "channel", None, "EnvConfig.channel must be of type ChannelParams, got None"),
+    (EnvConfig, "auv_modem", 5, "EnvConfig.auv_modem must be of type ModemSpec, got 5"),
+    (EnvConfig, "auv_start_xy", (1, 2, 3),
+     "EnvConfig.auv_start_xy must be two numbers, got (1, 2, 3)"),
+    (CampaignConfig, "env", None, "CampaignConfig.env must be of type EnvConfig, got None"),
+    (CampaignConfig, "output_dir", 3, "CampaignConfig.output_dir must be of type str, got 3"),
+    (CampaignConfig, "algorithms", ("q_learning", 5),
+     "CampaignConfig.algorithms entries must be of type str, got ('q_learning', 5)"),
+]
+
+
+@pytest.mark.parametrize("cls, name, value, message", OTHER_TYPES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in OTHER_TYPES])
+def test_configs_reject_values_of_other_types(cls, name, value, message):
+    # Each of these used to build and fail later (an AttributeError inside
+    # Environment, "too many values to unpack") or without naming the field.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**{name: value})
+
+
+def test_float_fields_take_any_int():
+    # math.isfinite(10**400) raises OverflowError, so an int never goes to it.
+    assert EnvConfig(node_buffer_bits=10**400).node_buffer_bits == 10**400
+
+
+CONFIG_CLASSES = {ChannelParams, ModemSpec, AuvSpec, HarvestSpec, EnvConfig, LearnConfig,
+                  CampaignConfig, ConeGeometry}
+
+
+def checkable(annotation) -> bool:
+    """Whether ``annotation`` is a form ``check_field_types`` handles."""
+    if isinstance(annotation, types.UnionType):
+        rest = [a for a in get_args(annotation) if a is not type(None)]
+        return len(rest) == 1 < len(get_args(annotation)) and checkable(rest[0])
+    if get_origin(annotation) is tuple:
+        args = get_args(annotation)
+        if args[-1] is Ellipsis:
+            return len(args) == 2 and checkable(args[0])
+        # Its length message says "two numbers".
+        return all(a in (int, float) for a in args)
+    return annotation in (int, float, bool, str) or dataclasses.is_dataclass(annotation)
+
+
+def test_every_config_annotation_is_checked():
+    # A field annotated list[int] or dict would otherwise go unchecked.
+    seen, todo = set(), [CampaignConfig, ConeGeometry]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls)
+        for f in dataclasses.fields(cls):
+            assert checkable(f.type), f"{cls.__name__}.{f.name}: {f.type}"
+            todo += [a for a in (f.type, *get_args(f.type))
+                     if dataclasses.is_dataclass(a) and a not in seen]
+    assert seen == CONFIG_CLASSES
+    assert not any(map(checkable, (list[int], dict, tuple[int] | list[int], int | str | None)))
+
+    @dataclasses.dataclass
+    class Unchecked:
+        counts: list[int]
+
+    with pytest.raises(TypeError, match="Unchecked.counts has the annotation"):
+        check_field_types(Unchecked([1]))
 
 
 def test_env_config_validates_node_store():
