@@ -11,11 +11,11 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, POSITIVE_UNIT, UNIT, Bound, check_field_types
 from .env3d import id_to_tuple, key_to_id
 
 
@@ -29,32 +29,21 @@ class Algorithm(str, Enum):
 class LearnConfig:
     """Training hyper-parameters."""
 
-    learning_rate: float = 0.75
-    discount: float = 0.99
-    epsilon_start: float = 1.0
-    epsilon_decay: float = 0.999
-    epsilon_min: float = 0.001
-    episodes: int = 200
-    seed: int = 0
+    learning_rate: Annotated[float, POSITIVE_UNIT] = 0.75
+    discount: Annotated[float, POSITIVE_UNIT] = 0.99
+    epsilon_start: Annotated[float, UNIT] = 1.0
+    epsilon_decay: Annotated[float, UNIT] = 0.999
+    epsilon_min: Annotated[float, UNIT] = 0.001
+    episodes: Annotated[int, Bound(1)] = 200
+    seed: Annotated[int, NON_NEGATIVE] = 0
     randomize_start: bool = True
     optimistic_init: float = 0.0
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
-        for name in ("epsilon_start", "epsilon_decay", "epsilon_min"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {val}")
         if self.epsilon_min > self.epsilon_start:
-            raise ValueError("epsilon_min must be <= epsilon_start")
-        if self.episodes < 1:
-            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError("LearnConfig.epsilon_min must be <= epsilon_start "
+                             f"({self.epsilon_start}), got {self.epsilon_min}")
 
 
 # Sorted entries ``QTable.save`` formats in one pass. At 128 a chunk's text

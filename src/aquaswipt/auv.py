@@ -2,8 +2,9 @@
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, POSITIVE, POSITIVE_UNIT, Bound, check_field_types
 
 Point = tuple[float, float, float]
 
@@ -17,33 +18,17 @@ class AuvSpec:
     coverage cone.
     """
 
-    drag_coefficient: float = 0.8
-    frontal_area_m2: float = 0.5
-    water_density_kgm3: float = 1025.0
-    motor_efficiency: float = 0.7
-    speed_mps: float = 2.0
-    hotel_load_w: float = 20.0
-    battery_level_j: float = 5e5
-    cone_apex_angle_deg: float = 60.0
+    drag_coefficient: Annotated[float, POSITIVE] = 0.8
+    frontal_area_m2: Annotated[float, POSITIVE] = 0.5
+    water_density_kgm3: Annotated[float, POSITIVE] = 1025.0
+    motor_efficiency: Annotated[float, POSITIVE_UNIT] = 0.7
+    speed_mps: Annotated[float, POSITIVE] = 2.0
+    hotel_load_w: Annotated[float, NON_NEGATIVE] = 20.0
+    battery_level_j: Annotated[float, NON_NEGATIVE] = 5e5
+    cone_apex_angle_deg: Annotated[float, Bound(0, 180, True, True)] = 60.0
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("drag_coefficient", "frontal_area_m2", "water_density_kgm3",
-                     "speed_mps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.motor_efficiency <= 1.0:
-            raise ValueError(
-                f"motor_efficiency must be in (0, 1], got {self.motor_efficiency}"
-            )
-        if self.hotel_load_w < 0:
-            raise ValueError(f"hotel_load_w must be >= 0, got {self.hotel_load_w}")
-        if self.battery_level_j < 0:
-            raise ValueError(f"battery_level_j must be >= 0, got {self.battery_level_j}")
-        if not 0.0 < self.cone_apex_angle_deg < 180.0:
-            raise ValueError(
-                f"cone_apex_angle_deg must be in (0, 180), got {self.cone_apex_angle_deg}"
-            )
 
 
 def drag_force(spec: AuvSpec) -> float:

@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .agents import (
     train,
 )
 from .auv import AuvSpec, move_energy
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, POSITIVE, UNIT, Bound, check_field_types
 from .coverage import SweepRow, coverage_sweep
 from .env3d import Environment, EnvConfig
 
@@ -64,50 +64,31 @@ class CampaignConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     learn: LearnConfig = field(default_factory=LearnConfig)
     algorithms: tuple[str, ...] = ("q_learning", "sarsa", "random")
-    node_counts: tuple[int, ...] = (10, 25, 50)
-    gamma_sweep: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    mc_runs: int = 20
+    node_counts: Annotated[tuple[int, ...], Bound(1)] = (10, 25, 50)
+    gamma_sweep: Annotated[tuple[float, ...], UNIT] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    mc_runs: Annotated[int, Bound(1)] = 20
     output_dir: str = "results"
-    targets_throughput_bits: tuple[float, ...] = ()
-    targets_harvest_j: tuple[float, ...] = ()
-    gamma_node_count: int = 25
-    gamma_mc_runs: int | None = None
-    coverage_dims: tuple[int, int, int] | None = None
-    coverage_n_values: tuple[int, ...] = (10, 25, 50)
+    targets_throughput_bits: Annotated[tuple[float, ...], POSITIVE] = ()
+    targets_harvest_j: Annotated[tuple[float, ...], POSITIVE] = ()
+    gamma_node_count: Annotated[int, Bound(1)] = 25
+    gamma_mc_runs: Annotated[int | None, Bound(1)] = None
+    coverage_dims: Annotated[tuple[int, int, int] | None, Bound(1)] = None
+    coverage_n_values: Annotated[tuple[int, ...], NON_NEGATIVE] = (10, 25, 50)
     coverage_starts: tuple[tuple[float, float], ...] | None = None
-    coverage_trials: int = 2000
-    coverage_k_values: tuple[int, ...] = (1, 2, 4)
-    coverage_volume_samples: int = 200_000
+    coverage_trials: Annotated[int, Bound(100)] = 2000
+    coverage_k_values: Annotated[tuple[int, ...], NON_NEGATIVE] = (1, 2, 4)
+    coverage_volume_samples: Annotated[int, Bound(1000)] = 200_000
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.algorithms:
-            raise ValueError("algorithms must be non-empty")
+        for name in ("algorithms", "node_counts"):
+            if not getattr(self, name):
+                raise ValueError(f"CampaignConfig.{name} must be non-empty")
+        known = [a.value for a in Algorithm]
         for name in self.algorithms:
-            Algorithm(name)  # raises on unknown names
-        if not self.node_counts:
-            raise ValueError("node_counts must be non-empty")
-        if any(n < 1 for n in self.node_counts):
-            raise ValueError(f"node_counts must be positive, got {self.node_counts}")
-        if self.mc_runs < 1:
-            raise ValueError(f"mc_runs must be >= 1, got {self.mc_runs}")
-        if any(not 0.0 <= g <= 1.0 for g in self.gamma_sweep):
-            raise ValueError(f"gamma_sweep values must be in [0, 1], got {self.gamma_sweep}")
-        for name in ("targets_throughput_bits", "targets_harvest_j"):
-            if any(t <= 0 for t in getattr(self, name)):
-                raise ValueError(f"{name} entries must be > 0")
-        for name in ("coverage_n_values", "coverage_k_values"):
-            if any(v < 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be >= 0, got {getattr(self, name)}")
-        if self.gamma_mc_runs is not None and self.gamma_mc_runs < 1:
-            raise ValueError(f"gamma_mc_runs must be >= 1, got {self.gamma_mc_runs}")
-        for name, least in (("gamma_node_count", 1), ("coverage_trials", 100),
-                            ("coverage_volume_samples", 1000)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if self.coverage_dims is not None and any(d < 1 for d in self.coverage_dims):
-            raise ValueError("coverage_dims must be three positive integers, "
-                             f"got {self.coverage_dims}")
+            if name not in known:
+                raise ValueError(f"CampaignConfig.algorithms has unknown name {name!r} "
+                                 f"(choose from {', '.join(known)})")
 
 
 def desk_campaign_config(**overrides) -> CampaignConfig:
@@ -155,11 +136,18 @@ def desk_campaign_config(**overrides) -> CampaignConfig:
 
 
 def energy_efficiency(throughput_bits: float, total_energy_j: float) -> float:
-    """Delivered bits per joule of transmit plus navigation energy."""
-    if total_energy_j <= 0:
-        raise ValueError(f"total_energy_j must be > 0, got {total_energy_j}")
+    """Delivered bits per joule of transmit plus navigation energy.
+
+    No bits score 0.0 whatever the energy: a rollout that spends none, such
+    as idle steps against a wall with no hotel load, relays none either,
+    since an uplink needs a covered node and costs modem energy.
+    """
     if throughput_bits < 0:
         raise ValueError(f"throughput_bits must be >= 0, got {throughput_bits}")
+    if throughput_bits == 0:
+        return 0.0
+    if total_energy_j <= 0:
+        raise ValueError(f"total_energy_j must be > 0, got {total_energy_j}")
     return throughput_bits / total_energy_j
 
 

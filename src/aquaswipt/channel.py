@@ -16,11 +16,11 @@ value out in Python floats, with the same bits as the array path.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Bound, check_field_types
 
 
 @dataclass(frozen=True)
@@ -31,29 +31,15 @@ class ChannelParams:
     constant in-band noise level (dB) when set.
     """
 
-    frequency_khz: float = 24.0
-    bandwidth_hz: float = 4000.0
-    spreading_factor_k: float = 1.5
-    wind_speed_mps: float = 10.0
-    shipping_factor: float = 0.0
+    frequency_khz: Annotated[float, POSITIVE] = 24.0
+    bandwidth_hz: Annotated[float, POSITIVE] = 4000.0
+    spreading_factor_k: Annotated[float, Bound(1, 2)] = 1.5
+    wind_speed_mps: Annotated[float, NON_NEGATIVE] = 10.0
+    shipping_factor: Annotated[float, UNIT] = 0.0
     noise_override_db: float | None = None
 
     def __post_init__(self):
         check_field_types(self)
-        if self.frequency_khz <= 0:
-            raise ValueError(f"frequency_khz must be > 0, got {self.frequency_khz}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if not 1.0 <= self.spreading_factor_k <= 2.0:
-            raise ValueError(
-                f"spreading_factor_k must be in [1, 2], got {self.spreading_factor_k}"
-            )
-        if self.wind_speed_mps < 0:
-            raise ValueError(f"wind_speed_mps must be >= 0, got {self.wind_speed_mps}")
-        if not 0.0 <= self.shipping_factor <= 1.0:
-            raise ValueError(
-                f"shipping_factor must be in [0, 1], got {self.shipping_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -64,22 +50,14 @@ class ModemSpec:
     when set; ``electrical_power_w`` is still used for energy accounting.
     """
 
-    electrical_power_w: float = 1000.0
-    ea_efficiency: float = 0.5
+    electrical_power_w: Annotated[float, POSITIVE] = 1000.0
+    ea_efficiency: Annotated[float, POSITIVE_UNIT] = 0.5
     directivity_index_db: float = 0.0
     source_level_db: float | None = None
     min_snr_db: float = 0.0
 
     def __post_init__(self):
         check_field_types(self)
-        if self.electrical_power_w <= 0:
-            raise ValueError(
-                f"electrical_power_w must be > 0, got {self.electrical_power_w}"
-            )
-        if not 0.0 < self.ea_efficiency <= 1.0:
-            raise ValueError(
-                f"ea_efficiency must be in (0, 1], got {self.ea_efficiency}"
-            )
 
 
 class NoiseComponents(NamedTuple):

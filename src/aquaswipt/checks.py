@@ -1,18 +1,49 @@
-"""The type check the config dataclasses share.
+"""The field check the config dataclasses share.
 
 ``check_field_types`` tests every field of a config against its annotation,
-so a field's type is stated once, where it is declared, and each
-``__post_init__`` keeps only its range and cross-field checks. A bad value
-raises ``ValueError`` naming ``Class.field``, so that one given in Python
-fails where the config is built, as one in a config document does.
+so a field's type and range are stated once, where it is declared: a range
+is a ``Bound`` in ``Annotated[X, Bound(...)]``. Each ``__post_init__`` keeps
+only its cross-field rules. A bad value raises ``ValueError`` naming
+``Class.field``, so that one given in Python fails where the config is
+built, as one in a config document does.
 """
 
 import math
 from dataclasses import fields, is_dataclass
 from types import UnionType
-from typing import get_args, get_origin
+from typing import Annotated, NamedTuple, get_args, get_origin
 
 _COUNT_WORDS = {2: "two", 3: "three"}
+
+
+class Bound(NamedTuple):
+    """The range a number field, or each entry of a tuple field, lies in.
+
+    ``low_open`` and ``high_open`` leave that end out of the range.
+    """
+
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def holds(self, x) -> bool:
+        """Whether the number ``x`` lies in the range."""
+        return ((self.low < x if self.low_open else self.low <= x)
+                and (x < self.high if self.high_open else x <= self.high))
+
+    def __str__(self) -> str:
+        """The rule as messages state it: "> 0", ">= 1" or "in (0, 1]"."""
+        if self.high == math.inf:
+            return f"{'>' if self.low_open else '>='} {self.low:g}"
+        return (f"in {'(' if self.low_open else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.high_open else ']'}")
+
+
+POSITIVE = Bound(0, low_open=True)
+NON_NEGATIVE = Bound(0)
+UNIT = Bound(0, 1)
+POSITIVE_UNIT = Bound(0, 1, low_open=True)
 
 
 def check_field_types(config) -> None:
@@ -24,12 +55,28 @@ def check_field_types(config) -> None:
     None or an ``X``, and a config dataclass an instance of it.
     ``tuple[X, ...]`` takes a tuple of ``X``; a fixed-length tuple of
     numbers, such as ``tuple[float, float]``, takes a tuple of that length.
-    A list is not a tuple.
+    A list is not a tuple. ``Annotated[X, Bound(...)]`` takes an ``X`` that
+    lies in the bound, or whose entries do when ``X`` is a tuple; None
+    passes the bound of an ``X | None``.
     """
     owner = type(config).__name__
     for f in fields(config):
         value = getattr(config, f.name)
-        _check(f.type, value, f"{owner}.{f.name}", value, "")
+        name = f"{owner}.{f.name}"
+        annotation, bound = f.type, None
+        if get_origin(annotation) is Annotated:
+            annotation, *marks = get_args(annotation)
+            if len(marks) != 1 or not isinstance(marks[0], Bound):
+                raise TypeError(f"{name} has the annotation {f.type!r}, which is not checked")
+            (bound,) = marks
+        _check(annotation, value, name, value, "")
+        if bound is None or value is None:
+            continue
+        if isinstance(value, tuple):
+            if not all(map(bound.holds, value)):
+                raise ValueError(f"{name} entries must be {bound}, got {value!r}")
+        elif not bound.holds(value):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def _check(annotation, value, name: str, whole, entries: str) -> None:

@@ -9,11 +9,11 @@ p whenever the cone pokes out of the box.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, Bound, check_field_types
 from .env3d import EnvConfig
 
 
@@ -22,17 +22,11 @@ class ConeGeometry:
     """Right circular cone with a downward axis (+z grows with depth)."""
 
     apex: tuple[float, float, float]
-    apex_angle_deg: float
-    height_m: float
+    apex_angle_deg: Annotated[float, Bound(0, 180, True, True)]
+    height_m: Annotated[float, NON_NEGATIVE]
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 < self.apex_angle_deg < 180.0:
-            raise ValueError(
-                f"apex_angle_deg must be in (0, 180), got {self.apex_angle_deg}"
-            )
-        if self.height_m < 0:
-            raise ValueError(f"height_m must be >= 0, got {self.height_m}")
 
     @property
     def base_radius_m(self) -> float:

@@ -16,7 +16,7 @@ import math
 import types
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple, get_args, get_origin
+from typing import Annotated, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .channel import (
     source_level,
     transmission_loss_db,
 )
-from .checks import check_field_types
+from .checks import NON_NEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Bound, check_field_types
 from .harvest import HarvestSpec, harvestable_power, split_power
 
 # Unit moves: +x, -x, +y, -y, +z, -z (z grows downward).
@@ -112,10 +112,10 @@ class EnvConfig:
     default to the centre of the surface plane.
     """
 
-    dims: tuple[int, int, int] = (100, 100, 50)
-    node_count: int = 25
-    episode_length: int = 50
-    step_duration_s: float = 1.0
+    dims: Annotated[tuple[int, int, int], Bound(1)] = (100, 100, 50)
+    node_count: Annotated[int, Bound(1)] = 25
+    episode_length: Annotated[int, Bound(1)] = 50
+    step_duration_s: Annotated[float, POSITIVE] = 1.0
     rng_seed: int = 0
     channel: ChannelParams = field(default_factory=ChannelParams)
     auv: AuvSpec = field(default_factory=AuvSpec)
@@ -125,57 +125,29 @@ class EnvConfig:
     surface_station_xy: tuple[float, float] | None = None
     auv_start_xy: tuple[int, int] | None = None
     auv_start_z: int = 0
-    node_buffer_bits: float = 4e6
-    node_store_capacity_j: float = 100.0
-    node_store_level_j: float = 0.0
-    node_store_charge_efficiency: float = 1.0
-    reward_gamma: float = 0.5
-    throughput_scale: float | None = None
-    power_scale: float | None = None
-    motion_scale: float | None = None
+    node_buffer_bits: Annotated[float, NON_NEGATIVE] = 4e6
+    node_store_capacity_j: Annotated[float, POSITIVE] = 100.0
+    node_store_level_j: Annotated[float, NON_NEGATIVE] = 0.0
+    node_store_charge_efficiency: Annotated[float, POSITIVE_UNIT] = 1.0
+    reward_gamma: Annotated[float, UNIT] = 0.5
+    throughput_scale: Annotated[float | None, POSITIVE] = None
+    power_scale: Annotated[float | None, POSITIVE] = None
+    motion_scale: Annotated[float | None, POSITIVE] = None
 
     def __post_init__(self):
         check_field_types(self)
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if self.node_count < 1:
-            raise ValueError(f"node_count must be >= 1, got {self.node_count}")
-        if self.episode_length < 1:
-            raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
-        if self.step_duration_s <= 0:
-            raise ValueError(
-                f"step_duration_s must be > 0, got {self.step_duration_s}"
-            )
-        if not 0.0 <= self.reward_gamma <= 1.0:
-            raise ValueError(f"reward_gamma must be in [0, 1], got {self.reward_gamma}")
-        for name in ("throughput_scale", "power_scale", "motion_scale"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be > 0, got {val}")
-        if not 0 <= self.auv_start_z <= self.dims[2]:
-            raise ValueError(f"auv_start_z must be in [0, H], got {self.auv_start_z}")
+        l, w, h = self.dims
+        if not 0 <= self.auv_start_z <= h:
+            raise ValueError(f"EnvConfig.auv_start_z must be in [0, {h}], "
+                             f"got {self.auv_start_z}")
         if self.auv_start_xy is not None:
             x, y = self.auv_start_xy
-            if not (0 <= x <= self.dims[0] and 0 <= y <= self.dims[1]):
-                raise ValueError(f"auv_start_xy out of bounds: {self.auv_start_xy}")
-        if self.node_buffer_bits < 0:
-            raise ValueError(
-                f"node_buffer_bits must be >= 0, got {self.node_buffer_bits}"
-            )
-        if self.node_store_capacity_j <= 0:
-            raise ValueError(
-                f"node_store_capacity_j must be > 0, got {self.node_store_capacity_j}"
-            )
-        if not 0.0 <= self.node_store_level_j <= self.node_store_capacity_j:
-            raise ValueError(
-                "node_store_level_j must be in [0, node_store_capacity_j], "
-                f"got {self.node_store_level_j}"
-            )
-        if not 0.0 < self.node_store_charge_efficiency <= 1.0:
-            raise ValueError(
-                "node_store_charge_efficiency must be in (0, 1], "
-                f"got {self.node_store_charge_efficiency}"
-            )
+            if not (0 <= x <= l and 0 <= y <= w):
+                raise ValueError(f"EnvConfig.auv_start_xy must be in [0, {l}] x [0, {w}], "
+                                 f"got {self.auv_start_xy}")
+        if self.node_store_level_j > self.node_store_capacity_j:
+            raise ValueError("EnvConfig.node_store_level_j must be <= node_store_capacity_j "
+                             f"({self.node_store_capacity_j}), got {self.node_store_level_j}")
 
 
 # The link record: the link-budget terms that depend only on the AUV
@@ -674,8 +646,8 @@ def config_from_dict(cls, doc: dict):
     Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
     field annotations. Fields missing from ``doc`` keep their defaults; an
     unknown key raises ``ValueError`` naming the class and the field, and
-    so does a value of the wrong type, which the dataclass refuses (see
-    ``checks.check_field_types``).
+    so does a value of the wrong type or out of the field's range, which
+    the dataclass refuses (see ``checks.check_field_types``).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
@@ -690,6 +662,8 @@ def _from_json(annotation, value):
     """``value`` with an object for a dataclass field built into it and an
     array for a tuple field made a tuple; anything else is passed through
     for the dataclass to check."""
+    if get_origin(annotation) is Annotated:  # a range, which the dataclass checks
+        annotation = get_args(annotation)[0]
     if isinstance(annotation, types.UnionType):  # X | None
         (annotation,) = (a for a in get_args(annotation) if a is not type(None))
     if dataclasses.is_dataclass(annotation) and isinstance(value, dict):

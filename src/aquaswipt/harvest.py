@@ -7,10 +7,11 @@ node stores.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .checks import check_field_types
+from .checks import POSITIVE, POSITIVE_UNIT, UNIT, Bound, check_field_types
 
 
 @dataclass(frozen=True)
@@ -21,23 +22,13 @@ class HarvestSpec:
     """
 
     sensitivity_db: float = -160.0
-    load_resistance_ohm: float = 125.0
-    array_elements: int = 4
-    ae_efficiency: float = 0.7
-    split_ratio: float = 0.5
+    load_resistance_ohm: Annotated[float, POSITIVE] = 125.0
+    array_elements: Annotated[int, Bound(1)] = 4
+    ae_efficiency: Annotated[float, POSITIVE_UNIT] = 0.7
+    split_ratio: Annotated[float, UNIT] = 0.5
 
     def __post_init__(self):
         check_field_types(self)
-        if self.load_resistance_ohm <= 0:
-            raise ValueError(
-                f"load_resistance_ohm must be > 0, got {self.load_resistance_ohm}"
-            )
-        if self.array_elements < 1:
-            raise ValueError(f"array_elements must be >= 1, got {self.array_elements}")
-        if not 0.0 < self.ae_efficiency <= 1.0:
-            raise ValueError(f"ae_efficiency must be in (0, 1], got {self.ae_efficiency}")
-        if not 0.0 <= self.split_ratio <= 1.0:
-            raise ValueError(f"split_ratio must be in [0, 1], got {self.split_ratio}")
 
 
 def induced_voltage(snr_db, spec: HarvestSpec):

@@ -15,6 +15,7 @@ from aquaswipt.campaign import (
     CampaignConfig,
     _aggregate,
     _build_cell_specs,
+    _play_cell,
     _run_cell,
     actions_to_target,
     campaign_config_to_dict,
@@ -62,6 +63,7 @@ def read_csvs(out_dir):
 
 def test_energy_efficiency_zero_throughput():
     assert energy_efficiency(0.0, 50.0) == 0.0
+    assert energy_efficiency(0.0, 0.0) == 0.0
 
 
 def test_energy_efficiency_arithmetic():
@@ -306,6 +308,20 @@ def test_not_reached_encoding(tmp_path):
     assert record["mean_actions"] == ""
     assert record["reached"] == "False"
     assert record["reached_runs"] == "0"
+
+
+def test_campaign_scores_a_rollout_that_spends_no_energy(tmp_path):
+    # With no hotel load, a move clamped at the corner with no node covered
+    # costs 0 J and relays 0 bits. Its EE used to raise once every cell had
+    # run, so a config validate accepts failed late as a config error.
+    env = dataclasses.replace(tiny_campaign(tmp_path).env, episode_length=1,
+                              auv_start_xy=(0, 0), auv=AuvSpec(hotel_load_w=0.0))
+    cfg = tiny_campaign(tmp_path / "out", env=env, algorithms=("random",), node_counts=(1,),
+                        mc_runs=1, gamma_sweep=(0.5,), gamma_mc_runs=1, gamma_node_count=1)
+    metrics, _ = _play_cell(_build_cell_specs(cfg)[0])
+    assert metrics.transmit_energy_j + metrics.motion_energy_j == 0.0
+    cells = run_campaign(cfg, write=False).raw_cells
+    assert [c.ee_bits_per_j for c in cells if c.kind == "main"] == [0.0]
 
 
 def test_gamma_rows_zero_excluded_terms(tmp_path):

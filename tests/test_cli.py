@@ -65,6 +65,7 @@ def test_validate_rejects_bad_node_store(capsys):
         "env.channel.bogus=1",
         "learn.batch_size=4",
         "algorithms=random",
+        'algorithms=["foo"]',
         "node_counts=10",
         "gamma_sweep=0.5",
         "env.dims=5",

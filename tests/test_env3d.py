@@ -5,7 +5,7 @@ import dataclasses
 import math
 import re
 import types
-from typing import get_args, get_origin
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from aquaswipt.auv import AuvSpec
 from aquaswipt.agents import LearnConfig
 from aquaswipt.campaign import CampaignConfig, desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
-from aquaswipt.checks import check_field_types
+from aquaswipt.checks import Bound, check_field_types
 from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
     ACTIONS,
@@ -94,13 +94,19 @@ def test_env_config_rejects_dims_of_other_types(dims):
     assert EnvConfig(dims=(20, 20, 10)).dims == (20, 20, 10)
 
 
+def unbounded(annotation):
+    """``annotation`` without the ``Bound`` of an ``Annotated[X, Bound(...)]``."""
+    return get_args(annotation)[0] if get_origin(annotation) is Annotated else annotation
+
+
 def float_fields(cls):
-    """Names of ``cls``'s fields annotated ``float`` or ``float | None``."""
-    return [f.name for f in dataclasses.fields(cls) if f.type in (float, float | None)]
+    """Names of ``cls``'s fields annotated ``float`` or ``float | None``,
+    with or without a bound."""
+    return [f.name for f in dataclasses.fields(cls) if unbounded(f.type) in (float, float | None)]
 
 
 NONFINITE_FIELDS = [(cls, name) for cls in (EnvConfig, AuvSpec, ChannelParams, ModemSpec,
-                                            HarvestSpec)
+                                            HarvestSpec, LearnConfig)
                     for name in float_fields(cls)]
 
 
@@ -177,6 +183,9 @@ CONFIG_CLASSES = {ChannelParams, ModemSpec, AuvSpec, HarvestSpec, EnvConfig, Lea
 
 def checkable(annotation) -> bool:
     """Whether ``annotation`` is a form ``check_field_types`` handles."""
+    if get_origin(annotation) is Annotated:
+        inner, *marks = get_args(annotation)
+        return len(marks) == 1 and isinstance(marks[0], Bound) and checkable(inner)
     if isinstance(annotation, types.UnionType):
         rest = [a for a in get_args(annotation) if a is not type(None)]
         return len(rest) == 1 < len(get_args(annotation)) and checkable(rest[0])
@@ -200,14 +209,62 @@ def test_every_config_annotation_is_checked():
             todo += [a for a in (f.type, *get_args(f.type))
                      if dataclasses.is_dataclass(a) and a not in seen]
     assert seen == CONFIG_CLASSES
-    assert not any(map(checkable, (list[int], dict, tuple[int] | list[int], int | str | None)))
+    assert not any(map(checkable, (list[int], dict, tuple[int] | list[int], int | str | None,
+                                   Annotated[int, "> 0"], Annotated[list[int], Bound(1)],
+                                   Annotated[int, Bound(1), Bound(2)])))
 
     @dataclasses.dataclass
     class Unchecked:
         counts: list[int]
 
+    @dataclasses.dataclass
+    class Unbounded:
+        count: Annotated[int, "> 0"]
+
     with pytest.raises(TypeError, match="Unchecked.counts has the annotation"):
         check_field_types(Unchecked([1]))
+    with pytest.raises(TypeError, match="Unbounded.count has the annotation"):
+        check_field_types(Unbounded(1))
+
+
+# The fields a config class needs given, as the test below passes them.
+REQUIRED = {ConeGeometry: dict(apex=(5.0, 5.0, 0.0), apex_angle_deg=60.0, height_m=10.0)}
+BOUNDED_FIELDS = [(cls, f.name) for cls in sorted(CONFIG_CLASSES, key=lambda c: c.__name__)
+                  for f in dataclasses.fields(cls) if get_origin(f.type) is Annotated]
+
+
+@pytest.mark.parametrize("cls, name", BOUNDED_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in BOUNDED_FIELDS])
+def test_configs_refuse_values_just_past_a_bound(cls, name):
+    annotation, bound = get_args(next(f.type for f in dataclasses.fields(cls) if f.name == name))
+    if isinstance(annotation, types.UnionType):  # X | None
+        (annotation,) = (a for a in get_args(annotation) if a is not type(None))
+    shape = get_args(annotation) if get_origin(annotation) is tuple else None
+    kind = shape[0] if shape else annotation
+    ends = [(end, is_open, away) for end, is_open, away in
+            ((bound.low, bound.low_open, -1), (bound.high, bound.high_open, 1))
+            if math.isfinite(end)]
+    assert ends
+    for end, is_open, away in ends:
+        if is_open:
+            past = kind(end)
+        elif kind is int:
+            past = end + away
+        else:
+            past = math.nextafter(float(end), away * math.inf)
+        if shape is None:
+            value, entries = past, ""
+        else:
+            value, entries = (past,) * (1 if shape[-1] is Ellipsis else len(shape)), " entries"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cls.__name__}.{name}{entries} must be {bound}, got {value!r}")):
+            cls(**{**REQUIRED.get(cls, {}), name: value})
+
+
+def test_bounds_read_as_ranges():
+    phrases = {Bound(0, low_open=True): "> 0", Bound(1): ">= 1", Bound(0, 1): "in [0, 1]",
+               Bound(0, 1, low_open=True): "in (0, 1]", Bound(0, 180, True, True): "in (0, 180)"}
+    assert {bound: str(bound) for bound in phrases} == phrases
 
 
 def test_env_config_validates_node_store():
