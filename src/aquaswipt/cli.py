@@ -96,6 +96,15 @@ def _parse_override(item: str) -> tuple[str, object]:
     return key, value
 
 
+def _comma_list(flag: str, raw: str, convert, kind: str) -> list:
+    """The items of the comma list ``raw`` given to ``flag``, each made a
+    ``kind`` by ``convert``; ``ValueError`` names the flag and its value."""
+    try:
+        return [convert(item) for item in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} expects a comma list of {kind}, got {raw!r}") from None
+
+
 def _load_config(args):
     if args.config:
         with open(args.config) as fh:
@@ -115,12 +124,12 @@ def _load_config(args):
         _set_dotted(doc, "learn.seed", args.seed)
     if args.runs is not None:
         doc["mc_runs"] = args.runs
-    if args.algos:
+    if args.algos is not None:
         doc["algorithms"] = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if args.nodes:
-        doc["node_counts"] = [int(n) for n in args.nodes.split(",")]
-    if args.gamma:
-        doc["gamma_sweep"] = [float(g) for g in args.gamma.split(",")]
+    if args.nodes is not None:
+        doc["node_counts"] = _comma_list("--nodes", args.nodes, int, "integers")
+    if args.gamma is not None:
+        doc["gamma_sweep"] = _comma_list("--gamma", args.gamma, float, "numbers")
     if getattr(args, "out", None):
         doc["output_dir"] = args.out
     return config_from_dict(CampaignConfig, doc)

@@ -164,6 +164,14 @@ class EnvConfig:
 #   counts 0 (see ``key_to_id``).
 # - Bit ``a`` of ``blocked`` is set when action ``a`` would leave the box.
 
+# Link records ``Environment._link_cache`` holds at most; ``_links`` empties
+# the cache when it is full. A record is a pure function of the position
+# and the placed nodes, so emptying it costs rebuilds and changes no output.
+# Unbounded, random starts fill it toward the 520k positions of the
+# 100 x 100 x 50 box at about 380 B a record (300 Q-learning episodes there
+# left 9.6k records, 3.7 MB); most reuse is within one episode.
+_LINK_CACHE_LIMIT = 2048
+
 
 def _mean(values: list[float]) -> float:
     """``np.mean`` of ``values`` as a float64 vector, bit for bit.
@@ -224,14 +232,19 @@ class Environment:
     the first visit and cached per position: a plain-Python loop runs the
     cone test over the nodes near both the x and the y value, and the
     uplink SNR, offered energy and uplink-bits terms of a node are worked
-    out once per squared range. ``place_nodes`` empties both caches and
-    tabulates the transmit energy of each count of uplinking nodes. The
-    relay rate is memoised by the float relay range, which does not depend
-    on the nodes; a memo miss makes one scalar call each of
-    ``transmission_loss_db`` and ``shannon_throughput_bps``. Measured
-    costs of these paths are in the bench records (``BENCH_<pr>.json`` at
-    the root of the repository; ``BENCH_18.json`` times the link build
-    against numpy row operations).
+    out once per squared range. The cache holds at most
+    ``_LINK_CACHE_LIMIT`` (2048) records: ``_links`` empties a full cache
+    before it inserts. A position visited again after that pays one
+    rebuild, which hits the per-range and relay memos and took about 4 us
+    at 50 nodes on the 100 x 100 x 50 box (2-vCPU Xeon VM). The two memos
+    are bounded by the box, so the limit leaves them alone. ``place_nodes``
+    empties the link cache and the per-range memo and tabulates the
+    transmit energy of each count of uplinking nodes. The relay rate is
+    memoised by the float relay range, which does not depend on the nodes;
+    a memo miss makes one scalar call each of ``transmission_loss_db`` and
+    ``shannon_throughput_bps``. Measured costs of these paths are in the
+    bench records (``BENCH_<pr>.json`` at the root of the repository;
+    ``BENCH_18.json`` times the link build against numpy row operations).
 
     States are int ids (see ``key_to_id``): ``reset`` returns the first
     one and ``step`` returns ``(next state id, reward, done)``; after a
@@ -597,6 +610,7 @@ class Environment:
         memo = self._range_links
         nodes = []
         snrs = []
+        snr_sum = 0.0
         for i in self._near_x[x]:
             if i in near_y:
                 d2 = dx2[i] + dy2[i]
@@ -609,6 +623,7 @@ class Environment:
                         snr, offered_j, uplink_bits = link
                         nodes.append((i, offered_j, uplink_bits))
                         snrs.append(snr)
+                        snr_sum += snr
 
         # Many positions share a relay range; the same scalar call on the
         # same float gives the same rate, so it is computed once per range.
@@ -625,8 +640,18 @@ class Environment:
             relay_bits = self._relay_bits[relay_range] = float(relay_rate) * cfg.step_duration_s
 
         # The edges ascend, so this counts the edges below the mean SNR.
-        gain_bin = bisect_left(self._gain_edges, _mean(snrs)) if snrs else 0
-        links = self._link_cache[p] = (
+        # Below 8 SNRs ``_mean`` adds them in order from 0.0, as the running
+        # sum does, so the sum divides to the same float.
+        n = len(snrs)
+        if n:
+            mean = snr_sum / n if n < 8 else _mean(snrs)
+            gain_bin = bisect_left(self._gain_edges, mean)
+        else:
+            gain_bin = 0
+        cache = self._link_cache
+        if len(cache) >= _LINK_CACHE_LIMIT:
+            cache.clear()
+        links = cache[p] = (
             tuple(nodes), relay_bits, p * 64 + gain_bin,
             self._blocked_x[x] | self._blocked_y[y] | self._blocked_z[z])
         return links

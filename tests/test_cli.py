@@ -88,6 +88,28 @@ def test_validate_names_bad_or_unknown_field(setting, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [
+        ("--nodes", "10,x", "integers"),
+        ("--nodes", "10,,25", "integers"),
+        ("--nodes", "10.5", "integers"),
+        ("--gamma", "0.5,abc", "numbers"),
+        ("--gamma", "", "numbers"),
+    ],
+)
+def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
+    assert main(["validate", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} expects a comma list of {kind}, got '{value}'" in err
+
+
+def test_validate_refuses_an_empty_algos_list(capsys):
+    # An empty list flag used to be ignored, leaving the config's list.
+    assert main(["validate", "--algos", ""]) == 2
+    assert "CampaignConfig.algorithms must be non-empty" in capsys.readouterr().err
+
+
 def test_validate_partial_config_takes_defaults(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"env": {"node_count": 10, "dims": [6, 6, 4]}}))

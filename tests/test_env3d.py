@@ -10,13 +10,15 @@ from typing import Annotated, get_args, get_origin
 import numpy as np
 import pytest
 
+from aquaswipt import env3d
 from aquaswipt.auv import AuvSpec
-from aquaswipt.agents import LearnConfig
+from aquaswipt.agents import Algorithm, LearnConfig, greedy_rollout, train
 from aquaswipt.campaign import CampaignConfig, desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
 from aquaswipt.checks import Bound, check_field_types
 from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
+    _LINK_CACHE_LIMIT,
     ACTIONS,
     EnvConfig,
     StateKey,
@@ -547,6 +549,42 @@ def test_links_reject_nan_harvest_power():
     env._downlink_power_w[:] = float("nan")
     with pytest.raises(ValueError, match="harvest_w"):
         links_at(env, (10, 10, 0))
+
+
+# Random starts on the table-explore box: 80 episodes build ~2,700 link
+# records, past the default cache limit.
+EXPLORE_ENV = EnvConfig(dims=(100, 100, 50), node_count=50, rng_seed=0)
+EXPLORE_LEARN = LearnConfig(episodes=80, seed=0, randomize_start=True)
+
+
+def test_link_cache_stays_under_its_limit():
+    env = deploy(EXPLORE_ENV)
+    sizes = []
+    step = env.step
+
+    def checked_step(action):
+        result = step(action)
+        sizes.append(len(env._link_cache))
+        assert sizes[-1] <= _LINK_CACHE_LIMIT
+        return result
+
+    env.step = checked_step  # train binds env.step once, so set it first
+    train(env, Algorithm.Q_LEARNING, EXPLORE_LEARN)
+    assert len(sizes) == EXPLORE_LEARN.episodes * EXPLORE_ENV.episode_length
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the cache was never emptied"
+
+
+def test_emptying_the_link_cache_changes_no_output(tmp_path, monkeypatch):
+    outputs = []
+    for limit in (64, _LINK_CACHE_LIMIT):
+        monkeypatch.setattr(env3d, "_LINK_CACHE_LIMIT", limit)
+        env = deploy(EXPLORE_ENV)
+        table, trace = train(env, Algorithm.Q_LEARNING, EXPLORE_LEARN)
+        metrics, trajectory = greedy_rollout(env, table)
+        path = tmp_path / f"qtable_{limit}.json"
+        table.save(path)
+        outputs.append((path.read_bytes(), trace, dataclasses.asdict(metrics), trajectory))
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
