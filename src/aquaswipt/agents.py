@@ -114,13 +114,6 @@ class QTable:
             self._top_id = top
         self._table: dict = {}
 
-    def values(self, state) -> np.ndarray:
-        """Action values for a state (a copy; mutate via set())."""
-        row = self._table.get(state)
-        if row is None:
-            return np.full(self.n_actions, self.default_value)
-        return np.array(row, dtype=float)
-
     def get(self, state, action: int) -> float:
         row = self._table.get(state)
         return self.default_value if row is None else row[action]

@@ -151,19 +151,14 @@ def energy_efficiency(throughput_bits: float, total_energy_j: float) -> float:
     return throughput_bits / total_energy_j
 
 
-def actions_to_target(metrics: EpisodeMetrics, target: float, quantity: str) -> int | None:
-    """First step (1-based) at which the cumulative quantity reaches target.
+def actions_to_target(trace: list[float], target: float) -> int | None:
+    """First step (1-based) at which the cumulative sum of the per-step
+    ``trace`` reaches target.
 
     Returns None when the episode never reaches it.
     """
     if target <= 0:
         raise ValueError(f"target must be > 0, got {target}")
-    if quantity == "throughput":
-        trace = metrics.step_throughput_bits
-    elif quantity == "harvest":
-        trace = metrics.step_harvested_j
-    else:
-        raise ValueError(f"quantity must be 'throughput' or 'harvest', got {quantity}")
     total = 0.0
     for i, value in enumerate(trace):
         total += value
@@ -253,10 +248,10 @@ def _run_cell(spec: _CellSpec) -> CellResult:
         reward_throughput_term=metrics.reward_throughput_term,
         reward_harvest_term=metrics.reward_harvest_term,
         actions_throughput=[
-            actions_to_target(metrics, t, "throughput") for t in spec.targets_throughput
+            actions_to_target(metrics.step_throughput_bits, t) for t in spec.targets_throughput
         ],
         actions_harvest=[
-            actions_to_target(metrics, t, "harvest") for t in spec.targets_harvest
+            actions_to_target(metrics.step_harvested_j, t) for t in spec.targets_harvest
         ],
     )
 

@@ -173,45 +173,6 @@ class EnvConfig:
 _LINK_CACHE_LIMIT = 2048
 
 
-def _mean(values: list[float]) -> float:
-    """``np.mean`` of ``values`` as a float64 vector, bit for bit.
-
-    numpy adds the elements to its 0.0 identity by pairwise summation:
-    below 8 elements in order, up to 128 in eight interleaved partial sums
-    combined as a tree plus an in-order tail, and longer runs split in two
-    at a multiple of 8. This avoids ``np.mean``'s per-call cost on the
-    short lists ``_links`` averages.
-    """
-    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
-
-
-def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += a[i]
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, lo + n):
-            total += a[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-
-
 class Environment:
     """Single-owner mutable simulation instance.
 
@@ -412,10 +373,6 @@ class Environment:
         self.done = False
         return self.state_id()
 
-    def covered(self) -> list[int]:
-        """Indices of nodes inside the coverage cone with a usable uplink."""
-        return [i for i, _, _ in self._links_here()[0]]
-
     def step(self, action: int) -> tuple[int, float, bool]:
         """Apply one unit move and resolve power transfer and data relay.
 
@@ -508,7 +465,10 @@ class Environment:
 
     def state_id(self) -> int:
         """Int id of the current state (see ``key_to_id``)."""
-        nodes, _, state_base, _ = self._links_here()
+        links = self._link_cache.get(self._p)
+        if links is None:
+            links = self._links(self._p)
+        nodes, _, state_base, _ = links
         capacity = self.config.node_store_capacity_j
         buffers = self.buffer_bits
         levels = self.store_level_j
@@ -522,10 +482,6 @@ class Environment:
         return _state_id(state_base, with_data, undercharged)
 
     # ------------------------------------------------------------------
-
-    def _links_here(self) -> tuple:
-        links = self._link_cache.get(self._p)
-        return links if links is not None else self._links(self._p)
 
     def place_nodes(self, positions) -> None:
         """Put the nodes at ``positions`` and build the link tables ``_links`` reads.
@@ -639,12 +595,14 @@ class Environment:
             )
             relay_bits = self._relay_bits[relay_range] = float(relay_rate) * cfg.step_duration_s
 
-        # The edges ascend, so this counts the edges below the mean SNR.
-        # Below 8 SNRs ``_mean`` adds them in order from 0.0, as the running
-        # sum does, so the sum divides to the same float.
+        # The edges ascend, so this counts the edges below the mean SNR,
+        # which must be ``np.mean``'s to the bit. numpy adds fewer than 8
+        # elements in order from 0.0, as the running sum does; from 8 on it
+        # sums pairwise, and ``np.add.reduce`` is that sum without
+        # ``np.mean``'s per-call overhead.
         n = len(snrs)
         if n:
-            mean = snr_sum / n if n < 8 else _mean(snrs)
+            mean = snr_sum / n if n < 8 else float(np.add.reduce(snrs)) / n
             gain_bin = bisect_left(self._gain_edges, mean)
         else:
             gain_bin = 0

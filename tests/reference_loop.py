@@ -11,6 +11,8 @@ straightforward form of both as an oracle:
   functions on a ``QTable`` keyed by ``StateKey`` tuples;
 - ``reference_links``, the link terms at one position evaluated from the
   channel and harvest models;
+- ``covered``, the nodes the environment's own link record at the AUV
+  position covers;
 - ``charge``, the store-charge arithmetic the step books inline;
 - ``reference_step``, the environment step in separate move, charge,
   uplink, relay and reward stages on the environment's public state;
@@ -57,7 +59,7 @@ def q_update(q: QTable, state, action: int, reward: float, next_state,
     if terminal:
         target = reward
     else:
-        target = reward + cfg.discount * max(q.values(next_state).tolist())
+        target = reward + cfg.discount * max(q.get(next_state, a) for a in range(q.n_actions))
     q.set(state, action, current + cfg.learning_rate * (target - current))
     return q
 
@@ -134,6 +136,16 @@ def reference_links(env, pos):
     mean_snr = float(np.mean(up_snr[idx])) if covered else None
     gain_bin = 0 if mean_snr is None else sum(e < mean_snr for e in env._gain_edges)
     return tuple(covered), tuple(nodes), relay_bps * dt, gain_bin, len(in_cone)
+
+
+def covered(env) -> list[int]:
+    """Indices of the nodes inside the coverage cone at the AUV position
+    with a usable uplink, read from the link record ``Environment.step``
+    uses there."""
+    links = env._link_cache.get(env._p)
+    if links is None:
+        links = env._links(env._p)
+    return [i for i, _, _ in links[0]]
 
 
 def reference_state(env, links) -> StateKey:

@@ -49,6 +49,7 @@ from aquaswipt.coverage import (
 from aquaswipt.env3d import EnvConfig, deploy
 from aquaswipt.harvest import HarvestSpec, harvestable_power, induced_voltage
 from mdp_oracle import TabularMdpEnv, value_iteration_oracle
+from reference_loop import covered
 from test_pinned_outputs import GOLDEN, _sha256, _skip_off_pinned_pair, csv_mismatches
 
 mp.mp.dps = 50
@@ -441,13 +442,13 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             while not done:
                 levels = list(env.store_level_j)
                 _, _, done = env.step(int(rng.integers(6)))
-                covered = env.covered()
+                covered_nodes = covered(env)
                 steps_done += 1
                 harvested = 0.0
                 for i, before in enumerate(levels):
                     gained = env.store_level_j[i] - before
                     harvested += gained
-                    if i in covered:
+                    if i in covered_nodes:
                         cap = (1.0 - split) * downlink_power_w(env, i) * dt * eff
                         assert -1e-15 <= gained <= cap * (1 + 1e-9) + 1e-15
                     else:

@@ -108,14 +108,14 @@ def test_q_update_touches_exactly_one_cell():
     q = QTable()
     q.set("s", 0, 1.0)
     q.set("t", 5, 2.0)
-    before_s = q.values("s")
-    before_t = q.values("t")
+    before_s = [q.get("s", a) for a in range(q.n_actions)]
+    before_t = [q.get("t", a) for a in range(q.n_actions)]
     q_update(q, "s", 2, 3.0, "t", cfg())
-    after_s = q.values("s")
+    after_s = [q.get("s", a) for a in range(q.n_actions)]
     assert after_s[2] != before_s[2]
     after_s[2] = before_s[2]
-    assert np.array_equal(after_s, before_s)
-    assert np.array_equal(q.values("t"), before_t)
+    assert after_s == before_s
+    assert [q.get("t", a) for a in range(q.n_actions)] == before_t
 
 
 def test_sarsa_update_hand_value():
@@ -486,7 +486,7 @@ def test_train_is_reproducible():
         env = TabularMdpEnv(transitions, rewards, episode_length=25, seed=3)
         q, trace = train(env, Algorithm.Q_LEARNING, cfg(episodes=40, seed=77))
         return [m.total_reward for m in trace], {
-            s: list(q.values(s)) for s in range(6)
+            s: [q.get(s, a) for a in range(q.n_actions)] for s in range(6)
         }
 
     assert run() == run()

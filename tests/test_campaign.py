@@ -86,41 +86,27 @@ def test_energy_efficiency_homogeneous():
         )
 
 
-def metrics_with(throughput_steps, harvest_steps=()):
-    m = EpisodeMetrics()
-    for t in throughput_steps:
-        m.step_throughput_bits.append(t)
-    for h in harvest_steps:
-        m.step_harvested_j.append(h)
-    return m
-
-
 def test_actions_to_target_first_step():
-    m = metrics_with([100.0, 0.0, 50.0])
-    assert actions_to_target(m, 1e-9, "throughput") == 1
+    assert actions_to_target([100.0, 0.0, 50.0], 1e-9) == 1
 
 
 def test_actions_to_target_cumulative():
-    m = metrics_with([100.0, 0.0, 50.0])
-    assert actions_to_target(m, 120.0, "throughput") == 3
+    assert actions_to_target([100.0, 0.0, 50.0], 120.0) == 3
 
 
 def test_actions_to_target_not_reached():
-    m = metrics_with([100.0, 0.0, 50.0])
-    assert actions_to_target(m, 1e9, "throughput") is None
+    assert actions_to_target([100.0, 0.0, 50.0], 1e9) is None
 
 
 def test_actions_to_target_harvest_stream():
-    m = metrics_with([], harvest_steps=[0.0, 2.0, 2.0])
-    assert actions_to_target(m, 3.0, "harvest") == 3
+    m = EpisodeMetrics()
+    m.step_harvested_j.extend([0.0, 2.0, 2.0])
+    assert actions_to_target(m.step_harvested_j, 3.0) == 3
 
 
 def test_actions_to_target_validation():
-    m = metrics_with([1.0])
     with pytest.raises(ValueError):
-        actions_to_target(m, 0.0, "throughput")
-    with pytest.raises(ValueError):
-        actions_to_target(m, 1.0, "banana")
+        actions_to_target([1.0], 0.0)
 
 
 # ---------------------------------------------------------------------------

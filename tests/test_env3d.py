@@ -22,7 +22,6 @@ from aquaswipt.env3d import (
     ACTIONS,
     EnvConfig,
     StateKey,
-    _mean,
     config_from_dict,
     deploy,
     id_to_key,
@@ -30,7 +29,7 @@ from aquaswipt.env3d import (
     key_to_id,
 )
 from aquaswipt.harvest import HarvestSpec
-from reference_loop import reference_links
+from reference_loop import covered, reference_links
 
 
 def small_config(**kwargs):
@@ -318,14 +317,14 @@ def test_covered_node_directly_below():
     env = deploy(small_config(node_count=1, rng_seed=3))
     env.place_nodes([[10.0, 10.0, 7.0]])
     env.auv_pos = (10, 10, 0)
-    assert env.covered() == [0]
+    assert covered(env) == [0]
 
 
 def test_covered_node_above_is_not_covered():
     env = deploy(small_config(node_count=1, rng_seed=3))
     env.place_nodes([[10.0, 10.0, 2.0]])
     env.auv_pos = (10, 10, 6)
-    assert env.covered() == []
+    assert covered(env) == []
 
 
 def test_covered_matches_brute_force_on_synthetic_layout():
@@ -334,7 +333,7 @@ def test_covered_matches_brute_force_on_synthetic_layout():
     env.place_nodes(layout)
     for auv_pos in [(10, 10, 0), (10, 10, 4), (3, 3, 0), (0, 0, 0), (10, 11, 3)]:
         env.auv_pos = auv_pos
-        assert env.covered() == brute_force_covered(env), auv_pos
+        assert covered(env) == brute_force_covered(env), auv_pos
 
 
 def test_covered_matches_brute_force_on_random_layouts():
@@ -342,7 +341,7 @@ def test_covered_matches_brute_force_on_random_layouts():
     env = deploy(small_config(node_count=40, rng_seed=9))
     for _ in range(25):
         env.auv_pos = tuple(int(v) for v in rng.integers(0, [21, 21, 11]))
-        assert env.covered() == brute_force_covered(env)
+        assert covered(env) == brute_force_covered(env)
 
 
 def links_at(env, pos):
@@ -474,14 +473,22 @@ def test_mean_snr_on_a_gain_edge_takes_the_lower_bin():
         assert state_base == key_to_id(StateKey(10, 10, 0, 0, 0, expected), env.dims), edges
 
 
-def test_link_mean_equals_numpy_mean():
-    # The gain bin compares the mean covered SNR with fixed edges, so the
-    # mean must be numpy's to the bit; lengths past 128 take numpy's split.
-    rng = np.random.default_rng(4)
-    for n in range(1, 201):
-        for _ in range(5):
-            values = (rng.normal(-20.0, 30.0, n) * 10.0 ** rng.uniform(-8, 8, n)).tolist()
-            assert _mean(values) == float(np.mean(values)), n
+def test_gain_bin_mean_is_numpys_on_both_sides_of_the_8_node_fork():
+    # ``_links`` averages the covered SNRs with a running sum below 8 nodes
+    # and with numpy's pairwise sum from 8 on. An edge at numpy's mean must
+    # give bin 0 and one a float below it bin 1, which pins the mean to the
+    # bit for every node count.
+    env = deploy(small_config(dims=(20, 20, 20), node_count=1, rng_seed=3))
+    depths = [16, 3, 11, 7, 14, 1, 9, 5, 13, 2, 15, 8, 4, 12, 6, 10]
+    for k in range(1, len(depths) + 1):
+        layout = [[10, 10, z] for z in depths[:k]]
+        env.place_nodes(layout)
+        m = float(np.mean([float(env._uplink_snr_db[z * z]) for _, _, z in layout]))
+        for edge, expected in [(m, 0), (np.nextafter(m, -np.inf), 1)]:
+            env._gain_edges = (float(edge), math.inf, math.inf)
+            nodes, _, state_base, _ = links_at(env, (10, 10, 0))
+            assert [i for i, _, _ in nodes] == list(range(k))
+            assert state_base % 64 == expected, (k, edge)
 
 
 def test_links_reject_off_grid_node():
@@ -502,10 +509,10 @@ def test_links_reject_off_grid_node():
         env.node_pos[1] = [10.5, 10.0, 5.0]
     # Placing nodes drops the links cached for the old layout.
     env.auv_pos = (10, 10, 0)
-    before = env.covered()
+    before = covered(env)
     env.place_nodes([[0, 0, 0], [20, 20, 10], [10.0, 10.0, 5.0]])
     assert env.node_pos.tolist() == [[0, 0, 0], [20, 20, 10], [10, 10, 5]]
-    assert env.covered() == brute_force_covered(env) == [2] != before
+    assert covered(env) == brute_force_covered(env) == [2] != before
 
 
 def test_place_nodes_with_a_new_count_sizes_the_node_lists():
@@ -513,7 +520,7 @@ def test_place_nodes_with_a_new_count_sizes_the_node_lists():
     env.place_nodes([[0, 0, 7], [11, 10, 7]])
     env.auv_pos = (10, 10, 0)
     env.step(0)  # +x: to the column above the second node
-    assert env.auv_pos == (11, 10, 0) and env.covered() == [1]
+    assert env.auv_pos == (11, 10, 0) and covered(env) == [1]
     assert len(env.store_level_j) == len(env.buffer_bits) == 2
     # The same count keeps the episode's node levels.
     levels, buffers = list(env.store_level_j), list(env.buffer_bits)
@@ -532,7 +539,7 @@ def test_transmit_energy_counts_every_placed_node():
     env.step(0)  # +x: to the column above every node
     k = len(layout)
     # Every node is covered, uplinked this step and still holds data.
-    assert env.covered() == list(range(k))
+    assert covered(env) == list(range(k))
     assert all(0.0 < b < cfg.node_buffer_bits for b in env.buffer_bits)
     dt = cfg.step_duration_s
     node_w = cfg.node_modem.electrical_power_w
@@ -623,7 +630,7 @@ def test_step_no_coverage_reward_is_motion_penalty():
     env.place_nodes([[0.0, 0.0, 10.0]])
     env.auv_pos = (20, 20, 0)
     _, reward, _ = env.step(0)  # clamped at +x wall, far from the node
-    assert env.covered() == []
+    assert covered(env) == []
     assert reward == pytest.approx(-motion_j(env) / env.motion_scale)
     assert env.last_terms[:2] == (0.0, 0.0)  # the reward's throughput and harvest terms
 
@@ -637,7 +644,7 @@ def test_step_saturated_and_empty_node_gives_penalty_only():
     env.buffer_bits[0] = 0.0
     env.auv_pos = (10, 11, 0)
     _, reward, _ = env.step(3)  # -y onto the covering column
-    assert env.covered() == [0]
+    assert covered(env) == [0]
     assert reward == pytest.approx(-motion_j(env) / env.motion_scale)
 
 
@@ -717,13 +724,13 @@ def test_step_conservation_invariants():
         while not done:
             levels_before = list(env.store_level_j)
             _, _, done = env.step(int(rng.integers(6)))
-            covered = env.covered()
+            covered_nodes = covered(env)
             dt = env.config.step_duration_s
             split = env.config.node_harvest.split_ratio
             eff = env.config.node_store_charge_efficiency
             for i, before in enumerate(levels_before):
                 gained = env.store_level_j[i] - before
-                if i in covered:
+                if i in covered_nodes:
                     cap = (1.0 - split) * downlink_power_w(env, i) * dt * eff
                     assert 0.0 <= gained <= cap + 1e-12
                 else:
