@@ -54,9 +54,7 @@ _SAVE_CHUNK = 128
 
 def _json_list(length: int, item: str, indent: int) -> str:
     """Format template of a list of ``length`` items as ``json.dump`` writes
-    it with ``indent=1`` at nesting depth ``indent``."""
-    if not length:
-        return "[]"
+    it with ``indent=1`` at nesting depth ``indent``; ``length`` is at least 1."""
     pad = "\n" + " " * (indent + 1)
     return "[" + pad + ("," + pad).join([item] * length) + "\n" + " " * indent + "]"
 

@@ -47,14 +47,11 @@ def propulsion_power(spec: AuvSpec) -> float:
     return drag_force(spec) * spec.speed_mps
 
 
-def move_energy(spec: AuvSpec, from_point: Point, to_point: Point,
-                dwell_s: float = 0.0) -> float:
+def move_energy(spec: AuvSpec, from_point: Point, to_point: Point) -> float:
     """Energy in joules to travel between two points at cruise speed.
 
-    Propulsion plus hotel load over the transit time d/v. A zero-length
-    move consumes hotel load only, over ``dwell_s``.
+    Propulsion plus hotel load over the transit time d/v, so a zero-length
+    move costs nothing: ``Environment`` books the hotel load of an idle step.
     """
     d = math.dist(from_point, to_point)
-    if d == 0.0:
-        return spec.hotel_load_w * dwell_s
     return (propulsion_power(spec) + spec.hotel_load_w) * d / spec.speed_mps

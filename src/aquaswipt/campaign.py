@@ -332,7 +332,6 @@ class TargetAggregate:
 class CellAggregate:
     algorithm: str
     node_count: int
-    gamma: float
     runs: int
     throughput_mean: float
     throughput_min: float
@@ -363,8 +362,7 @@ class AggregateResult:
     cells: list[CellAggregate]
     gamma_rows: list[GammaRow]
     coverage_rows: list[SweepRow]
-    cell_seeds: dict[str, int]
-    raw_cells: list[CellResult] = field(default_factory=list)
+    raw_cells: list[CellResult]
 
 
 def _aggregate_targets(results: list[CellResult], attr: str,
@@ -392,11 +390,10 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
     gamma = [r for r in results if r.kind == "gamma"]
 
     cells = []
-    ee_means: dict[tuple[str, int], float] = {}
-    groups: dict[tuple[str, int, float], list[CellResult]] = {}
+    groups: dict[tuple[str, int], list[CellResult]] = {}
     for r in main:
-        groups.setdefault((r.algorithm, r.node_count, r.gamma), []).append(r)
-    for (algorithm, node_count, g), rs in sorted(groups.items()):
+        groups.setdefault((r.algorithm, r.node_count), []).append(r)
+    for (algorithm, node_count), rs in sorted(groups.items()):
         tp = [r.throughput_bits for r in rs]
         hv = [r.harvested_j for r in rs]
         ee = [r.ee_bits_per_j for r in rs]
@@ -404,7 +401,6 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
             CellAggregate(
                 algorithm=algorithm,
                 node_count=node_count,
-                gamma=g,
                 runs=len(rs),
                 throughput_mean=float(np.mean(tp)),
                 throughput_min=float(np.min(tp)),
@@ -422,9 +418,10 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
                 ),
             )
         )
-        ee_means[(algorithm, node_count)] = float(np.mean(ee))
+    random_ee = {c.node_count: c.ee_mean for c in cells
+                 if c.algorithm == Algorithm.RANDOM.value}
     for cell in cells:
-        base = ee_means.get((Algorithm.RANDOM.value, cell.node_count))
+        base = random_ee.get(cell.node_count)
         if base and cell.algorithm != Algorithm.RANDOM.value:
             cell.ee_ratio_vs_random = cell.ee_mean / base
 
@@ -449,13 +446,11 @@ def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateRe
             )
         )
 
-    seeds = {_seed_key(r): r.env_seed for r in results}
     return AggregateResult(
         config=config,
         cells=cells,
         gamma_rows=gamma_rows,
         coverage_rows=[],
-        cell_seeds=seeds,
         raw_cells=results,
     )
 
@@ -486,14 +481,13 @@ def run_coverage(config: CampaignConfig) -> list[SweepRow]:
     )
 
 
-def run_campaign(config: CampaignConfig, write: bool = True) -> AggregateResult:
-    """Execute the full campaign; optionally emit datasets to output_dir."""
+def run_campaign(config: CampaignConfig) -> AggregateResult:
+    """Execute the full campaign and emit its datasets to output_dir."""
     specs = _build_cell_specs(config)
     results = _execute_cells(specs)
     aggregate = _aggregate(config, results)
     aggregate.coverage_rows = run_coverage(config)
-    if write:
-        emit_datasets(aggregate, config.output_dir)
+    emit_datasets(aggregate, config.output_dir)
     return aggregate
 
 
@@ -569,7 +563,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     manifest = {
         "schema": 3,
         "config": campaign_config_to_dict(result.config),
-        "seeds": dict(sorted(result.cell_seeds.items())),
+        "seeds": {_seed_key(r): r.env_seed for r in result.raw_cells},
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

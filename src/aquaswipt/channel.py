@@ -155,17 +155,15 @@ def noise_level_db(params: ChannelParams) -> float:
     return float(total + 10.0 * np.log10(params.bandwidth_hz))
 
 
-def received_snr_db(source: ModemSpec, range_m, params: ChannelParams,
-                    receive_di_db: float = 0.0):
-    """Received SNR in dB: SL - TL - NL + DI.
+def received_snr_db(source: ModemSpec, range_m, params: ChannelParams):
+    """Received SNR in dB at an omnidirectional receiver: SL - TL - NL.
 
-    The transmit directivity is already folded into the source level; the
-    optional ``receive_di_db`` is the receiving array's gain (default omni).
+    The transmit directivity is already folded into the source level.
     """
     sl = source_level(source)
     tl = transmission_loss_db(range_m, params)
     nl = noise_level_db(params)
-    out = sl - tl - nl + receive_di_db
+    out = sl - tl - nl
     return out if np.ndim(out) else float(out)
 
 

@@ -125,7 +125,11 @@ def _load_config(args):
     if args.runs is not None:
         doc["mc_runs"] = args.runs
     if args.algos is not None:
-        doc["algorithms"] = [a.strip() for a in args.algos.split(",") if a.strip()]
+        names = [a.strip() for a in args.algos.split(",")] if args.algos.strip() else []
+        if "" in names:
+            raise ValueError("--algos expects a comma list of algorithm names, "
+                             f"got {args.algos!r}")
+        doc["algorithms"] = names
     if args.nodes is not None:
         doc["node_counts"] = _comma_list("--nodes", args.nodes, int, "integers")
     if args.gamma is not None:
@@ -140,7 +144,7 @@ def _cmd_run(args) -> int:
     if not args.quiet:
         print(f"running campaign: {len(_build_cell_specs(config))} cells "
               f"-> {config.output_dir}")
-    result = run_campaign(config, write=True)
+    result = run_campaign(config)
     if not args.quiet:
         for cell in result.cells:
             print(f"  {cell.algorithm:>10} n={cell.node_count:<3} "
@@ -195,8 +199,9 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    print(f"config OK: {len(config.algorithms)} algorithms, "
-          f"node counts {list(config.node_counts)}, {config.mc_runs} runs")
+    if not args.quiet:
+        print(f"config OK: {len(config.algorithms)} algorithms, "
+              f"node counts {list(config.node_counts)}, {config.mc_runs} runs")
     return EXIT_OK
 
 

@@ -54,15 +54,12 @@ def cone_volume(geom: ConeGeometry) -> float:
     return math.pi * geom.base_radius_m**2 * geom.height_m / 3.0
 
 
-def points_in_cone(
-    geom: ConeGeometry, points: np.ndarray, scale=(1.0, 1.0, 1.0)
-) -> np.ndarray:
+def points_in_cone(geom: ConeGeometry, points: np.ndarray, scale) -> np.ndarray:
     """Boolean mask of points (N, 3) inside the cone, boundary inclusive.
 
     Each column is multiplied by its ``scale`` entry before the test, so
     unit draws can be tested as points of a box: the offset from the apex
     is ``fl(fl(u * c) - a)``, the same bits as scaling the points first.
-    The default scale of ones is exact.
     """
     pts = np.asarray(points, dtype=float)
     ax, ay, az = (float(c) for c in geom.apex)

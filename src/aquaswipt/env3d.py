@@ -70,19 +70,8 @@ def key_to_id(key, dims) -> int:
             and all(0 <= f <= 3 for f in (with_data, undercharged, gain_bin))):
         raise ValueError(f"state key {list(key)} is outside the {l} x {w} x {h} box "
                          "or the feature range 0..3")
-    return _state_id(((x * (w + 1) + y) * (h + 1) + z) * 64 + gain_bin, with_data,
-                     undercharged)
-
-
-def _state_id(base: int, with_data: int, undercharged: int) -> int:
-    """State id from the base ``p * 64 + gain_bin`` of position index ``p``;
-    the two node counts are clamped at 3.
-
-    The cached link record holds that base, and ``Environment.step`` works
-    the same expression out inline on it.
-    """
-    return base + ((with_data if with_data < 3 else 3) * 4
-                   + (undercharged if undercharged < 3 else 3)) * 4
+    return (((x * (w + 1) + y) * (h + 1) + z) * 64 + (with_data * 4 + undercharged) * 4
+            + gain_bin)
 
 
 def id_to_tuple(state_id, dims) -> tuple:
@@ -199,10 +188,10 @@ class Environment:
     rebuild, which hits the per-range and relay memos and took about 4 us
     at 50 nodes on the 100 x 100 x 50 box (2-vCPU Xeon VM). The two memos
     are bounded by the box, so the limit leaves them alone. ``place_nodes``
-    empties the link cache and the per-range memo and tabulates the
-    transmit energy of each count of uplinking nodes. The relay rate is
-    memoised by the float relay range, which does not depend on the nodes;
-    a memo miss makes one scalar call each of ``transmission_loss_db`` and
+    empties the link cache, keeps both memos, which do not depend on the
+    nodes, and tabulates the transmit energy of each count of uplinking
+    nodes. The relay rate is memoised by the float relay range; a memo
+    miss makes one scalar call each of ``transmission_loss_db`` and
     ``shannon_throughput_bps``. Measured costs of these paths are in the
     bench records (``BENCH_<pr>.json`` at the root of the repository;
     ``BENCH_18.json`` times the link build against numpy row operations).
@@ -464,7 +453,7 @@ class Environment:
         return state, reward, done
 
     def state_id(self) -> int:
-        """Int id of the current state (see ``key_to_id``)."""
+        """Int id of the current state (see ``key_to_id``), node counts clamped at 3."""
         links = self._link_cache.get(self._p)
         if links is None:
             links = self._links(self._p)
@@ -479,7 +468,8 @@ class Environment:
                 with_data += 1
             if levels[i] < capacity:
                 undercharged += 1
-        return _state_id(state_base, with_data, undercharged)
+        return state_base + ((with_data if with_data < 3 else 3) * 4
+                             + (undercharged if undercharged < 3 else 3)) * 4
 
     # ------------------------------------------------------------------
 
@@ -488,7 +478,8 @@ class Environment:
 
         ``positions`` is ``[N, 3]`` integer grid points inside the box;
         anything else raises ``ValueError``. ``node_pos`` becomes a read-only
-        float copy, and the link cache and per-range memo start empty. When
+        float copy, and the link cache starts empty (the per-range memo is
+        kept: its entries depend only on the squared range). When
         the node count changes, ``store_level_j`` and ``buffer_bits`` restart
         at the configured initial levels; otherwise they are kept. The
         transmit energy of a step is tabulated for each count of uplinking
@@ -529,7 +520,6 @@ class Environment:
         self._dz2 = (dz * dz).tolist()
         self._reach2 = reach2.tolist()
         self._link_cache.clear()
-        self._range_links.clear()
         # One step's modem energy when k covered nodes uplink, k = 0..N.
         node_w, auv_w, dt = self._node_w, self._auv_w, self._dt
         self._transmit_j = [k * node_w * dt + auv_w * dt for k in range(len(pos) + 1)]

@@ -83,7 +83,7 @@ def campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
     config = desk_campaign_config(output_dir=str(out))
     t0 = time.monotonic()
-    result = run_campaign(config, write=True)
+    result = run_campaign(config)
     elapsed = time.monotonic() - t0
     return config, result, out, elapsed
 
@@ -482,8 +482,8 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
             )
 
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_campaign(tiny(out_a), write=True)
-        run_campaign(tiny(out_b), write=True)
+        run_campaign(tiny(out_a))
+        run_campaign(tiny(out_b))
         names = [p.name for p in sorted(out_a.iterdir()) if p.suffix == ".csv"]
         assert names
         for name in names:

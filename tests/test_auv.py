@@ -60,11 +60,9 @@ def test_propulsion_power_cubic_in_speed():
 
 def test_move_energy_hover_without_hotel_load_is_free():
     assert move_energy(unit_spec(), (2.0, 3.0, 4.0), (2.0, 3.0, 4.0)) == 0.0
-
-
-def test_move_energy_hover_charges_hotel_load():
-    spec = unit_spec(hotel_load_w=40.0)
-    assert move_energy(spec, (0, 0, 0), (0, 0, 0), dwell_s=2.5) == pytest.approx(100.0)
+    # A zero-length move has no transit time, so a hotel load adds nothing:
+    # the step books the idle charge itself.
+    assert move_energy(unit_spec(hotel_load_w=40.0), (2, 3, 4), (2, 3, 4)) == 0.0
 
 
 def test_move_energy_345_triangle():

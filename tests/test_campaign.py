@@ -209,7 +209,7 @@ def test_desk_campaign_config_applies_overrides():
 def test_run_campaign_smoke_emits_all_files(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_campaign(out, algorithms=("random",), node_counts=(4,), mc_runs=1)
-    result = run_campaign(cfg, write=True)
+    result = run_campaign(cfg)
     assert len(result.cells) == 1
     for name in DATASET_FILES:
         assert (out / name).exists(), name
@@ -219,25 +219,25 @@ def test_run_campaign_smoke_emits_all_files(tmp_path):
 
 def test_run_campaign_deterministic_bytes(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_campaign(tiny_campaign(out_a), write=True)
-    run_campaign(tiny_campaign(out_b), write=True)
+    run_campaign(tiny_campaign(out_a))
+    run_campaign(tiny_campaign(out_b))
     assert read_csvs(out_a) == read_csvs(out_b)
 
 
 def test_manifest_round_trip_reproduces_outputs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_campaign(tiny_campaign(out_a), write=True)
+    run_campaign(tiny_campaign(out_a))
     manifest = json.loads((out_a / "run_manifest.json").read_text())
     cfg = config_from_dict(CampaignConfig, manifest["config"])
     cfg = dataclasses.replace(cfg, output_dir=str(out_b))
-    run_campaign(cfg, write=True)
+    run_campaign(cfg)
     assert read_csvs(out_a) == read_csvs(out_b)
 
 
 def test_fig_throughput_row_count(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_campaign(out)
-    run_campaign(cfg, write=True)
+    run_campaign(cfg)
     lines = (out / "fig_throughput.csv").read_text().strip().splitlines()
     assert len(lines) - 1 == len(cfg.algorithms) * len(cfg.node_counts)
 
@@ -266,7 +266,7 @@ def test_random_cells_never_train(tmp_path, monkeypatch):
     monkeypatch.setenv("AQUASWIPT_THREADS", "1")
     monkeypatch.setattr(aquaswipt.campaign, "train", counting_train)
     cfg = tiny_campaign(tmp_path / "out")
-    run_campaign(cfg, write=False)
+    run_campaign(cfg)
     # q_learning main cells plus the gamma sweep's q_learning cells.
     main_cells = len(cfg.node_counts) * cfg.mc_runs
     gamma_cells = len(cfg.gamma_sweep) * cfg.mc_runs
@@ -275,8 +275,8 @@ def test_random_cells_never_train(tmp_path, monkeypatch):
 
 def test_seeds_are_per_cell_and_traceable(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
-    result = run_campaign(cfg, write=False)
-    seeds = result.cell_seeds
+    run_campaign(cfg)
+    seeds = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["seeds"]
     # (2 algos x 2 counts + 2 gammas) x 2 runs
     assert len(seeds) == (2 * 2 + 2) * 2
     assert len(set(seeds.values())) == len(seeds)
@@ -286,7 +286,7 @@ def test_not_reached_encoding(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_campaign(out, algorithms=("random",), node_counts=(4,), mc_runs=1,
                         targets_throughput_bits=(1e18,))
-    run_campaign(cfg, write=True)
+    run_campaign(cfg)
     lines = (out / "fig_actions_throughput.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     row = lines[1].split(",")
@@ -306,13 +306,13 @@ def test_campaign_scores_a_rollout_that_spends_no_energy(tmp_path):
                         mc_runs=1, gamma_sweep=(0.5,), gamma_mc_runs=1, gamma_node_count=1)
     metrics, _ = _play_cell(_build_cell_specs(cfg)[0])
     assert metrics.transmit_energy_j + metrics.motion_energy_j == 0.0
-    cells = run_campaign(cfg, write=False).raw_cells
+    cells = run_campaign(cfg).raw_cells
     assert [c.ee_bits_per_j for c in cells if c.kind == "main"] == [0.0]
 
 
 def test_gamma_rows_zero_excluded_terms(tmp_path):
     cfg = tiny_campaign(tmp_path / "out", gamma_sweep=(0.0, 0.5, 1.0), mc_runs=1)
-    rows = run_campaign(cfg, write=False).gamma_rows
+    rows = run_campaign(cfg).gamma_rows
     by_gamma = {r.gamma: r for r in rows}
     assert by_gamma[0.0].throughput_term_mean == 0.0
     assert by_gamma[1.0].harvest_term_mean == 0.0
@@ -320,7 +320,7 @@ def test_gamma_rows_zero_excluded_terms(tmp_path):
 
 def test_emit_rejects_empty_result(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
-    result = run_campaign(cfg, write=False)
+    result = run_campaign(cfg)
     empty = dataclasses.replace(result, cells=[])
     with pytest.raises(ValueError):
         emit_datasets(empty, tmp_path / "nothing")
@@ -330,9 +330,9 @@ def test_emit_rejects_empty_result(tmp_path):
 def test_worker_env_var_does_not_change_bytes(tmp_path, monkeypatch):
     out_a, out_b = tmp_path / "serial", tmp_path / "pooled"
     monkeypatch.setenv("AQUASWIPT_THREADS", "1")
-    run_campaign(tiny_campaign(out_a, node_counts=(4,), mc_runs=1), write=True)
+    run_campaign(tiny_campaign(out_a, node_counts=(4,), mc_runs=1))
     monkeypatch.setenv("AQUASWIPT_THREADS", "2")
-    run_campaign(tiny_campaign(out_b, node_counts=(4,), mc_runs=1), write=True)
+    run_campaign(tiny_campaign(out_b, node_counts=(4,), mc_runs=1))
     assert read_csvs(out_a) == read_csvs(out_b)
     for bad in ("two", "0", "-1", "1.5"):
         monkeypatch.setenv("AQUASWIPT_THREADS", bad)
@@ -342,7 +342,7 @@ def test_worker_env_var_does_not_change_bytes(tmp_path, monkeypatch):
 
 def test_ee_ratio_column_present_for_learned_algos(tmp_path):
     out = tmp_path / "out"
-    run_campaign(tiny_campaign(out), write=True)
+    run_campaign(tiny_campaign(out))
     lines = (out / "fig_ee.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     assert "ee_ratio_vs_random" in header

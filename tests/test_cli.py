@@ -25,8 +25,11 @@ def write_config(tmp_path, cfg):
     return path
 
 
-def test_validate_default_config():
+def test_validate_default_config(capsys):
     assert main(["validate"]) == 0
+    assert "config OK" in capsys.readouterr().out
+    assert main(["validate", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_with_config_file(tmp_path, capsys):
@@ -96,6 +99,7 @@ def test_validate_names_bad_or_unknown_field(setting, capsys):
         ("--nodes", "10.5", "integers"),
         ("--gamma", "0.5,abc", "numbers"),
         ("--gamma", "", "numbers"),
+        ("--algos", "q_learning,,random", "algorithm names"),
     ],
 )
 def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
@@ -218,8 +222,7 @@ def test_run_prints_best_ee_ratio_beside_paper(tmp_path, capsys):
 
 def test_headline_names_node_counts_whose_random_cells_all_scored_zero():
     def cell(algorithm, node_count, ee_mean, ratio=None, runs=20):
-        return CellAggregate(algorithm, node_count, 0.5, runs, *[1.0] * 6, ee_mean, ratio,
-                             [], [])
+        return CellAggregate(algorithm, node_count, runs, *[1.0] * 6, ee_mean, ratio, [], [])
 
     paper = "; paper: up to 3.07 (207% improvement)"
     zero_at_10 = [cell("q_learning", 10, 3.0), cell("random", 10, 0.0)]
@@ -309,7 +312,7 @@ def replay_campaign(tmp_path):
     """A tiny campaign with every cell kind, run and written to ``tmp_path / "out"``."""
     cfg = tiny_campaign(tmp_path / "out", algorithms=("q_learning", "sarsa", "random"),
                         node_counts=(4,), gamma_node_count=4)
-    return run_campaign(cfg, write=True), tmp_path / "out" / "run_manifest.json"
+    return run_campaign(cfg), tmp_path / "out" / "run_manifest.json"
 
 
 def test_replay_round_trip(tmp_path, capsys):

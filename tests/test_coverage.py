@@ -53,7 +53,8 @@ def test_points_in_cone_membership():
         [9.0, 5.0, 2.0],    # outside the slant at shallow depth
     ])
     before = pts.copy()
-    assert list(points_in_cone(geom, pts)) == [True, False, False, True, False]
+    inside = points_in_cone(geom, pts, (1.0, 1.0, 1.0))
+    assert list(inside) == [True, False, False, True, False]
     assert np.array_equal(pts, before)  # the test works in its own temporaries
 
 
@@ -274,7 +275,7 @@ def test_points_in_cone_scale_equals_scaling_first(geom):
     edge = np.array(edge) / scale
     for points in (unit, edge):
         fused = points_in_cone(geom, points, cube)
-        first = points_in_cone(geom, points * scale)
+        first = points_in_cone(geom, points * scale, (1.0, 1.0, 1.0))
         assert fused.tobytes() == first.tobytes()
     # The random points reach every mask: some are inside, and where a depth
     # mask can cut, some points within the slant's (double) cone are cut by it.

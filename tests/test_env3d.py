@@ -558,6 +558,28 @@ def test_links_reject_nan_harvest_power():
         links_at(env, (10, 10, 0))
 
 
+def test_the_per_range_memo_survives_place_nodes():
+    # An entry of the per-range memo depends only on the squared range and
+    # the config, so ``place_nodes`` keeps the memo. An env that built every
+    # link record of layout A before placing layout B must build the same
+    # records as a fresh env that placed only B.
+    cfg = small_config()
+    rng = np.random.default_rng(5)
+    layout_a, layout_b = (rng.integers(0, [21, 21, 11], size=(25, 3)) for _ in range(2))
+    positions = range(21 * 21 * 11)
+    moved, fresh = deploy(cfg), deploy(cfg)
+    moved.place_nodes(layout_a)
+    for p in positions:
+        moved._links(p)
+    moved.place_nodes(layout_b)
+    fresh.place_nodes(layout_b)
+    for env in (moved, fresh):
+        env._link_cache.clear()
+    assert len(moved._range_links) > len(fresh._range_links)  # A's entries are kept
+    for p in positions:
+        assert moved._links(p) == fresh._links(p), p
+
+
 # Random starts on the table-explore box: 80 episodes build ~2,700 link
 # records, past the default cache limit.
 EXPLORE_ENV = EnvConfig(dims=(100, 100, 50), node_count=50, rng_seed=0)

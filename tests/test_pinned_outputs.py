@@ -105,7 +105,7 @@ def desk_grid_config(output_dir):
 
 
 def run_desk_grid(output_dir: Path) -> None:
-    run_campaign(desk_grid_config(output_dir), write=True)
+    run_campaign(desk_grid_config(output_dir))
 
 
 def run_cells() -> dict:
@@ -255,7 +255,7 @@ def _write_golden() -> None:
         for name in DATASET_FILES:
             shutil.copyfile(tmp / name, GOLDEN / name)
         summary = run_table_explore(tmp / "qtable.json")
-        run_campaign(desk_campaign_config(output_dir=str(tmp / "campaign")), write=True)
+        run_campaign(desk_campaign_config(output_dir=str(tmp / "campaign")))
         (GOLDEN / "desk_campaign").mkdir(exist_ok=True)
         for name in DATASET_FILES:
             shutil.copyfile(tmp / "campaign" / name, GOLDEN / "desk_campaign" / name)
