@@ -89,6 +89,13 @@ class CampaignConfig:
             if name not in known:
                 raise ValueError(f"CampaignConfig.algorithms has unknown name {name!r} "
                                  f"(choose from {', '.join(known)})")
+        # Cells are seeded and aggregated by algorithm, node count and gamma,
+        # so a repeated value would merge two differently seeded groups.
+        for name in ("algorithms", "node_counts", "gamma_sweep"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"CampaignConfig.{name} has repeated value {value!r}")
 
 
 def desk_campaign_config(**overrides) -> CampaignConfig:

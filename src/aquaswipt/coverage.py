@@ -66,16 +66,22 @@ def points_in_cone(geom: ConeGeometry, points: np.ndarray, scale) -> np.ndarray:
     sx, sy, sz = (float(c) for c in scale)
     # One column at a time: broadcasting (N, 3) - (3,) runs numpy's inner
     # loop three elements long and cost more than the rest of the test
-    # together. The squares and masks reuse the temporaries made here.
+    # together. The squares, the reach and the masks reuse the temporaries
+    # made here. A zero apex coordinate (every sweep cone has z = 0) is not
+    # subtracted: ``v - 0.0`` is ``v``, and ``v - -0.0`` differs only by
+    # turning a -0.0 offset into +0.0, which squares and compares the same.
     dx = np.multiply(pts[:, 0], sx)
-    dx -= ax
+    if ax:
+        dx -= ax
     dy = np.multiply(pts[:, 1], sy)
-    dy -= ay
+    if ay:
+        dy -= ay
     dz = np.multiply(pts[:, 2], sz)
-    dz -= az
+    if az:
+        dz -= az
     horiz2 = np.square(dx, out=dx)
     horiz2 += np.square(dy, out=dy)
-    reach2 = dz * math.tan(math.radians(geom.apex_angle_deg / 2.0))
+    reach2 = np.multiply(dz, math.tan(math.radians(geom.apex_angle_deg / 2.0)), out=dy)
     np.square(reach2, out=reach2)
     inside = dz >= 0
     inside &= dz <= geom.height_m
@@ -85,11 +91,12 @@ def points_in_cone(geom: ConeGeometry, points: np.ndarray, scale) -> np.ndarray:
 
 # Points per sampled block. A block holds whole rows (one trial's
 # placements), so a row longer than this is a block of its own. At the
-# coverage-sweep bench scale, with the blocks scaled inside the cone test,
-# 2^14 ran level with 2^15 (bench wall_s 4% and 1% slower at seeds 0 and 7,
-# 5 pairs each) and 2^16 about 15% slower in process, on a 2-vCPU Xeon VM:
-# a 768 KB block and the cone test's temporaries stay near the L2 cache.
-_BLOCK_POINTS = 1 << 15
+# coverage-sweep bench scale, with the cone test making only the passes its
+# mask needs, 2^14 ran 3-7% faster in process than 2^15 and 2^13 2-12%
+# slower than 2^14 (fastest of 15 and of 30 alternating runs, on a 2-vCPU
+# Xeon VM with 2 MB of L2 cache per core). A smaller block pays the cone
+# test's fixed cost, 10-19 us a call, more often.
+_BLOCK_POINTS = 1 << 14
 
 
 def _uniform_blocks(rng: np.random.Generator, rows: int, per_row: int):
@@ -173,6 +180,9 @@ def coverage_sweep(
     for n in n_values:
         if n < 0:
             raise ValueError(f"n_values entries must be >= 0, got {n}")
+    for k in k_values:
+        if k < 0:
+            raise ValueError(f"k_values entries must be >= 0, got {k}")
     l, w, h = (float(d) for d in config.dims)
     cube_volume = l * w * h
     rows = []
@@ -188,13 +198,16 @@ def coverage_sweep(
         p = min(1.0, vol / cube_volume)
         for ni, n in enumerate(n_values):
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, si, ni])
-            at_least = [0] * len(k_values)  # trials covering >= k nodes, per k
+            hist = np.zeros(n + 1, dtype=np.int64)  # trials covering exactly j nodes
             for block in _uniform_blocks(rng, trials, n):
                 inside = points_in_cone(geom, block.reshape(-1, 3), (l, w, h))
-                counts = inside.reshape(len(block), n).sum(axis=1)
-                for i, k in enumerate(k_values):
-                    at_least[i] += int(np.count_nonzero(counts >= k))
-            for k, covered in zip(k_values, at_least):
+                # Trial of each hit; a row sum would run n-long inner loops.
+                counts = np.bincount(np.flatnonzero(inside) // max(n, 1),
+                                     minlength=len(block))
+                hist += np.bincount(counts, minlength=n + 1)
+            at_least = np.cumsum(hist[::-1])[::-1].tolist()  # trials covering >= j
+            for k in k_values:
+                covered = at_least[k] if k <= n else 0
                 p_emp = covered / trials
                 if k > n:
                     # Covering more nodes than exist is impossible; this

@@ -108,6 +108,22 @@ def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
     assert f"{flag} expects a comma list of {kind}, got '{value}'" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field, repeated",
+    [
+        ("--algos", "q_learning,q_learning", "algorithms", "'q_learning'"),
+        ("--nodes", "10,25,10", "node_counts", "10"),
+        ("--gamma", "0.5,0.5", "gamma_sweep", "0.5"),
+    ],
+)
+def test_validate_refuses_a_repeated_list_value(flag, value, field, repeated, capsys):
+    # Two cells with one algorithm/node_count/gamma/run key would share a
+    # seed key, and aggregation would merge their differently seeded groups.
+    assert main(["validate", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"CampaignConfig.{field} has repeated value {repeated}" in err
+
+
 def test_validate_refuses_an_empty_algos_list(capsys):
     # An empty list flag used to be ignored, leaving the config's list.
     assert main(["validate", "--algos", ""]) == 2

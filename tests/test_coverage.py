@@ -43,6 +43,17 @@ def test_cone_volume_quadratic_in_radius():
     assert cone_volume(wide) == pytest.approx(4.0 * cone_volume(narrow), rel=1e-9)
 
 
+def reference_points_in_cone(geom, points, scale):
+    """The cone test written out in full: all three apex coordinates
+    subtracted, the reach in its own temporary, both depth masks applied."""
+    pts = np.asarray(points, dtype=float)
+    dx, dy, dz = (np.multiply(pts[:, i], float(s)) - float(a)
+                  for i, (s, a) in enumerate(zip(scale, geom.apex)))
+    horiz2 = dx * dx + dy * dy
+    reach = dz * math.tan(math.radians(geom.apex_angle_deg / 2.0))
+    return (dz >= 0) & (dz <= geom.height_m) & (horiz2 <= reach * reach)
+
+
 def test_points_in_cone_membership():
     geom = ConeGeometry(apex=(5.0, 5.0, 0.0), apex_angle_deg=60.0, height_m=10.0)
     pts = np.array([
@@ -252,6 +263,12 @@ def test_uniform_blocks_equal_one_uniform_draw(rows, per_row):
         ConeGeometry(apex=(70.0, 30.0, 17.25), apex_angle_deg=120.0, height_m=50.0),
         # Shorter than the box: the base-depth mask rejects the points below.
         ConeGeometry(apex=(0.0, 37.3, 0.0), apex_angle_deg=90.0, height_m=21.7),
+        # Apex outside the box, above the surface and beyond its x = 0 face.
+        ConeGeometry(apex=(-10.0, 18.0, -5.0), apex_angle_deg=120.0, height_m=40.0),
+        # Signed zeros in the apex, at a corner and along an edge of the box.
+        ConeGeometry(apex=(-0.0, -0.0, -0.0), apex_angle_deg=60.0, height_m=50.0),
+        ConeGeometry(apex=(-0.0, 20.0, 0.0), apex_angle_deg=90.0, height_m=30.0),
+        ConeGeometry(apex=(100.0, 0.0, -0.0), apex_angle_deg=120.0, height_m=50.0),
     ],
 )
 def test_points_in_cone_scale_equals_scaling_first(geom):
@@ -272,11 +289,13 @@ def test_points_in_cone_scale_equals_scaling_first(geom):
         for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
             edge.append((ax + r * math.cos(angle), ay + r * math.sin(angle), z))
     edge.append((ax, ay, az))  # the apex
+    edge.append((-ax, -ay, -az))  # its zero coordinates with the other sign
     edge = np.array(edge) / scale
     for points in (unit, edge):
         fused = points_in_cone(geom, points, cube)
         first = points_in_cone(geom, points * scale, (1.0, 1.0, 1.0))
         assert fused.tobytes() == first.tobytes()
+        assert fused.tobytes() == reference_points_in_cone(geom, points, cube).tobytes()
     # The random points reach every mask: some are inside, and where a depth
     # mask can cut, some points within the slant's (double) cone are cut by it.
     d = unit * scale - np.array(geom.apex)
@@ -309,9 +328,60 @@ def test_coverage_sweep_rejects_negative_node_count():
                        volume_samples=1000)
 
 
+def test_coverage_sweep_rejects_negative_k_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking k_values")
+
+    monkeypatch.setattr("aquaswipt.coverage.points_in_cone", no_sampling)
+    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
+    for n_values in ([0], [5]):
+        with pytest.raises(ValueError, match="k_values.*-1"):
+            coverage_sweep(config, n_values, [(0.0, 0.0)], trials=100,
+                           k_values=(1, -1), volume_samples=1000)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 50])
+def test_coverage_sweep_equals_per_trial_counting(n):
+    """Every row equals one built from whole-array draws, the reference cone
+    test, a per-trial row sum and one count per k, over several blocks."""
+    config = EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0)
+    starts = [(50.0, 50.0), (-0.0, 0.0)]
+    trials = 3 * (_BLOCK_POINTS // max(n, 1)) + 7
+    k_values = (0, 1, 2, n, n + 1, 1)
+    samples = 2 * _BLOCK_POINTS + 5
+    seed = 3
+    rows = coverage_sweep(config, [n], starts, trials, k_values=k_values,
+                          volume_samples=samples, seed=seed)
+    cube = (100.0, 100.0, 50.0)
+    cube_volume = 100.0 * 100.0 * 50.0
+    expected = []
+    for si, (sx, sy) in enumerate(starts):
+        geom = ConeGeometry(apex=(sx, sy, 0.0), apex_angle_deg=config.auv.cone_apex_angle_deg,
+                            height_m=50.0)
+        unit = np.random.default_rng(seed * 7919 + si).random((samples, 3))
+        hits = int(np.count_nonzero(reference_points_in_cone(geom, unit, cube)))
+        p = min(1.0, cube_volume * (hits / samples) / cube_volume)
+        rng = np.random.default_rng([seed, si, 0])
+        placed = rng.random((trials, n, 3)).reshape(-1, 3)
+        counts = reference_points_in_cone(geom, placed, cube).reshape(trials, n).sum(axis=1)
+        for k in k_values:
+            p_emp = int(np.count_nonzero(counts >= k)) / trials
+            if k > n:
+                p_ana = 0.0
+            elif n == 0:
+                p_ana = 1.0
+            else:
+                p_ana = coverage_tail(n, p, k)
+            stderr = math.sqrt(p_emp * (1.0 - p_emp) / trials)
+            expected.append(SweepRow(sx, sy, n, k, p_ana, p_emp, stderr))
+    assert rows == expected
+    if n:
+        assert 0 < rows[1].p_empirical < 1  # some trials cover a node, some none
+
+
 def test_coverage_sweep_memory_does_not_grow_with_samples():
     """At 20,000 trials and 10^6 volume samples, whole-array sampling peaks
-    near 86 MB of numpy allocations; blocked sampling stays near 2 MB."""
+    near 86 MB of numpy allocations; blocked sampling stays near 1 MB."""
     config = desk_campaign_config(coverage_trials=20_000,
                                   coverage_volume_samples=1_000_000)
     tracemalloc.start()
