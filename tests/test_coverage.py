@@ -229,6 +229,12 @@ def test_sweep_csv_columns(tmp_path):
         (3, _BLOCK_POINTS + 1),  # a row longer than a block: one row per block
         (2 * _BLOCK_POINTS + 5, 1),  # the volume estimate's shape
         (100, 0),  # coverage_sweep takes n = 0
+        # The same three shapes at fixed sizes, which hold for any block of
+        # at most 2^15 points: 1972 rows of 50 do not fill whole blocks,
+        # a row of 32769 exceeds a block, and 65541 = 2 * 2^15 + 5.
+        (1972, 50),
+        (3, 32769),
+        (65541, 1),
     ],
 )
 def test_uniform_blocks_equal_one_uniform_draw(rows, per_row):
