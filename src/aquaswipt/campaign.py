@@ -90,9 +90,11 @@ class CampaignConfig:
                 raise ValueError(f"CampaignConfig.algorithms has unknown name {name!r} "
                                  f"(choose from {', '.join(known)})")
         # Cells are seeded and aggregated by algorithm, node count and gamma,
-        # so a repeated value would merge two differently seeded groups.
-        for name in ("algorithms", "node_counts", "gamma_sweep"):
-            values = getattr(self, name)
+        # and coverage rows are keyed by start, n and k, so a repeated value
+        # would merge two differently seeded groups or write one key twice.
+        for name in ("algorithms", "node_counts", "gamma_sweep", "coverage_starts",
+                     "coverage_n_values", "coverage_k_values"):
+            values = getattr(self, name) or ()
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"CampaignConfig.{name} has repeated value {value!r}")

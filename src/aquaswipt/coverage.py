@@ -14,7 +14,7 @@ from typing import Annotated, NamedTuple
 import numpy as np
 
 from .checks import NON_NEGATIVE, Bound, check_field_types
-from .env3d import EnvConfig
+from .env3d import EnvConfig, cone_reach2
 
 
 @dataclass(frozen=True)
@@ -55,37 +55,27 @@ def cone_volume(geom: ConeGeometry) -> float:
 
 
 def points_in_cone(geom: ConeGeometry, points: np.ndarray, scale) -> np.ndarray:
-    """Boolean mask of points (N, 3) inside the cone, boundary inclusive.
+    """Boolean mask of points (N, 3) in the cone by ``cone_reach2``, down to its base.
 
     Each column is multiplied by its ``scale`` entry before the test, so
     unit draws can be tested as points of a box: the offset from the apex
     is ``fl(fl(u * c) - a)``, the same bits as scaling the points first.
     """
     pts = np.asarray(points, dtype=float)
-    ax, ay, az = (float(c) for c in geom.apex)
-    sx, sy, sz = (float(c) for c in scale)
     # One column at a time: broadcasting (N, 3) - (3,) runs numpy's inner
     # loop three elements long and cost more than the rest of the test
     # together. The squares, the reach and the masks reuse the temporaries
     # made here. A zero apex coordinate (every sweep cone has z = 0) is not
     # subtracted: ``v - 0.0`` is ``v``, and ``v - -0.0`` differs only by
     # turning a -0.0 offset into +0.0, which squares and compares the same.
-    dx = np.multiply(pts[:, 0], sx)
-    if ax:
-        dx -= ax
-    dy = np.multiply(pts[:, 1], sy)
-    if ay:
-        dy -= ay
-    dz = np.multiply(pts[:, 2], sz)
-    if az:
-        dz -= az
+    dx, dy, dz = (np.multiply(pts[:, i], float(s)) for i, s in enumerate(scale))
+    for d, a in zip((dx, dy, dz), geom.apex):
+        if a:
+            d -= float(a)
     horiz2 = np.square(dx, out=dx)
     horiz2 += np.square(dy, out=dy)
-    reach2 = np.multiply(dz, math.tan(math.radians(geom.apex_angle_deg / 2.0)), out=dy)
-    np.square(reach2, out=reach2)
-    inside = dz >= 0
-    inside &= dz <= geom.height_m
-    inside &= horiz2 <= reach2
+    inside = dz <= geom.height_m
+    inside &= horiz2 <= cone_reach2(dz, geom.apex_angle_deg, out=dy)
     return inside
 
 

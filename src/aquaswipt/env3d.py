@@ -92,6 +92,16 @@ def id_to_key(state_id: int, dims) -> StateKey:
     return StateKey(*id_to_tuple(state_id, dims))
 
 
+def cone_reach2(depth, apex_angle_deg: float, out=None) -> np.ndarray:
+    """The cone rule: a point ``depth`` below the apex is covered exactly when its
+    squared horizontal offset is at most this, ``(depth * tan(apex_angle_deg / 2))
+    ** 2``, or -1 above the apex (depth < 0). ``out`` must not be ``depth``."""
+    reach2 = np.multiply(depth, math.tan(math.radians(apex_angle_deg / 2.0)), out=out)
+    np.square(reach2, out=reach2)
+    np.copyto(reach2, -1.0, where=depth < 0)
+    return reach2
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     """Full environment description; every run-affecting knob lives here.
@@ -219,7 +229,6 @@ class Environment:
         self._sl_node = source_level(config.node_modem)
         self._sl_auv = source_level(self._auv_modem)
         self._nl = noise_level_db(config.channel)
-        self._tan_half = math.tan(math.radians(config.auv.cone_apex_angle_deg / 2.0))
         sx, sy = (
             config.surface_station_xy
             if config.surface_station_xy is not None
@@ -500,14 +509,12 @@ class Environment:
             self.buffer_bits = [self.config.node_buffer_bits] * len(pos)
         nx, ny, nz = pos.T
         l, w, h = self.dims
-        # Per axis value, the squared offsets to every node. Every entry is
-        # an integer, so sums of them are exact squared ranges. Per depth,
-        # the squared cone reach (dz * tan(half apex))**2 of every node, or
-        # -1 where the node lies above the AUV and no offset can pass.
+        # Per axis value, the squared offsets to every node, all integers, so
+        # sums are exact squared ranges; per depth, every node's ``cone_reach2``.
         dx2 = (nx - np.arange(l + 1.0)[:, None]) ** 2
         dy2 = (ny - np.arange(w + 1.0)[:, None]) ** 2
         dz = nz - np.arange(h + 1.0)[:, None]
-        reach2 = np.where(dz >= 0, (dz * self._tan_half) ** 2, -1.0)
+        reach2 = cone_reach2(dz, self.config.auv.cone_apex_angle_deg)
         # A node passes the cone test only where its x offset and its y
         # offset are each within its own widest reach over every depth, so
         # ``_links`` tests only the nodes near both the x and the y value.

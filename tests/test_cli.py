@@ -114,11 +114,15 @@ def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
         ("--algos", "q_learning,q_learning", "algorithms", "'q_learning'"),
         ("--nodes", "10,25,10", "node_counts", "10"),
         ("--gamma", "0.5,0.5", "gamma_sweep", "0.5"),
+        ("--set", "coverage_n_values=[10,10]", "coverage_n_values", "10"),
+        ("--set", "coverage_k_values=[1,1]", "coverage_k_values", "1"),
+        ("--set", "coverage_starts=[[0,0],[0,0]]", "coverage_starts", "(0, 0)"),
     ],
 )
 def test_validate_refuses_a_repeated_list_value(flag, value, field, repeated, capsys):
     # Two cells with one algorithm/node_count/gamma/run key would share a
-    # seed key, and aggregation would merge their differently seeded groups.
+    # seed key, and aggregation would merge their differently seeded groups;
+    # two coverage rows with one (start, n, k) key would hold different values.
     assert main(["validate", flag, value]) == 2
     err = capsys.readouterr().err
     assert f"CampaignConfig.{field} has repeated value {repeated}" in err

@@ -20,7 +20,10 @@ from aquaswipt.coverage import (
     points_in_cone,
     _uniform_blocks,
 )
-from aquaswipt.env3d import EnvConfig
+from aquaswipt.auv import AuvSpec
+from aquaswipt.channel import ModemSpec
+from aquaswipt.env3d import EnvConfig, deploy
+from reference_loop import covered
 
 
 def test_cone_volume_hand_value():
@@ -311,6 +314,56 @@ def test_points_in_cone_scale_equals_scaling_first(geom):
         assert (slant & (d[:, 2] < 0)).any()
     if az + geom.height_m < cube[2]:
         assert (slant & (d[:, 2] > geom.height_m)).any()
+
+
+# With the uplink SNR floor this low, every node in the cone has a usable
+# uplink, so the cone alone decides which nodes the simulator covers.
+NO_SNR_FLOOR = ModemSpec(min_snr_db=-1e9)
+
+
+def simulator_and_figure_cover(env, pos):
+    """The nodes ``Environment._links`` covers from grid position ``pos``, and
+    the nodes ``points_in_cone`` finds in the cone hanging from ``pos`` to the
+    bottom of the box, as ascending index lists."""
+    env.auv_pos = pos
+    x, y, z = pos
+    geom = ConeGeometry((float(x), float(y), float(z)), env.config.auv.cone_apex_angle_deg,
+                        float(env.dims[2] - z))
+    return covered(env), np.flatnonzero(points_in_cone(geom, env.node_pos, (1, 1, 1))).tolist()
+
+
+@pytest.mark.parametrize("dims, angle, nodes", [
+    ((20, 20, 10), 30.0, 400),
+    ((100, 100, 50), 30.0, 2000),
+    ((13, 9, 7), 75.0, 60),
+], ids=["desk", "paper", "odd-wide"])
+def test_simulator_and_coverage_figure_cover_the_same_nodes(dims, angle, nodes):
+    """The simulator and the coverage figure apply one cone rule: on a seeded
+    layout, both cover the same nodes from every sampled AUV position."""
+    env = deploy(EnvConfig(dims=dims, node_count=nodes, rng_seed=3, node_modem=NO_SNR_FLOOR,
+                           auv=AuvSpec(cone_apex_angle_deg=angle)))
+    rng = np.random.default_rng(29)
+    seen = 0
+    for pos in rng.integers(0, [d + 1 for d in dims], size=(300, 3)).tolist():
+        simulator, figure = simulator_and_figure_cover(env, tuple(pos))
+        assert simulator == figure, pos
+        seen += len(simulator)
+    assert seen > 300
+
+
+@pytest.mark.parametrize("angle, node, inside", [
+    (30.0, (4, 4, 3), True),
+    (30.0, (4, 4, 2), False),
+    # tan(radians(45)) is 0.9999999999999999, so the 90 degree cone's reach
+    # 3 m down falls just short of 3 m.
+    (90.0, (7, 4, 6), False),
+], ids=["at-the-auv", "one-above", "90-degree-rim"])
+def test_cone_rule_boundaries_on_both_paths(angle, node, inside):
+    env = deploy(EnvConfig(dims=(10, 10, 8), node_count=1, node_modem=NO_SNR_FLOOR,
+                           auv=AuvSpec(cone_apex_angle_deg=angle)))
+    env.place_nodes([node])
+    simulator, figure = simulator_and_figure_cover(env, (4, 4, 3))
+    assert simulator == figure == ([0] if inside else [])
 
 
 @pytest.mark.parametrize("field, kwargs", [
