@@ -6,6 +6,7 @@ only the stepping interface ``train`` documents, so the tests also run it on
 explicit small MDPs and compare the result with value iteration.
 """
 
+import gc
 import math
 import operator
 from dataclasses import dataclass, field
@@ -305,6 +306,12 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     bootstraps from the next state (Pardo et al., "Time Limits in
     Reinforcement Learning", ICML 2018). The table is keyed by those ids; the
     trace holds one ``EpisodeTotals`` per episode.
+
+    The cyclic garbage collector is paused for the episode loop, and switched
+    back on at return or raise if it was on at entry. The loop makes no
+    reference cycles (Q rows are lists of floats, link records and totals are
+    tuples of numbers), so reference counting frees all it drops. The pause is
+    process-wide: cycles other threads make meanwhile wait until it ends.
     """
     algo = Algorithm(algo)
     if algo is Algorithm.RANDOM:
@@ -322,69 +329,75 @@ def train(env, algo: Algorithm, cfg: LearnConfig) -> tuple[QTable, list[EpisodeT
     isfinite = math.isfinite
     epsilon = cfg.epsilon_start
     trace = []
-    for _ in range(cfg.episodes):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        # A word below this is a uniform draw below epsilon; 0 at epsilon 0,
-        # where the test draws nothing.
-        explore_below = _epsilon_bound(epsilon)
-        state = env.reset(randomize_start=cfg.randomize_start)
-        row = table_get(state)  # None until the state is first updated
-        best = None  # max(row) when it is known, else None
-        # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
-        # action; otherwise the greedy action, ties to the lowest index.
-        # Q-learning picks each action at the top of the step that takes it;
-        # SARSA picks it before the update that bootstraps from it, so its
-        # action is already chosen (not -1) when the next step starts.
-        action = -1
-        steps = 0
-        total_reward = 0.0
-        done = False
-        while not done:
-            if action < 0:
-                if explore_below and next_word() < explore_below:
-                    action = integers(n_actions)
-                elif row is None:
-                    action = 0
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(cfg.episodes):
+            if not 0.0 <= epsilon <= 1.0:
+                raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+            # A word below this is a uniform draw below epsilon; 0 at epsilon 0,
+            # where the test draws nothing.
+            explore_below = _epsilon_bound(epsilon)
+            state = env.reset(randomize_start=cfg.randomize_start)
+            row = table_get(state)  # None until the state is first updated
+            best = None  # max(row) when it is known, else None
+            # Epsilon-greedy picks: a uniform draw below epsilon, then a uniform
+            # action; otherwise the greedy action, ties to the lowest index.
+            # Q-learning picks each action at the top of the step that takes it;
+            # SARSA picks it before the update that bootstraps from it, so its
+            # action is already chosen (not -1) when the next step starts.
+            action = -1
+            steps = 0
+            total_reward = 0.0
+            done = False
+            while not done:
+                if action < 0:
+                    if explore_below and next_word() < explore_below:
+                        action = integers(n_actions)
+                    elif row is None:
+                        action = 0
+                    else:
+                        action = row.index(max(row) if best is None else best)
+                next_state, reward, done = step(action)
+                next_row = table_get(next_state)
+                if sarsa:
+                    # Drawn at an episode's last step too, terminal or not: the
+                    # action goes unused, but the draw advances the stream.
+                    if explore_below and next_word() < explore_below:
+                        next_action = integers(n_actions)
+                    else:
+                        next_action = 0 if next_row is None else next_row.index(max(next_row))
+                    ahead = default if next_row is None else next_row[next_action]
                 else:
-                    action = row.index(max(row) if best is None else best)
-            next_state, reward, done = step(action)
-            next_row = table_get(next_state)
-            if sarsa:
-                # Drawn at an episode's last step too, terminal or not: the
-                # action goes unused, but the draw advances the stream.
-                if explore_below and next_word() < explore_below:
-                    next_action = integers(n_actions)
+                    next_action = -1
+                    ahead = default if next_row is None else max(next_row)
+                current = default if row is None else row[action]
+                target = reward if done and env.terminated else reward + discount * ahead
+                value = current + learning_rate * (target - current)
+                if not isfinite(value):
+                    raise ValueError(f"reward and Q values must be finite, got reward "
+                                     f"{reward} and updated value {value}")
+                if row is None:
+                    row = table[state] = [default] * n_actions
+                row[action] = value
+                total_reward += reward
+                steps += 1
+                # next_row was read before the update, so on a self-loop it may
+                # predate the row just written, and so may its max. Otherwise
+                # Q-learning's ahead is max(row) for the next greedy pick; SARSA
+                # reads best only at an episode's first pick.
+                if next_state != state:
+                    row = next_row
+                    best = ahead
                 else:
-                    next_action = 0 if next_row is None else next_row.index(max(next_row))
-                ahead = default if next_row is None else next_row[next_action]
-            else:
-                next_action = -1
-                ahead = default if next_row is None else max(next_row)
-            current = default if row is None else row[action]
-            target = reward if done and env.terminated else reward + discount * ahead
-            value = current + learning_rate * (target - current)
-            if not isfinite(value):
-                raise ValueError(f"reward and Q values must be finite, got reward "
-                                 f"{reward} and updated value {value}")
-            if row is None:
-                row = table[state] = [default] * n_actions
-            row[action] = value
-            total_reward += reward
-            steps += 1
-            # next_row was read before the update, so on a self-loop it may
-            # predate the row just written, and so may its max. Otherwise
-            # Q-learning's ahead is max(row) for the next greedy pick; SARSA
-            # reads best only at an episode's first pick.
-            if next_state != state:
-                row = next_row
-                best = ahead
-            else:
-                best = None
-            state = next_state
-            action = next_action
-        trace.append(EpisodeTotals(steps, total_reward))
-        epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
+                    best = None
+                state = next_state
+                action = next_action
+            trace.append(EpisodeTotals(steps, total_reward))
+            epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return q, trace
 
 

@@ -2,6 +2,8 @@
 the reference loop, training loops, rollouts, and the value-iteration
 oracle on hand-solvable MDPs."""
 
+import contextlib
+import gc
 import json
 import math
 import re
@@ -23,6 +25,7 @@ from aquaswipt.agents import (
     train,
 )
 from aquaswipt.auv import AuvSpec
+from aquaswipt.campaign import desk_campaign_config
 from aquaswipt.env3d import EnvConfig, deploy, id_to_key, key_to_id
 from aquaswipt.harvest import HarvestSpec
 from mdp_oracle import TabularMdpEnv, value_iteration_oracle
@@ -504,6 +507,55 @@ def test_epsilon_schedule():
         eps = max(learn.epsilon_min, eps * learn.epsilon_decay)
     assert seen[:4] == pytest.approx([1.0, 0.9, 0.81, 0.729])
     assert seen[-1] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the collector pause: train restores the collector's state, and its loop
+# makes no reference cycles, which is what makes the pause safe
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled, raises", [(True, False), (False, False), (True, True)])
+def test_train_leaves_the_collector_as_it_found_it(collector_state, enabled, raises):
+    transitions, rewards, _ = chain_mdp(seed=2)
+    if raises:
+        rewards[:, :] = float("nan")  # train raises at its first update
+    env = TabularMdpEnv(transitions, rewards, episode_length=10, seed=1)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with pytest.raises(ValueError, match="finite") if raises else contextlib.nullcontext():
+        train(env, Algorithm.Q_LEARNING, cfg(episodes=5))
+    assert gc.isenabled() is enabled
+
+
+DESK = desk_campaign_config()
+PAPER_BOX = EnvConfig(dims=(100, 100, 50), node_count=50, rng_seed=0)
+
+
+@pytest.mark.parametrize("env_cfg, learn, algo", [
+    pytest.param(DESK.env, DESK.learn, Algorithm.Q_LEARNING, id="desk-q_learning"),
+    pytest.param(DESK.env, DESK.learn, Algorithm.SARSA, id="desk-sarsa"),
+    pytest.param(PAPER_BOX, LearnConfig(episodes=20, randomize_start=True),
+                 Algorithm.Q_LEARNING, id="paper-box-random-starts"),
+])
+def test_train_makes_no_reference_cycles(collector_state, env_cfg, learn, algo):
+    env = deploy(env_cfg)
+    gc.disable()
+    gc.collect()
+    train(env, algo, learn)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
