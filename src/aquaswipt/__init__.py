@@ -21,11 +21,11 @@ from .agents import (
 from .auv import AuvSpec
 from .campaign import CampaignConfig, desk_campaign_config, run_campaign
 from .channel import ChannelParams, ModemSpec
+from .checks import config_from_dict
 from .env3d import (
     EnvConfig,
     Environment,
     StateKey,
-    config_from_dict,
     deploy,
     id_to_key,
     key_to_id,

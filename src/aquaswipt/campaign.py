@@ -313,8 +313,7 @@ def _worker_count(cells: int) -> int:
     return min(workers, cells)
 
 
-def _execute_cells(specs: list[_CellSpec]) -> list[CellResult]:
-    workers = _worker_count(len(specs))
+def _execute_cells(specs: list[_CellSpec], workers: int) -> list[CellResult]:
     if workers > 1:
         # Imported only here, so that importing the package and running at
         # one worker do not load the process-pool machinery.
@@ -470,30 +469,23 @@ def _default_coverage_starts(dims) -> list[tuple[float, float]]:
 
 
 def run_coverage(config: CampaignConfig) -> list[SweepRow]:
-    """The campaign's coverage sweep, at ``coverage_dims`` when given."""
-    env_cfg = config.env
-    if config.coverage_dims is not None:
-        env_cfg = dataclasses.replace(env_cfg, dims=tuple(config.coverage_dims))
-    starts = (
-        list(config.coverage_starts)
-        if config.coverage_starts is not None
-        else _default_coverage_starts(env_cfg.dims)
-    )
+    """The campaign's coverage sweep: the cone of ``env.auv`` in the box
+    ``coverage_dims``, or ``env.dims`` when that is None."""
+    dims = config.coverage_dims or config.env.dims
+    starts = (_default_coverage_starts(dims) if config.coverage_starts is None
+              else list(config.coverage_starts))
     return coverage_sweep(
-        env_cfg,
-        n_values=list(config.coverage_n_values),
-        start_grid=starts,
-        trials=config.coverage_trials,
-        k_values=tuple(config.coverage_k_values),
-        volume_samples=config.coverage_volume_samples,
-        seed=config.env.rng_seed,
-    )
+        dims, config.env.auv.cone_apex_angle_deg, list(config.coverage_n_values), starts,
+        trials=config.coverage_trials, k_values=config.coverage_k_values,
+        volume_samples=config.coverage_volume_samples, seed=config.env.rng_seed)
 
 
 def run_campaign(config: CampaignConfig) -> AggregateResult:
     """Execute the full campaign and emit its datasets to output_dir."""
     specs = _build_cell_specs(config)
-    results = _execute_cells(specs)
+    workers = _worker_count(len(specs))
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)  # fail before any cell runs
+    results = _execute_cells(specs, workers)
     aggregate = _aggregate(config, results)
     aggregate.coverage_rows = run_coverage(config)
     emit_datasets(aggregate, config.output_dir)
@@ -610,10 +602,9 @@ carries a field a later schema dropped is rejected with that field's name.
   throughput_min_bits, throughput_max_bits, runs. Rollout bits relayed to
   the surface station.
 - `fig_actions_throughput.csv` / `fig_actions_harvest.csv`: algorithm,
-  node_count, target, mean_actions, reached, reached_runs, total_runs.
-  mean_actions averages the first step reaching the target over the runs
-  that reached it and is empty when none did (reached = False); targets
-  are bits / joules respectively.
+  node_count, target_bits / target_j, mean_actions, reached, reached_runs,
+  total_runs. mean_actions averages the first step reaching the target over
+  the runs that reached it and is empty when none did (reached = False).
 - `fig_ee.csv`: algorithm, node_count, ee_mean_bits_per_j,
   ee_ratio_vs_random. Energy efficiency = rollout bits / (transmit +
   navigation energy); the ratio column is empty for the random baseline.

@@ -1,11 +1,11 @@
-"""The field check the config dataclasses share.
+"""The field check the config dataclasses share, and the JSON decoder.
 
 ``check_field_types`` tests every field of a config against its annotation,
 so a field's type and range are stated once, where it is declared: a range
 is a ``Bound`` in ``Annotated[X, Bound(...)]``. Each ``__post_init__`` keeps
 only its cross-field rules. A bad value raises ``ValueError`` naming
 ``Class.field``, so that one given in Python fails where the config is
-built, as one in a config document does.
+built, as one in a config document does; ``config_from_dict`` decodes one.
 """
 
 import math
@@ -63,14 +63,11 @@ def check_field_types(config) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         name = f"{owner}.{f.name}"
-        annotation, bound = f.type, None
-        if get_origin(annotation) is Annotated:
-            annotation, *marks = get_args(annotation)
-            if len(marks) != 1 or not isinstance(marks[0], Bound):
-                raise TypeError(f"{name} has the annotation {f.type!r}, which is not checked")
-            (bound,) = marks
+        annotation, bound, optional = _unwrap(f.type, name)
+        if value is None and optional:
+            continue
         _check(annotation, value, name, value, "")
-        if bound is None or value is None:
+        if bound is None:
             continue
         if isinstance(value, tuple):
             if not all(map(bound.holds, value)):
@@ -79,14 +76,59 @@ def check_field_types(config) -> None:
             raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
+def config_from_dict(cls, doc: dict):
+    """Build the config dataclass ``cls`` from its JSON document ``doc``.
+
+    Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
+    field annotations. Fields missing from ``doc`` keep their defaults; an
+    unknown key raises ``ValueError`` naming the class and the field, and
+    so does a value of the wrong type or out of the field's range, which
+    the dataclass refuses (see ``check_field_types``).
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    types_by_name = {f.name: f.type for f in fields(cls)}
+    for key in doc:
+        if key not in types_by_name:
+            raise ValueError(f"{cls.__name__} has no field {key!r}")
+    return cls(**{key: _from_json(types_by_name[key], value, f"{cls.__name__}.{key}")
+                  for key, value in doc.items()})
+
+
+def _from_json(annotation, value, name: str):
+    """``value`` with an object for a dataclass field built into it and an
+    array for a tuple field made a tuple; anything else is passed through
+    for the dataclass to check."""
+    annotation = _unwrap(annotation, name)[0]
+    if is_dataclass(annotation) and isinstance(value, dict):
+        return config_from_dict(annotation, value)
+    if get_origin(annotation) is tuple and isinstance(value, (list, tuple)):
+        # Every tuple field holds one element type: tuple[X, ...] or (X, X).
+        element = get_args(annotation)[0]
+        return tuple(_from_json(element, v, name) for v in value)
+    return value
+
+
+def _unwrap(annotation, name: str):
+    """``(X, bound, optional)`` for the field ``name`` annotated ``X``,
+    ``X | None`` (``optional``) or either in ``Annotated[..., bound]``;
+    ``bound`` is None without one."""
+    base, bound = annotation, None
+    if get_origin(base) is Annotated:
+        base, *marks = get_args(base)
+        if len(marks) != 1 or not isinstance(marks[0], Bound):
+            raise TypeError(f"{name} has the annotation {annotation!r}, which is not checked")
+        (bound,) = marks
+    optional = isinstance(base, UnionType)
+    if optional:
+        (base,) = (a for a in get_args(base) if a is not type(None))
+    return base, bound, optional
+
+
 def _check(annotation, value, name: str, whole, entries: str) -> None:
     """Check ``value`` against ``annotation``. ``whole`` is the field's
     value, which messages quote, and ``entries`` is " entries" when
     ``value`` is an entry of a tuple field."""
-    if isinstance(annotation, UnionType):  # X | None
-        if value is None:
-            return
-        (annotation,) = (a for a in get_args(annotation) if a is not type(None))
     if annotation is float:
         # Only a float goes to isfinite: an int such as 10**400 would overflow.
         if isinstance(value, bool) or not (

@@ -20,8 +20,8 @@ from .campaign import (
     run_coverage,
     write_csv,
 )
+from .checks import config_from_dict
 from .coverage import SweepRow
-from .env3d import config_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,14 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="overrides",
                        help="dotted-path config override, e.g. env.rng_seed=7")
         p.add_argument("--seed", type=int, help="master seed (env and learner)")
+        p.add_argument("--quiet", action="store_true")
+
+    def add_grid_flags(p):
+        # The campaign's cells; the coverage sweep reads none of these.
         p.add_argument("--runs", type=int, help="Monte-Carlo runs per cell")
         p.add_argument("--algos", help="comma list: q_learning,sarsa,random")
         p.add_argument("--nodes", help="comma list of node counts")
         p.add_argument("--gamma", help="comma list of sweep gamma values")
-        p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run the full campaign and emit datasets")
     add_config_flags(p_run)
+    add_grid_flags(p_run)
     p_run.add_argument("--out", metavar="DIR", help="output directory")
 
     p_cov = sub.add_parser("coverage", help="run only the coverage sweep")
@@ -58,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a config and exit")
     add_config_flags(p_val)
+    add_grid_flags(p_val)
 
     p_rep = sub.add_parser(
         "replay", help="re-run one campaign cell from its run manifest",
@@ -122,17 +127,17 @@ def _load_config(args):
     if args.seed is not None:
         _set_dotted(doc, "env.rng_seed", args.seed)
         _set_dotted(doc, "learn.seed", args.seed)
-    if args.runs is not None:
+    if getattr(args, "runs", None) is not None:
         doc["mc_runs"] = args.runs
-    if args.algos is not None:
+    if getattr(args, "algos", None) is not None:
         names = [a.strip() for a in args.algos.split(",")] if args.algos.strip() else []
         if "" in names:
             raise ValueError("--algos expects a comma list of algorithm names, "
                              f"got {args.algos!r}")
         doc["algorithms"] = names
-    if args.nodes is not None:
+    if getattr(args, "nodes", None) is not None:
         doc["node_counts"] = _comma_list("--nodes", args.nodes, int, "integers")
-    if args.gamma is not None:
+    if getattr(args, "gamma", None) is not None:
         doc["gamma_sweep"] = _comma_list("--gamma", args.gamma, float, "numbers")
     if getattr(args, "out", None):
         doc["output_dir"] = args.out

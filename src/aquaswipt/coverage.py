@@ -14,7 +14,7 @@ from typing import Annotated, NamedTuple
 import numpy as np
 
 from .checks import NON_NEGATIVE, Bound, check_field_types
-from .env3d import EnvConfig, cone_reach2
+from .env3d import cone_reach2
 
 
 @dataclass(frozen=True)
@@ -149,21 +149,23 @@ def coverage_tail(n: int, p: float, k: int) -> float:
 
 
 def coverage_sweep(
-    config: EnvConfig,
+    dims: tuple[float, float, float],
+    apex_angle_deg: float,
     n_values: list[int],
     start_grid: list[tuple[float, float]],
     trials: int,
-    k_values: tuple[int, ...] = (1, 2, 4),
-    volume_samples: int = 200_000,
-    seed: int = 0,
+    k_values: tuple[int, ...],
+    volume_samples: int,
+    seed: int,
 ) -> list[SweepRow]:
     """Analytic vs empirical P(cover >= k) per start position and node count.
 
-    The cone hangs from each start at the surface (z = 0) down to the
-    bottom of the box; node placements are drawn uniformly over the
-    continuous cube, matching the binomial model's assumptions. Placements
-    are drawn and tested in blocks of whole trials, so memory is O(block)
-    whatever ``trials``, ``n_values`` and ``volume_samples`` are.
+    The cone, of apex angle ``apex_angle_deg``, hangs from each start at
+    the surface (z = 0) down to the bottom of the box ``dims``; node
+    placements are drawn uniformly over the continuous cube, matching the
+    binomial model's assumptions. Placements are drawn and tested in blocks
+    of whole trials, so memory is O(block) whatever ``trials``,
+    ``n_values`` and ``volume_samples`` are.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -173,15 +175,12 @@ def coverage_sweep(
     for k in k_values:
         if k < 0:
             raise ValueError(f"k_values entries must be >= 0, got {k}")
-    l, w, h = (float(d) for d in config.dims)
+    l, w, h = (float(d) for d in dims)
     cube_volume = l * w * h
     rows = []
     for si, (sx, sy) in enumerate(start_grid):
-        geom = ConeGeometry(
-            apex=(float(sx), float(sy), 0.0),
-            apex_angle_deg=config.auv.cone_apex_angle_deg,
-            height_m=h,
-        )
+        geom = ConeGeometry(apex=(float(sx), float(sy), 0.0),
+                            apex_angle_deg=apex_angle_deg, height_m=h)
         vol, _ = clipped_cone_volume_mc(
             geom, (l, w, h), volume_samples, seed=seed * 7919 + si
         )

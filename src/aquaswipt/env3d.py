@@ -11,12 +11,10 @@ All randomness is driven by the config seed; identical (config, seed,
 action sequence) triples reproduce identical trajectories bit for bit.
 """
 
-import dataclasses
 import math
-import types
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Annotated, NamedTuple, get_args, get_origin
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -615,41 +613,3 @@ class Environment:
 def deploy(config: EnvConfig) -> Environment:
     """Place nodes and the AUV per the seeded configuration."""
     return Environment(config)
-
-
-# ---------------------------------------------------------------------------
-# Config (de)serialization, shared by manifests and the CLI.
-
-def config_from_dict(cls, doc: dict):
-    """Build the config dataclass ``cls`` from its JSON document ``doc``.
-
-    Nested dataclasses, tuples and ``X | None`` fields are rebuilt from the
-    field annotations. Fields missing from ``doc`` keep their defaults; an
-    unknown key raises ``ValueError`` naming the class and the field, and
-    so does a value of the wrong type or out of the field's range, which
-    the dataclass refuses (see ``checks.check_field_types``).
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
-    for key in doc:
-        if key not in types_by_name:
-            raise ValueError(f"{cls.__name__} has no field {key!r}")
-    return cls(**{key: _from_json(types_by_name[key], value) for key, value in doc.items()})
-
-
-def _from_json(annotation, value):
-    """``value`` with an object for a dataclass field built into it and an
-    array for a tuple field made a tuple; anything else is passed through
-    for the dataclass to check."""
-    if get_origin(annotation) is Annotated:  # a range, which the dataclass checks
-        annotation = get_args(annotation)[0]
-    if isinstance(annotation, types.UnionType):  # X | None
-        (annotation,) = (a for a in get_args(annotation) if a is not type(None))
-    if dataclasses.is_dataclass(annotation) and isinstance(value, dict):
-        return config_from_dict(annotation, value)
-    if get_origin(annotation) is tuple and isinstance(value, (list, tuple)):
-        # Every tuple field holds one element type: tuple[X, ...] or (X, X).
-        element = get_args(annotation)[0]
-        return tuple(_from_json(element, v) for v in value)
-    return value

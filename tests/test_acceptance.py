@@ -108,18 +108,17 @@ def runs_of(result, algorithm, node_count):
 def test_criterion_1_coverage_claims():
     with criterion(1, "coverage-claims"):
         t0 = time.monotonic()
-        config = EnvConfig()  # Table-scale box, default cone
+        dims, angle = (100, 100, 50), 60.0  # EnvConfig()'s table-scale box and cone
+        assert (EnvConfig().dims, EnvConfig().auv.cone_apex_angle_deg) == (dims, angle)
         starts = [(50.0, 50.0), (25.0, 25.0), (0.0, 0.0)]
         trials = 2500
-        rows = coverage_sweep(config, n_values=[10, 25, 50], start_grid=starts,
+        rows = coverage_sweep(dims, angle, n_values=[10, 25, 50], start_grid=starts,
                               trials=trials, k_values=(1, 2, 4),
                               volume_samples=300_000, seed=7)
-        l, w, h = (float(d) for d in config.dims)
+        l, w, h = (float(d) for d in dims)
         cube = l * w * h
         for si, (sx, sy) in enumerate(starts):
-            geom = ConeGeometry(apex=(sx, sy, 0.0),
-                                apex_angle_deg=config.auv.cone_apex_angle_deg,
-                                height_m=h)
+            geom = ConeGeometry(apex=(sx, sy, 0.0), apex_angle_deg=angle, height_m=h)
             vol, vol_err = clipped_cone_volume_mc(geom, (l, w, h), 300_000,
                                                   seed=7 * 7919 + si)
             p, sigma_p = vol / cube, vol_err / cube

@@ -1,8 +1,10 @@
 """Campaign runner tests: metrics, orchestration, aggregation, emission."""
 
+import csv
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from aquaswipt.campaign import (
     run_campaign,
 )
 from aquaswipt.channel import ChannelParams, ModemSpec
-from aquaswipt.env3d import EnvConfig, config_from_dict
+from aquaswipt.checks import config_from_dict
+from aquaswipt.env3d import EnvConfig
 
 
 def tiny_campaign(out_dir, **overrides) -> CampaignConfig:
@@ -215,6 +218,18 @@ def test_run_campaign_smoke_emits_all_files(tmp_path):
         assert (out / name).exists(), name
     assert (out / "run_manifest.json").exists()
     assert (out / "README.md").exists()
+
+
+def test_dataset_readme_names_every_csv_column(tmp_path):
+    out = tmp_path / "out"
+    run_campaign(tiny_campaign(out, algorithms=("random",), node_counts=(4,), mc_runs=1))
+    readme = (out / "README.md").read_text()
+    for name in DATASET_FILES:
+        (entry,) = [item for item in readme.split("\n- ") if f"`{name}`" in item]
+        with open(out / name, newline="") as fh:
+            header = next(csv.reader(fh))
+        named = set(re.findall(r"\w+", entry))
+        assert [column for column in header if column not in named] == [], name
 
 
 def test_run_campaign_deterministic_bytes(tmp_path):

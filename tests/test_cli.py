@@ -1,6 +1,7 @@
 """CLI tests: verbs, overrides, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,8 +13,15 @@ from pathlib import Path
 import pytest
 
 import aquaswipt
+import aquaswipt.campaign
 
-from aquaswipt.campaign import CellAggregate, campaign_config_to_dict, run_campaign
+from aquaswipt.campaign import (
+    CellAggregate,
+    campaign_config_to_dict,
+    desk_campaign_config,
+    run_campaign,
+    run_coverage,
+)
 from aquaswipt.cli import _build_parser, _headline, main
 
 from test_campaign import tiny_campaign
@@ -265,6 +273,7 @@ def test_run_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AQUASWIPT_THREADS", "two")
     assert main(["run", "--config", str(path), "--quiet"]) == 2
     assert "AQUASWIPT_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused before the output was made
 
 
 def test_run_flag_overrides(tmp_path):
@@ -299,13 +308,19 @@ def test_run_set_dotted_override(tmp_path):
     assert manifest["config"]["learn"]["episodes"] == 2
 
 
-def test_run_unwritable_output_is_io_error(tmp_path):
+def test_run_unwritable_output_is_io_error(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
     cfg = tiny_campaign(blocker / "out", algorithms=("random",),
                         node_counts=(4,), mc_runs=1)
     path = write_config(tmp_path, cfg)
+    cells = []
+    run_cell = aquaswipt.campaign._run_cell
+    monkeypatch.setattr(aquaswipt.campaign, "_run_cell",
+                        lambda spec: cells.append(spec) or run_cell(spec))
+    monkeypatch.setenv("AQUASWIPT_THREADS", "1")
     assert main(["run", "--config", str(path), "--quiet"]) == 3
+    assert cells == []  # refused before the first cell ran
 
 
 def test_run_from_manifest_round_trips(tmp_path):
@@ -326,6 +341,35 @@ def test_coverage_verb(tmp_path):
     assert main(["coverage", "--config", str(path), "--quiet"]) == 0
     text = (tmp_path / "cov" / "fig_coverage.csv").read_text()
     assert text.startswith("start_x,start_y,n,k,p_analytic,p_empirical,stderr")
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--algos", "--nodes", "--gamma"])
+def test_coverage_refuses_the_campaign_grid_flags(flag, capsys):
+    # The sweep reads none of them, so taking one would ignore it silently.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coverage", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, box", [
+    ({"auv_start_z": 8}, (20, 20, 5)),
+    ({"auv_start_xy": (15, 15)}, (10, 10, 5)),
+])
+def test_coverage_box_is_not_checked_against_the_auv_start(start, box, tmp_path):
+    # The AUV start lies in env.dims, but not in coverage_dims: the sweep
+    # reads only the box and the cone, so the start must not refuse it.
+    settings = [f"env.{key}={json.dumps(value)}" for key, value in start.items()]
+    flags = [arg for setting in [*settings, f"coverage_dims={json.dumps(box)}"]
+             for arg in ("--set", setting)]
+    assert main(["validate", "--quiet", *flags]) == 0
+    assert main(["coverage", "--quiet", "--out", str(tmp_path), *flags]) == 0
+    without = desk_campaign_config(coverage_dims=box)
+    with_start = dataclasses.replace(without, env=dataclasses.replace(without.env, **start))
+    rows = run_coverage(with_start)
+    assert rows == run_coverage(without)
+    with open(tmp_path / "fig_coverage.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == len(rows) + 1
 
 
 def replay_campaign(tmp_path):

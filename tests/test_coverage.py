@@ -169,9 +169,9 @@ def test_paper_scale_tail_claims():
 
 
 def test_coverage_sweep_analytic_vs_empirical():
-    config = EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0)
     rows = coverage_sweep(
-        config,
+        (100, 100, 50),
+        60.0,
         n_values=[10, 50],
         start_grid=[(50.0, 50.0), (0.0, 0.0)],
         trials=2000,
@@ -186,9 +186,9 @@ def test_coverage_sweep_analytic_vs_empirical():
 
 
 def test_coverage_sweep_centre_beats_corner():
-    config = EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0)
-    rows = coverage_sweep(config, n_values=[10], start_grid=[(50.0, 50.0), (0.0, 0.0)],
-                          trials=500, k_values=(1,), volume_samples=50_000, seed=2)
+    rows = coverage_sweep((100, 100, 50), 60.0, n_values=[10],
+                          start_grid=[(50.0, 50.0), (0.0, 0.0)], trials=500, k_values=(1,),
+                          volume_samples=50_000, seed=2)
     centre = next(r for r in rows if r.start_x == 50.0)
     corner = next(r for r in rows if r.start_x == 0.0)
     assert centre.p_analytic > corner.p_analytic
@@ -196,14 +196,13 @@ def test_coverage_sweep_centre_beats_corner():
 
 
 def test_coverage_sweep_requires_trials():
-    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
     with pytest.raises(ValueError):
-        coverage_sweep(config, [5], [(0.0, 0.0)], trials=10)
+        coverage_sweep((10, 10, 5), 60.0, [5], [(0.0, 0.0)], trials=10, k_values=(1, 2, 4),
+                       volume_samples=200_000, seed=0)
 
 
 def test_coverage_sweep_empty_deployment_edge():
-    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
-    rows = coverage_sweep(config, n_values=[0], start_grid=[(5.0, 5.0)],
+    rows = coverage_sweep((10, 10, 5), 60.0, n_values=[0], start_grid=[(5.0, 5.0)],
                           trials=100, k_values=(0, 1, 2), volume_samples=1000,
                           seed=1)
     by_k = {r.k: r for r in rows}
@@ -381,10 +380,9 @@ def test_cone_geometry_rejects_bad_geometry(field, kwargs):
 
 
 def test_coverage_sweep_rejects_negative_node_count():
-    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
     with pytest.raises(ValueError, match="n_values.*-3"):
-        coverage_sweep(config, [5, -3], [(0.0, 0.0)], trials=100,
-                       volume_samples=1000)
+        coverage_sweep((10, 10, 5), 60.0, [5, -3], [(0.0, 0.0)], trials=100,
+                       k_values=(1, 2, 4), volume_samples=1000, seed=0)
 
 
 def test_coverage_sweep_rejects_negative_k_before_sampling(monkeypatch):
@@ -392,31 +390,28 @@ def test_coverage_sweep_rejects_negative_k_before_sampling(monkeypatch):
         raise AssertionError("sampled before checking k_values")
 
     monkeypatch.setattr("aquaswipt.coverage.points_in_cone", no_sampling)
-    config = EnvConfig(dims=(10, 10, 5), node_count=5, rng_seed=0)
     for n_values in ([0], [5]):
         with pytest.raises(ValueError, match="k_values.*-1"):
-            coverage_sweep(config, n_values, [(0.0, 0.0)], trials=100,
-                           k_values=(1, -1), volume_samples=1000)
+            coverage_sweep((10, 10, 5), 60.0, n_values, [(0.0, 0.0)], trials=100,
+                           k_values=(1, -1), volume_samples=1000, seed=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 50])
 def test_coverage_sweep_equals_per_trial_counting(n):
     """Every row equals one built from whole-array draws, the reference cone
     test, a per-trial row sum and one count per k, over several blocks."""
-    config = EnvConfig(dims=(100, 100, 50), node_count=25, rng_seed=0)
     starts = [(50.0, 50.0), (-0.0, 0.0)]
     trials = 3 * (_BLOCK_POINTS // max(n, 1)) + 7
     k_values = (0, 1, 2, n, n + 1, 1)
     samples = 2 * _BLOCK_POINTS + 5
     seed = 3
-    rows = coverage_sweep(config, [n], starts, trials, k_values=k_values,
+    rows = coverage_sweep((100, 100, 50), 60.0, [n], starts, trials, k_values=k_values,
                           volume_samples=samples, seed=seed)
     cube = (100.0, 100.0, 50.0)
     cube_volume = 100.0 * 100.0 * 50.0
     expected = []
     for si, (sx, sy) in enumerate(starts):
-        geom = ConeGeometry(apex=(sx, sy, 0.0), apex_angle_deg=config.auv.cone_apex_angle_deg,
-                            height_m=50.0)
+        geom = ConeGeometry(apex=(sx, sy, 0.0), apex_angle_deg=60.0, height_m=50.0)
         unit = np.random.default_rng(seed * 7919 + si).random((samples, 3))
         hits = int(np.count_nonzero(reference_points_in_cone(geom, unit, cube)))
         p = min(1.0, cube_volume * (hits / samples) / cube_volume)

@@ -15,14 +15,13 @@ from aquaswipt.auv import AuvSpec
 from aquaswipt.agents import Algorithm, LearnConfig, greedy_rollout, train
 from aquaswipt.campaign import CampaignConfig, desk_campaign_config
 from aquaswipt.channel import ChannelParams, ModemSpec
-from aquaswipt.checks import Bound, check_field_types
+from aquaswipt.checks import Bound, check_field_types, config_from_dict
 from aquaswipt.coverage import ConeGeometry
 from aquaswipt.env3d import (
     _LINK_CACHE_LIMIT,
     ACTIONS,
     EnvConfig,
     StateKey,
-    config_from_dict,
     deploy,
     id_to_key,
     id_to_tuple,
