@@ -40,15 +40,73 @@ from .checks import NON_NEGATIVE, POSITIVE, UNIT, Bound, check_field_types
 from .coverage import SweepRow, coverage_sweep
 from .env3d import Environment, EnvConfig
 
-DATASET_FILES = (
-    "fig_coverage.csv",
-    "fig_gamma.csv",
-    "fig_throughput.csv",
-    "fig_actions_throughput.csv",
-    "fig_ee.csv",
-    "fig_harvest.csv",
-    "fig_actions_harvest.csv",
-)
+
+# One row type per dataset: the field names of each are its CSV header.
+class GammaRow(NamedTuple):
+    gamma: float
+    runs: int
+    reward_mean: float
+    throughput_term_mean: float
+    harvest_term_mean: float
+    motion_term_mean: float
+
+
+class ThroughputRow(NamedTuple):
+    algorithm: str
+    node_count: int
+    throughput_mean_bits: float
+    throughput_min_bits: float
+    throughput_max_bits: float
+    runs: int
+
+
+class ActionsThroughputRow(NamedTuple):
+    algorithm: str
+    node_count: int
+    target_bits: float
+    mean_actions: float | None
+    reached: bool
+    reached_runs: int
+    total_runs: int
+
+
+class EeRow(NamedTuple):
+    algorithm: str
+    node_count: int
+    ee_mean_bits_per_j: float
+    ee_ratio_vs_random: float | None
+
+
+class HarvestRow(NamedTuple):
+    algorithm: str
+    node_count: int
+    harvested_mean_j: float
+    harvested_min_j: float
+    harvested_max_j: float
+    runs: int
+
+
+class ActionsHarvestRow(NamedTuple):
+    algorithm: str
+    node_count: int
+    target_j: float
+    mean_actions: float | None
+    reached: bool
+    reached_runs: int
+    total_runs: int
+
+
+# Each dataset's file name and row type, in the order the program documents them.
+DATASET_ROWS = {
+    "fig_coverage.csv": SweepRow,
+    "fig_gamma.csv": GammaRow,
+    "fig_throughput.csv": ThroughputRow,
+    "fig_actions_throughput.csv": ActionsThroughputRow,
+    "fig_ee.csv": EeRow,
+    "fig_harvest.csv": HarvestRow,
+    "fig_actions_harvest.csv": ActionsHarvestRow,
+}
+DATASET_FILES = tuple(DATASET_ROWS)
 
 
 @dataclass(frozen=True)
@@ -90,10 +148,12 @@ class CampaignConfig:
                 raise ValueError(f"CampaignConfig.algorithms has unknown name {name!r} "
                                  f"(choose from {', '.join(known)})")
         # Cells are seeded and aggregated by algorithm, node count and gamma,
-        # and coverage rows are keyed by start, n and k, so a repeated value
-        # would merge two differently seeded groups or write one key twice.
-        for name in ("algorithms", "node_counts", "gamma_sweep", "coverage_starts",
-                     "coverage_n_values", "coverage_k_values"):
+        # actions rows are keyed by target and coverage rows by start, n and
+        # k, so a repeated value would merge two differently seeded groups or
+        # write one key twice.
+        for name in ("algorithms", "node_counts", "gamma_sweep", "targets_throughput_bits",
+                     "targets_harvest_j", "coverage_starts", "coverage_n_values",
+                     "coverage_k_values"):
             values = getattr(self, name) or ()
             for i, value in enumerate(values):
                 if value in values[:i]:
@@ -329,138 +389,65 @@ def _execute_cells(specs: list[_CellSpec], workers: int) -> list[CellResult]:
 
 
 @dataclass
-class TargetAggregate:
-    target: float
-    reached_runs: int
-    total_runs: int
-    mean_actions: float | None
-
-
-@dataclass
-class CellAggregate:
-    algorithm: str
-    node_count: int
-    runs: int
-    throughput_mean: float
-    throughput_min: float
-    throughput_max: float
-    harvested_mean: float
-    harvested_min: float
-    harvested_max: float
-    ee_mean: float
-    ee_ratio_vs_random: float | None
-    actions_throughput: list[TargetAggregate]
-    actions_harvest: list[TargetAggregate]
-
-
-class GammaRow(NamedTuple):
-    """One ``fig_gamma.csv`` row; the field names are its header."""
-
-    gamma: float
-    runs: int
-    reward_mean: float
-    throughput_term_mean: float
-    harvest_term_mean: float
-    motion_term_mean: float
-
-
-@dataclass
 class AggregateResult:
     config: CampaignConfig
-    cells: list[CellAggregate]
-    gamma_rows: list[GammaRow]
-    coverage_rows: list[SweepRow]
     raw_cells: list[CellResult]
-
-
-def _aggregate_targets(results: list[CellResult], attr: str,
-                       targets: tuple[float, ...]) -> list[TargetAggregate]:
-    out = []
-    for ti, target in enumerate(targets):
-        values = [getattr(r, attr)[ti] for r in results]
-        reached = [v for v in values if v is not None]
-        out.append(
-            TargetAggregate(
-                target=target,
-                reached_runs=len(reached),
-                total_runs=len(values),
-                mean_actions=float(np.mean(reached)) if reached else None,
-            )
-        )
-    return out
+    datasets: dict[str, list[tuple]]  # each DATASET_FILES name's rows
 
 
 def _aggregate(config: CampaignConfig, results: list[CellResult]) -> AggregateResult:
+    """Every dataset's rows but the coverage sweep's."""
     # One canonical order: float means and the raw cells must not depend on
     # the order cells finished or were listed in.
     results = sorted(results, key=CellResult.sort_key)
-    main = [r for r in results if r.kind == "main"]
-    gamma = [r for r in results if r.kind == "gamma"]
-
-    cells = []
     groups: dict[tuple[str, int], list[CellResult]] = {}
-    for r in main:
-        groups.setdefault((r.algorithm, r.node_count), []).append(r)
+    ggroups: dict[float, list[CellResult]] = {}
+    for r in results:
+        if r.kind == "main":
+            groups.setdefault((r.algorithm, r.node_count), []).append(r)
+        else:
+            ggroups.setdefault(r.gamma, []).append(r)
+    datasets = {name: [] for name in DATASET_FILES if name != "fig_coverage.csv"}
+
+    random = Algorithm.RANDOM.value
+    ee_means = {key: float(np.mean([r.ee_bits_per_j for r in rs]))
+                for key, rs in groups.items()}
+    actions = (("fig_actions_throughput.csv", "actions_throughput",
+                config.targets_throughput_bits),
+               ("fig_actions_harvest.csv", "actions_harvest", config.targets_harvest_j))
     for (algorithm, node_count), rs in sorted(groups.items()):
         tp = [r.throughput_bits for r in rs]
         hv = [r.harvested_j for r in rs]
-        ee = [r.ee_bits_per_j for r in rs]
-        cells.append(
-            CellAggregate(
-                algorithm=algorithm,
-                node_count=node_count,
-                runs=len(rs),
-                throughput_mean=float(np.mean(tp)),
-                throughput_min=float(np.min(tp)),
-                throughput_max=float(np.max(tp)),
-                harvested_mean=float(np.mean(hv)),
-                harvested_min=float(np.min(hv)),
-                harvested_max=float(np.max(hv)),
-                ee_mean=float(np.mean(ee)),
-                ee_ratio_vs_random=None,
-                actions_throughput=_aggregate_targets(
-                    rs, "actions_throughput", tuple(config.targets_throughput_bits)
-                ),
-                actions_harvest=_aggregate_targets(
-                    rs, "actions_harvest", tuple(config.targets_harvest_j)
-                ),
-            )
-        )
-    random_ee = {c.node_count: c.ee_mean for c in cells
-                 if c.algorithm == Algorithm.RANDOM.value}
-    for cell in cells:
-        base = random_ee.get(cell.node_count)
-        if base and cell.algorithm != Algorithm.RANDOM.value:
-            cell.ee_ratio_vs_random = cell.ee_mean / base
+        ee = ee_means[algorithm, node_count]
+        base = ee_means.get((random, node_count))
+        datasets["fig_throughput.csv"].append(ThroughputRow(
+            algorithm, node_count, float(np.mean(tp)), float(np.min(tp)),
+            float(np.max(tp)), len(rs)))
+        datasets["fig_ee.csv"].append(EeRow(
+            algorithm, node_count, ee, ee / base if base and algorithm != random else None))
+        datasets["fig_harvest.csv"].append(HarvestRow(
+            algorithm, node_count, float(np.mean(hv)), float(np.min(hv)),
+            float(np.max(hv)), len(rs)))
+        for name, attr, targets in actions:
+            for ti, target in enumerate(targets):
+                steps = [getattr(r, attr)[ti] for r in rs]
+                reached = [n for n in steps if n is not None]
+                datasets[name].append(DATASET_ROWS[name](
+                    algorithm, node_count, target,
+                    float(np.mean(reached)) if reached else None, bool(reached),
+                    len(reached), len(steps)))
 
-    gamma_rows = []
-    ggroups: dict[float, list[CellResult]] = {}
-    for r in gamma:
-        ggroups.setdefault(r.gamma, []).append(r)
     for g, rs in sorted(ggroups.items()):
         tput_terms = [r.reward_throughput_term for r in rs]
         harv_terms = [r.reward_harvest_term for r in rs]
         rewards = [r.reward_total for r in rs]
         # Per step: reward = tput_term + harvest_term - motion_term, exactly.
         motions = [t + h - rw for t, h, rw in zip(tput_terms, harv_terms, rewards)]
-        gamma_rows.append(
-            GammaRow(
-                gamma=g,
-                runs=len(rs),
-                reward_mean=float(np.mean(rewards)),
-                throughput_term_mean=float(np.mean(tput_terms)),
-                harvest_term_mean=float(np.mean(harv_terms)),
-                motion_term_mean=float(np.mean(motions)),
-            )
-        )
+        datasets["fig_gamma.csv"].append(GammaRow(
+            g, len(rs), float(np.mean(rewards)), float(np.mean(tput_terms)),
+            float(np.mean(harv_terms)), float(np.mean(motions))))
 
-    return AggregateResult(
-        config=config,
-        cells=cells,
-        gamma_rows=gamma_rows,
-        coverage_rows=[],
-        raw_cells=results,
-    )
+    return AggregateResult(config=config, raw_cells=results, datasets=datasets)
 
 
 def _default_coverage_starts(dims) -> list[tuple[float, float]]:
@@ -487,7 +474,7 @@ def run_campaign(config: CampaignConfig) -> AggregateResult:
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)  # fail before any cell runs
     results = _execute_cells(specs, workers)
     aggregate = _aggregate(config, results)
-    aggregate.coverage_rows = run_coverage(config)
+    aggregate.datasets["fig_coverage.csv"] = run_coverage(config)
     emit_datasets(aggregate, config.output_dir)
     return aggregate
 
@@ -513,51 +500,16 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
-def _actions_table(cells: list[CellAggregate], attr: str, target_column: str):
-    """Header and rows of one actions-to-target dataset."""
-    header = ("algorithm", "node_count", target_column, "mean_actions", "reached",
-              "reached_runs", "total_runs")
-    return header, [
-        (c.algorithm, c.node_count, t.target, t.mean_actions, t.reached_runs > 0,
-         t.reached_runs, t.total_runs)
-        for c in cells for t in getattr(c, attr)
-    ]
-
-
 def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
     """Write the per-figure CSVs, the seed manifest, and a column README."""
-    if not result.cells:
+    if not result.datasets["fig_throughput.csv"]:
         raise ValueError("campaign produced no cells; nothing to emit")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = result.cells
-    tables = {
-        "fig_coverage.csv": (SweepRow._fields, result.coverage_rows),
-        "fig_gamma.csv": (GammaRow._fields, result.gamma_rows),
-        "fig_throughput.csv": (
-            ("algorithm", "node_count", "throughput_mean_bits", "throughput_min_bits",
-             "throughput_max_bits", "runs"),
-            [(c.algorithm, c.node_count, c.throughput_mean, c.throughput_min,
-              c.throughput_max, c.runs) for c in cells],
-        ),
-        "fig_actions_throughput.csv": _actions_table(cells, "actions_throughput",
-                                                     "target_bits"),
-        "fig_ee.csv": (
-            ("algorithm", "node_count", "ee_mean_bits_per_j", "ee_ratio_vs_random"),
-            [(c.algorithm, c.node_count, c.ee_mean, c.ee_ratio_vs_random) for c in cells],
-        ),
-        "fig_harvest.csv": (
-            ("algorithm", "node_count", "harvested_mean_j", "harvested_min_j",
-             "harvested_max_j", "runs"),
-            [(c.algorithm, c.node_count, c.harvested_mean, c.harvested_min,
-              c.harvested_max, c.runs) for c in cells],
-        ),
-        "fig_actions_harvest.csv": _actions_table(cells, "actions_harvest", "target_j"),
-    }
     paths = []
     for name in DATASET_FILES:
         p = out / name
-        write_csv(p, *tables[name])
+        write_csv(p, DATASET_ROWS[name]._fields, result.datasets[name])
         paths.append(p)
 
     p = out / "run_manifest.json"

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .agents import Algorithm
 from .campaign import (
+    DATASET_ROWS,
     CampaignConfig,
     _build_cell_specs,
     _play_cell,
@@ -21,7 +22,6 @@ from .campaign import (
     write_csv,
 )
 from .checks import config_from_dict
-from .coverage import SweepRow
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,11 +151,13 @@ def _cmd_run(args) -> int:
               f"-> {config.output_dir}")
     result = run_campaign(config)
     if not args.quiet:
-        for cell in result.cells:
-            print(f"  {cell.algorithm:>10} n={cell.node_count:<3} "
-                  f"throughput={cell.throughput_mean:.3e} bits "
-                  f"ee={cell.ee_mean:.3e} bit/J")
-        print(_headline(result.cells))
+        throughput = result.datasets["fig_throughput.csv"]
+        ee = result.datasets["fig_ee.csv"]
+        for t, e in zip(throughput, ee):
+            print(f"  {t.algorithm:>10} n={t.node_count:<3} "
+                  f"throughput={t.throughput_mean_bits:.3e} bits "
+                  f"ee={e.ee_mean_bits_per_j:.3e} bit/J")
+        print(_headline(throughput, ee))
         print(f"datasets written to {config.output_dir}")
     return EXIT_OK
 
@@ -165,21 +167,23 @@ def _cmd_run(args) -> int:
 PAPER_EE_RATIO = 3.07
 
 
-def _headline(cells) -> str:
-    """The run's best EE ratio over the random baseline beside the paper's.
+def _headline(throughput, ee) -> str:
+    """The run's best EE ratio over the random baseline beside the paper's,
+    from the rows of ``fig_throughput.csv`` and ``fig_ee.csv``.
 
     A learner's ratio is undefined at a node count whose random cells all
     scored EE 0; the line names each such node count with that cell count.
     """
     random = Algorithm.RANDOM.value
-    learned = {c.node_count for c in cells if c.algorithm != random}
-    undefined = [f"n={c.node_count} (all {c.runs} random cells scored EE 0)"
-                 for c in cells
-                 if c.algorithm == random and c.ee_mean == 0.0 and c.node_count in learned]
-    rated = [c for c in cells if c.ee_ratio_vs_random is not None]
+    learned = {e.node_count for e in ee if e.algorithm != random}
+    undefined = [f"n={e.node_count} (all {t.runs} random cells scored EE 0)"
+                 for t, e in zip(throughput, ee)
+                 if e.algorithm == random and e.ee_mean_bits_per_j == 0.0
+                 and e.node_count in learned]
+    rated = [e for e in ee if e.ee_ratio_vs_random is not None]
     parts = []
     if rated:
-        best = max(rated, key=lambda c: c.ee_ratio_vs_random)
+        best = max(rated, key=lambda e: e.ee_ratio_vs_random)
         parts.append(f"{best.ee_ratio_vs_random:.2f} "
                      f"({(best.ee_ratio_vs_random - 1.0) * 100.0:.0f}% improvement, "
                      f"{best.algorithm} n={best.node_count})")
@@ -196,7 +200,7 @@ def _cmd_coverage(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fig_coverage.csv"
-    write_csv(path, SweepRow._fields, rows)
+    write_csv(path, DATASET_ROWS[path.name]._fields, rows)
     if not args.quiet:
         print(f"coverage sweep ({len(rows)} rows) written to {path}")
     return EXIT_OK

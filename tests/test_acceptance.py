@@ -168,12 +168,12 @@ def test_criterion_2_algorithm_ordering(campaign):
 def test_criterion_3_energy_efficiency_gain(campaign):
     config, result, out, _ = campaign
     with criterion(3, "energy-efficiency-gain"):
-        ratios = [c.ee_ratio_vs_random for c in result.cells
-                  if c.ee_ratio_vs_random is not None]
+        ee_rows = result.datasets["fig_ee.csv"]
+        ratios = [e.ee_ratio_vs_random for e in ee_rows if e.ee_ratio_vs_random is not None]
         assert ratios, "no learned/random EE ratios available"
         assert max(ratios) >= 2.0
         # Monotone ordering: learned beats random at every network size.
-        ee = {(c.algorithm, c.node_count): c.ee_mean for c in result.cells}
+        ee = {(e.algorithm, e.node_count): e.ee_mean_bits_per_j for e in ee_rows}
         for node_count in config.node_counts:
             for algorithm in ("q_learning", "sarsa"):
                 assert ee[(algorithm, node_count)] > ee[("random", node_count)]
@@ -190,28 +190,32 @@ def test_criterion_3_energy_efficiency_gain(campaign):
 def test_criterion_4_actions_to_target(campaign):
     config, result, _, _ = campaign
     with criterion(4, "actions-to-target"):
-        cells = {(c.algorithm, c.node_count): c for c in result.cells}
+        # Each group's rows of both datasets, in target order.
+        cells = {}
+        for name in ("fig_actions_throughput.csv", "fig_actions_harvest.csv"):
+            for row in result.datasets[name]:
+                cells.setdefault((row.algorithm, row.node_count, name), []).append(row)
         # Learned policies need fewer actions wherever the random baseline
         # has a defined mean.
         for node_count in config.node_counts:
-            for attr in ("actions_throughput", "actions_harvest"):
-                random_rows = getattr(cells[("random", node_count)], attr)
+            for name in ("fig_actions_throughput.csv", "fig_actions_harvest.csv"):
+                random_rows = cells[("random", node_count, name)]
                 for ti, random_row in enumerate(random_rows):
                     if random_row.mean_actions is None:
                         continue
                     for algorithm in ("q_learning", "sarsa"):
-                        learned_row = getattr(cells[(algorithm, node_count)], attr)[ti]
+                        learned_row = cells[(algorithm, node_count, name)][ti]
                         assert learned_row.mean_actions is not None
                         assert learned_row.mean_actions < random_row.mean_actions, (
-                            algorithm, node_count, attr, random_row.target)
+                            algorithm, node_count, name, random_row[2])
         # At the densest network, every learned run reaches the highest
         # target of both quantities while the baseline strands at least one.
-        for attr in ("actions_throughput", "actions_harvest"):
-            random_top = getattr(cells[("random", 50)], attr)[-1]
+        for name in ("fig_actions_throughput.csv", "fig_actions_harvest.csv"):
+            random_top = cells[("random", 50, name)][-1]
             assert random_top.reached_runs < random_top.total_runs
             for algorithm in ("q_learning", "sarsa"):
-                top = getattr(cells[(algorithm, 50)], attr)[-1]
-                assert top.reached_runs == top.total_runs, (algorithm, attr)
+                top = cells[(algorithm, 50, name)][-1]
+                assert top.reached_runs == top.total_runs, (algorithm, name)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ def test_criterion_5_gamma_sweep(campaign):
     config, result, _, _ = campaign
     with criterion(5, "gamma-sweep"):
         assert config.gamma_node_count == 25
-        rows = {g.gamma: g for g in result.gamma_rows}
+        rows = {g.gamma: g for g in result.datasets["fig_gamma.csv"]}
         assert rows[0.5].throughput_term_mean > rows[0.5].harvest_term_mean
         assert rows[0.0].throughput_term_mean == 0.0
         assert rows[1.0].harvest_term_mean == 0.0

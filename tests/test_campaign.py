@@ -213,7 +213,7 @@ def test_run_campaign_smoke_emits_all_files(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_campaign(out, algorithms=("random",), node_counts=(4,), mc_runs=1)
     result = run_campaign(cfg)
-    assert len(result.cells) == 1
+    assert [len(result.datasets[name]) for name in DATASET_FILES] == [1, 2, 1, 1, 1, 1, 1]
     for name in DATASET_FILES:
         assert (out / name).exists(), name
     assert (out / "run_manifest.json").exists()
@@ -327,7 +327,7 @@ def test_campaign_scores_a_rollout_that_spends_no_energy(tmp_path):
 
 def test_gamma_rows_zero_excluded_terms(tmp_path):
     cfg = tiny_campaign(tmp_path / "out", gamma_sweep=(0.0, 0.5, 1.0), mc_runs=1)
-    rows = run_campaign(cfg).gamma_rows
+    rows = run_campaign(cfg).datasets["fig_gamma.csv"]
     by_gamma = {r.gamma: r for r in rows}
     assert by_gamma[0.0].throughput_term_mean == 0.0
     assert by_gamma[1.0].harvest_term_mean == 0.0
@@ -336,7 +336,10 @@ def test_gamma_rows_zero_excluded_terms(tmp_path):
 def test_emit_rejects_empty_result(tmp_path):
     cfg = tiny_campaign(tmp_path / "out")
     result = run_campaign(cfg)
-    empty = dataclasses.replace(result, cells=[])
+    # No main cells: the five grid datasets are empty, gamma and coverage are not.
+    empty = dataclasses.replace(result, datasets={
+        name: rows if name in ("fig_coverage.csv", "fig_gamma.csv") else []
+        for name, rows in result.datasets.items()})
     with pytest.raises(ValueError):
         emit_datasets(empty, tmp_path / "nothing")
     assert not (tmp_path / "nothing").exists()

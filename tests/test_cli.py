@@ -16,7 +16,10 @@ import aquaswipt
 import aquaswipt.campaign
 
 from aquaswipt.campaign import (
-    CellAggregate,
+    DATASET_FILES,
+    DATASET_ROWS,
+    EeRow,
+    ThroughputRow,
     campaign_config_to_dict,
     desk_campaign_config,
     run_campaign,
@@ -122,6 +125,9 @@ def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
         ("--algos", "q_learning,q_learning", "algorithms", "'q_learning'"),
         ("--nodes", "10,25,10", "node_counts", "10"),
         ("--gamma", "0.5,0.5", "gamma_sweep", "0.5"),
+        ("--set", "targets_throughput_bits=[5e5,5e5]", "targets_throughput_bits",
+         "500000.0"),
+        ("--set", "targets_harvest_j=[2e-8,5e-8,2e-8]", "targets_harvest_j", "2e-08"),
         ("--set", "coverage_n_values=[10,10]", "coverage_n_values", "10"),
         ("--set", "coverage_k_values=[1,1]", "coverage_k_values", "1"),
         ("--set", "coverage_starts=[[0,0],[0,0]]", "coverage_starts", "(0, 0)"),
@@ -130,7 +136,8 @@ def test_validate_names_the_flag_of_a_bad_comma_list(flag, value, kind, capsys):
 def test_validate_refuses_a_repeated_list_value(flag, value, field, repeated, capsys):
     # Two cells with one algorithm/node_count/gamma/run key would share a
     # seed key, and aggregation would merge their differently seeded groups;
-    # two coverage rows with one (start, n, k) key would hold different values.
+    # two actions rows with one target, or two coverage rows with one
+    # (start, n, k) key, would write one key twice.
     assert main(["validate", flag, value]) == 2
     err = capsys.readouterr().err
     assert f"CampaignConfig.{field} has repeated value {repeated}" in err
@@ -250,20 +257,43 @@ def test_run_prints_best_ee_ratio_beside_paper(tmp_path, capsys):
 
 def test_headline_names_node_counts_whose_random_cells_all_scored_zero():
     def cell(algorithm, node_count, ee_mean, ratio=None, runs=20):
-        return CellAggregate(algorithm, node_count, runs, *[1.0] * 6, ee_mean, ratio, [], [])
+        """One group's fig_throughput.csv and fig_ee.csv rows."""
+        return (ThroughputRow(algorithm, node_count, 1.0, 1.0, 1.0, runs),
+                EeRow(algorithm, node_count, ee_mean, ratio))
+
+    def headline(cells):
+        throughput, ee = zip(*cells)
+        return _headline(throughput, ee)
 
     paper = "; paper: up to 3.07 (207% improvement)"
     zero_at_10 = [cell("q_learning", 10, 3.0), cell("random", 10, 0.0)]
-    assert _headline(zero_at_10) == (
+    assert headline(zero_at_10) == (
         "best EE ratio vs random: undefined at n=10 (all 20 random cells scored EE 0)"
         + paper)
     rated_at_25 = [cell("q_learning", 25, 4.0, ratio=2.0), cell("random", 25, 2.0)]
-    assert _headline(zero_at_10 + rated_at_25 + [cell("random", 50, 0.0, runs=3)]) == (
+    assert headline(zero_at_10 + rated_at_25 + [cell("random", 50, 0.0, runs=3)]) == (
         "best EE ratio vs random: 2.00 (100% improvement, q_learning n=25); "
         "undefined at n=10 (all 20 random cells scored EE 0)" + paper)
     # A random cell with no learner beside it gives no ratio to leave undefined.
-    assert _headline([cell("random", 10, 0.0)]) == (
+    assert headline([cell("random", 10, 0.0)]) == (
         "best EE ratio vs random: none (no learner with a random baseline)" + paper)
+
+
+def csv_header(path):
+    with open(path, newline="") as fh:
+        return tuple(next(csv.reader(fh)))
+
+
+def test_every_dataset_is_written_under_its_row_type_fields(tmp_path):
+    cfg = tiny_campaign(tmp_path / "run", node_counts=(4,), mc_runs=1)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 0
+    for name in DATASET_FILES:
+        assert csv_header(tmp_path / "run" / name) == DATASET_ROWS[name]._fields, name
+    assert main(["coverage", "--out", str(tmp_path / "cov"), "--quiet",
+                 "--set", "coverage_trials=100", "--set", "coverage_volume_samples=1000"]) == 0
+    assert sorted(p.name for p in (tmp_path / "cov").iterdir()) == ["fig_coverage.csv"]
+    assert (csv_header(tmp_path / "cov" / "fig_coverage.csv")
+            == DATASET_ROWS["fig_coverage.csv"]._fields)
 
 
 def test_run_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys):
