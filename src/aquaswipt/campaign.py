@@ -276,7 +276,7 @@ class CellResult:
 
 def _derive_seeds(master_seed: int, *key: int) -> tuple[int, int]:
     """Deterministic (env_seed, learn_seed) for one campaign cell."""
-    seq = np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF, *key])
+    seq = np.random.SeedSequence([master_seed, *key])
     state = seq.generate_state(2, dtype=np.uint64)
     return int(state[0]), int(state[1])
 
@@ -293,7 +293,7 @@ def _play_cell(spec: _CellSpec) -> tuple[EpisodeMetrics, list[tuple]]:
     env = Environment(spec.env_cfg)
     algo = Algorithm(spec.algorithm)
     if algo is Algorithm.RANDOM:
-        eval_rng = np.random.default_rng([spec.learn_cfg.seed & 0xFFFFFFFFFFFFFFFF, 99])
+        eval_rng = np.random.default_rng([spec.learn_cfg.seed, 99])
         return random_rollout(env, eval_rng)
     q, _ = train(env, algo, spec.learn_cfg)
     return greedy_rollout(env, q)

@@ -186,7 +186,7 @@ def coverage_sweep(
         )
         p = min(1.0, vol / cube_volume)
         for ni, n in enumerate(n_values):
-            rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, si, ni])
+            rng = np.random.default_rng([seed, si, ni])
             hist = np.zeros(n + 1, dtype=np.int64)  # trials covering exactly j nodes
             for block in _uniform_blocks(rng, trials, n):
                 inside = points_in_cone(geom, block.reshape(-1, 3), (l, w, h))

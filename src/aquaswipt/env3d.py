@@ -113,7 +113,7 @@ class EnvConfig:
     node_count: Annotated[int, Bound(1)] = 25
     episode_length: Annotated[int, Bound(1)] = 50
     step_duration_s: Annotated[float, POSITIVE] = 1.0
-    rng_seed: int = 0
+    rng_seed: Annotated[int, NON_NEGATIVE] = 0
     channel: ChannelParams = field(default_factory=ChannelParams)
     auv: AuvSpec = field(default_factory=AuvSpec)
     node_modem: ModemSpec = field(default_factory=ModemSpec)
@@ -183,22 +183,25 @@ class Environment:
     that are not integer grid points inside the box and builds the
     per-axis tables of squared node offsets and cone reach, plus per x and
     per y value the nodes whose offset on that axis is within that node's
-    own widest reach (its reach from the surface). The node link budget
-    is tabulated once per environment over the integer squared ranges
-    ``0 .. L^2 + W^2 + H^2``.
+    own widest reach (its reach from the surface). A covered node's uplink
+    SNR, offered energy and uplink-bits terms are tabulated once per
+    environment, at construction, for every integer squared range up to
+    what the cone reaches at the box floor (at most the box diagonal's
+    ``L^2 + W^2 + H^2``): 3,334 ranges on the 100 x 100 x 50 box at the
+    default 60 degree cone, 108 on the 20 x 20 x 10 box at 30 degrees.
     The link record at a position (``_links``) is built from the tables on
     the first visit and cached per position: a plain-Python loop runs the
-    cone test over the nodes near both the x and the y value, and the
-    uplink SNR, offered energy and uplink-bits terms of a node are worked
-    out once per squared range. The cache holds at most
+    cone test over the nodes near both the x and the y value and looks up
+    each covered node's terms by its squared range. The cache holds at most
     ``_LINK_CACHE_LIMIT`` (2048) records: ``_links`` empties a full cache
     before it inserts. A position visited again after that pays one
-    rebuild, which hits the per-range and relay memos and took about 4 us
-    at 50 nodes on the 100 x 100 x 50 box (2-vCPU Xeon VM). The two memos
-    are bounded by the box, so the limit leaves them alone. ``place_nodes``
-    empties the link cache, keeps both memos, which do not depend on the
-    nodes, and tabulates the transmit energy of each count of uplinking
-    nodes. The relay rate is memoised by the float relay range; a memo
+    rebuild, which hits the range table and the relay memo and took about
+    4 us at 50 nodes on the 100 x 100 x 50 box (2-vCPU Xeon VM). The range
+    table and the relay memo are bounded by the box, so the limit leaves
+    them alone. ``place_nodes`` empties the link cache, keeps the range
+    table and the relay memo, which do not depend on the nodes, and
+    tabulates the transmit energy of each count of uplinking nodes. The
+    relay rate is memoised by the float relay range; a memo
     miss makes one scalar call each of ``transmission_loss_db`` and
     ``shannon_throughput_bps``. Measured costs of these paths are in the
     bench records (``BENCH_<pr>.json`` at the root of the repository;
@@ -215,10 +218,8 @@ class Environment:
         self.dims = config.dims
         l, w, h = config.dims
 
-        deploy_rng = np.random.default_rng([config.rng_seed & 0xFFFFFFFFFFFFFFFF, 0])
-        self._episode_rng = np.random.default_rng(
-            [config.rng_seed & 0xFFFFFFFFFFFFFFFF, 1]
-        )
+        deploy_rng = np.random.default_rng([config.rng_seed, 0])
+        self._episode_rng = np.random.default_rng([config.rng_seed, 1])
         positions = deploy_rng.integers(
             low=0, high=[l + 1, w + 1, h + 1], size=(config.node_count, 3)
         )
@@ -264,7 +265,6 @@ class Environment:
         # step does not look them up through the nested config objects.
         self._dt = dt
         self._capacity = config.node_store_capacity_j
-        self._efficiency = config.node_store_charge_efficiency
         self._node_w = config.node_modem.electrical_power_w
         self._auv_w = self._auv_modem.electrical_power_w
         self._reward_gamma = config.reward_gamma
@@ -277,17 +277,30 @@ class Environment:
         snr_far = self._sl_node - transmission_loss_db(max(1.0, diag), config.channel) - self._nl
         self._gain_edges = tuple(np.linspace(snr_far, ref_snr_node, 5)[1:4].tolist())
 
-        # Node link budget at range max(1, sqrt(d2)) for every integer squared
-        # range d2 a pair of grid points in the box can have.
-        d2 = np.arange(l * l + w * w + h * h + 1, dtype=float)
-        loss = transmission_loss_db(np.maximum(1.0, np.sqrt(d2)), config.channel)
-        self._uplink_snr_db = self._sl_node - loss - self._nl
-        self._uplink_rate_bps = shannon_throughput_bps(
-            self._uplink_snr_db, config.channel, config.node_modem.min_snr_db
-        )
-        self._downlink_power_w = harvestable_power(
-            self._sl_auv - loss - self._nl, config.node_harvest
-        )
+        # The link terms of a covered node at range max(1, sqrt(d2)), keyed by
+        # every integer squared range d2 a covered node can have: no more than
+        # the cone reaches at the box floor, nor than the box diagonal. An
+        # entry is ``(uplink SNR, offered_j, uplink bits per step)``, with
+        # ``offered_j = harvest_w * dt * efficiency``; a range whose uplink is
+        # below the SNR floor has none.
+        depths = np.arange(h + 1.0)
+        rim2 = cone_reach2(depths, config.auv.cone_apex_angle_deg) + depths * depths
+        ranges2 = np.arange(min(int(rim2.max()), l * l + w * w + h * h) + 1, dtype=float)
+        loss = transmission_loss_db(np.maximum(1.0, np.sqrt(ranges2)), config.channel)
+        snrs = self._sl_node - loss - self._nl
+        rates = shannon_throughput_bps(snrs, config.channel, config.node_modem.min_snr_db)
+        powers = harvestable_power(self._sl_auv - loss - self._nl, config.node_harvest)
+        efficiency = config.node_store_charge_efficiency
+        self._range_links: dict[float, tuple] = {}  # squared range -> link terms
+        for d2, snr, rate_bps, power_w in zip(ranges2.tolist(), snrs.tolist(),
+                                              rates.tolist(), powers.tolist()):
+            if not snr >= config.node_modem.min_snr_db:
+                continue
+            info_w, harvest_w = split_power(power_w, config.node_harvest.split_ratio)
+            if not harvest_w >= 0.0:
+                raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
+            self._range_links[d2] = (snr, harvest_w * dt * efficiency,
+                                     rate_bps * dt if info_w > 0 else 0.0)
 
         # The AUV position is kept as its index p = (x * (W + 1) + y) * (H + 1)
         # + z; action a moves it by _moves[a] unless the box clamps it.
@@ -300,7 +313,6 @@ class Environment:
         self._blocked_z = [(z == h) << 4 | (z == 0) << 5 for z in range(h + 1)]
         self._link_cache: dict[int, tuple] = {}     # position index -> link record
         self._relay_bits: dict[float, float] = {}   # relay range -> bits per step
-        self._range_links: dict[float, tuple] = {}  # squared range -> _range_link
         self.store_level_j: list[float] = []
         self.buffer_bits: list[float] = []
         self.place_nodes(positions)
@@ -485,8 +497,8 @@ class Environment:
 
         ``positions`` is ``[N, 3]`` integer grid points inside the box;
         anything else raises ``ValueError``. ``node_pos`` becomes a read-only
-        float copy, and the link cache starts empty (the per-range memo is
-        kept: its entries depend only on the squared range). When
+        float copy, and the link cache starts empty (the range table built
+        at construction is kept: it does not depend on the nodes). When
         the node count changes, ``store_level_j`` and ``buffer_bits`` restart
         at the configured initial levels; otherwise they are kept. The
         transmit energy of a step is tabulated for each count of uplinking
@@ -529,26 +541,6 @@ class Environment:
         node_w, auv_w, dt = self._node_w, self._auv_w, self._dt
         self._transmit_j = [k * node_w * dt + auv_w * dt for k in range(len(pos) + 1)]
 
-    def _range_link(self, d2: float) -> tuple:
-        """``(uplink SNR, offered_j, uplink bits per step)`` of a covered node
-        at squared range ``d2``, or ``()`` when its uplink is below the SNR floor.
-
-        ``offered_j`` is ``harvest_w * dt * efficiency``: the energy one
-        step offers the node's store.
-        """
-        cfg = self.config
-        d2 = int(d2)
-        snr = float(self._uplink_snr_db[d2])
-        if not snr >= cfg.node_modem.min_snr_db:
-            return ()
-        info_w, harvest_w = split_power(float(self._downlink_power_w[d2]),
-                                        cfg.node_harvest.split_ratio)
-        if not harvest_w >= 0.0:
-            raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
-        rate_bps = float(self._uplink_rate_bps[d2])
-        return (snr, harvest_w * self._dt * self._efficiency,
-                rate_bps * self._dt if info_w > 0 else 0.0)
-
     def _links(self, p: int) -> tuple:
         """Build and cache the link record at position index ``p``."""
         xy, z = divmod(p, self._h1)
@@ -558,7 +550,7 @@ class Environment:
         dz2 = self._dz2[z]
         reach2 = self._reach2[z]
         near_y = self._near_y[y]
-        memo = self._range_links
+        ranges = self._range_links
         nodes = []
         snrs = []
         snr_sum = 0.0
@@ -567,9 +559,7 @@ class Environment:
                 d2 = dx2[i] + dy2[i]
                 if d2 <= reach2[i]:
                     d2 += dz2[i]  # now the squared range to the node
-                    link = memo.get(d2)
-                    if link is None:
-                        link = memo[d2] = self._range_link(d2)
+                    link = ranges.get(d2)
                     if link:
                         snr, offered_j, uplink_bits = link
                         nodes.append((i, offered_j, uplink_bits))

@@ -102,6 +102,17 @@ def test_validate_names_bad_or_unknown_field(setting, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, field", [
+    ("learn.seed=-1", "LearnConfig.seed"),
+    ("env.rng_seed=-1", "EnvConfig.rng_seed"),
+])
+def test_validate_refuses_a_negative_seed(setting, field, capsys):
+    # numpy refuses a negative seed only when a stream is drawn, and the
+    # coverage stream is drawn last, after every cell has trained.
+    assert main(["validate", "--set", setting]) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value, kind",
     [

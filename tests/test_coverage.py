@@ -335,7 +335,8 @@ def simulator_and_figure_cover(env, pos):
     ((20, 20, 10), 30.0, 400),
     ((100, 100, 50), 30.0, 2000),
     ((13, 9, 7), 75.0, 60),
-], ids=["desk", "paper", "odd-wide"])
+    ((13, 9, 7), 170.0, 60),  # the cone reaches past the box diagonal
+], ids=["desk", "paper", "odd-wide", "cone-past-the-box"])
 def test_simulator_and_coverage_figure_cover_the_same_nodes(dims, angle, nodes):
     """The simulator and the coverage figure apply one cone rule: on a seeded
     layout, both cover the same nodes from every sampled AUV position."""

@@ -4,6 +4,7 @@ brute-force oracle, step accounting, reward branches, and serialization."""
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 from typing import Annotated, get_args, get_origin
 
@@ -462,7 +463,7 @@ def test_mean_snr_on_a_gain_edge_takes_the_lower_bin():
     # The bin counts the edges strictly below the mean covered SNR.
     env = deploy(small_config(node_count=1, rng_seed=3))
     env.place_nodes([[10.0, 10.0, 7.0]])
-    snr = float(env._uplink_snr_db[7 * 7])  # the node is 7 m below (10, 10, 0)
+    snr = env._range_links[7 * 7][0]  # the node is 7 m below (10, 10, 0)
     for edges, expected in [((snr - 1.0, snr, snr + 1.0), 1), ((snr, snr + 1.0, snr + 2.0), 0),
                             ((snr - 2.0, snr - 1.0, snr), 2),
                             ((snr - 3.0, snr - 2.0, snr - 1.0), 3)]:
@@ -482,7 +483,7 @@ def test_gain_bin_mean_is_numpys_on_both_sides_of_the_8_node_fork():
     for k in range(1, len(depths) + 1):
         layout = [[10, 10, z] for z in depths[:k]]
         env.place_nodes(layout)
-        m = float(np.mean([float(env._uplink_snr_db[z * z]) for _, _, z in layout]))
+        m = float(np.mean([env._range_links[z * z][0] for _, _, z in layout]))
         for edge, expected in [(m, 0), (np.nextafter(m, -np.inf), 1)]:
             env._gain_edges = (float(edge), math.inf, math.inf)
             nodes, _, state_base, _ = links_at(env, (10, 10, 0))
@@ -548,20 +549,20 @@ def test_transmit_energy_counts_every_placed_node():
 
 def test_links_reject_nan_harvest_power():
     # The step books the store charge without a per-node check of the
-    # harvested power; the check runs once per position when the links are
-    # built.
-    env = deploy(small_config(node_count=1, rng_seed=5))
-    env.place_nodes([[10.0, 10.0, 5.0]])
-    env._downlink_power_w[:] = float("nan")
-    with pytest.raises(ValueError, match="harvest_w"):
-        links_at(env, (10, 10, 0))
+    # harvested power; the check runs once per squared range when the
+    # environment builds its range table. A sensitivity this far above the
+    # received level overflows the downlink power, which splits into NaN.
+    cfg = small_config(node_count=1, rng_seed=5,
+                       node_harvest=HarvestSpec(sensitivity_db=3100.0))
+    with (np.errstate(over="ignore"),
+          pytest.raises(ValueError, match="harvest_w must be >= 0, got nan")):
+        deploy(cfg)
 
 
-def test_the_per_range_memo_survives_place_nodes():
-    # An entry of the per-range memo depends only on the squared range and
-    # the config, so ``place_nodes`` keeps the memo. An env that built every
-    # link record of layout A before placing layout B must build the same
-    # records as a fresh env that placed only B.
+def test_the_range_table_survives_place_nodes():
+    # The range table depends only on the config, so ``place_nodes`` keeps
+    # it. An env that built every link record of layout A before placing
+    # layout B must build the same records as a fresh env that placed only B.
     cfg = small_config()
     rng = np.random.default_rng(5)
     layout_a, layout_b = (rng.integers(0, [21, 21, 11], size=(25, 3)) for _ in range(2))
@@ -574,9 +575,36 @@ def test_the_per_range_memo_survives_place_nodes():
     fresh.place_nodes(layout_b)
     for env in (moved, fresh):
         env._link_cache.clear()
-    assert len(moved._range_links) > len(fresh._range_links)  # A's entries are kept
     for p in positions:
         assert moved._links(p) == fresh._links(p), p
+
+
+@pytest.mark.parametrize("dims, angle, ranges", [
+    ((20, 20, 10), 30.0, 108),     # the desk box: 10^2 * (1 + tan(15 deg)^2) = 107.2
+    ((100, 100, 50), 60.0, 3334),  # the paper box: 50^2 * (1 + tan(30 deg)^2) = 3333.3
+    ((100, 100, 50), 30.0, 2680),
+    ((13, 9, 7), 170.0, 300),      # the cone reaches past the box: 13^2 + 9^2 + 7^2 = 299
+], ids=["desk", "paper", "paper-30", "cone-past-the-box"])
+def test_range_table_holds_every_range_the_cone_reaches(dims, angle, ranges):
+    # One entry per integer squared range up to the farthest node the cone
+    # can cover, at the box floor, or up to the box diagonal if that is nearer.
+    env = deploy(EnvConfig(dims=dims, node_count=1, auv=AuvSpec(cone_apex_angle_deg=angle)))
+    assert list(env._range_links) == [float(d2) for d2 in range(ranges)]
+
+
+def test_a_wide_box_builds_in_bounded_memory():
+    # The range table is sized by the cone's reach, not by the box diagonal:
+    # tabulating the 8 million squared ranges of this box's diagonal peaked
+    # at about 450 MB.
+    cfg = EnvConfig(dims=(2000, 2000, 50))
+    tracemalloc.start()
+    try:
+        env = deploy(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+    assert len(env._range_links) == 3334
 
 
 # Random starts on the table-explore box: 80 episodes build ~2,700 link
