@@ -514,7 +514,7 @@ def emit_datasets(result: AggregateResult, output_dir) -> list[Path]:
 
     p = out / "run_manifest.json"
     manifest = {
-        "schema": 3,
+        "schema": 4,
         "config": campaign_config_to_dict(result.config),
         "seeds": {_seed_key(r): r.env_seed for r in result.raw_cells},
         "versions": {
@@ -538,7 +538,7 @@ _DATASET_README = """\
 # Campaign datasets
 
 All CSVs are emitted deterministically: identical (config, seed) pairs
-reproduce byte-identical files. `run_manifest.json` (schema 3) echoes the
+reproduce byte-identical files. `run_manifest.json` (schema 4) echoes the
 full config (reusable via `aquaswipt run --config run_manifest.json`), the
 derived seed of every cell, and tool versions. An older manifest that
 carries a field a later schema dropped is rejected with that field's name.
@@ -552,7 +552,7 @@ carries a field a later schema dropped is rejected with that field's name.
   training, split per swept weighting value.
 - `fig_throughput.csv`: algorithm, node_count, throughput_mean_bits,
   throughput_min_bits, throughput_max_bits, runs. Rollout bits relayed to
-  the surface station.
+  the surface station at the centre of the surface plane.
 - `fig_actions_throughput.csv` / `fig_actions_harvest.csv`: algorithm,
   node_count, target_bits / target_j, mean_actions, reached, reached_runs,
   total_runs. mean_actions averages the first step reaching the target over

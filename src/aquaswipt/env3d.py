@@ -4,8 +4,9 @@ A box of dimensions L x W x H (depth grows downward) holds randomly placed
 sensor nodes. An AUV moves on the integer grid in unit steps along the six
 axis directions. Each step it beams power down a cone-shaped footprint,
 charges the stores of covered nodes, collects buffered data from them over
-the acoustic uplink, and relays it to a surface station. Rewards trade
-relayed throughput against harvested energy, minus the motion cost.
+the acoustic uplink, and relays it to a surface station at the centre of
+the surface plane. Rewards trade relayed throughput against harvested
+energy, minus the motion cost.
 
 All randomness is driven by the config seed; identical (config, seed,
 action sequence) triples reproduce identical trajectories bit for bit.
@@ -104,9 +105,9 @@ def cone_reach2(depth, apex_angle_deg: float, out=None) -> np.ndarray:
 class EnvConfig:
     """Full environment description; every run-affecting knob lives here.
 
-    Scale fields left at None are derived from the link budget at deploy
-    time (see Environment). ``surface_station_xy`` and ``auv_start_xy``
-    default to the centre of the surface plane.
+    ``motion_scale`` left at None is the energy of one unit move, and
+    ``auv_start_xy`` defaults to the centre of the surface plane (see
+    Environment).
     """
 
     dims: Annotated[tuple[int, int, int], Bound(1)] = (100, 100, 50)
@@ -119,7 +120,6 @@ class EnvConfig:
     node_modem: ModemSpec = field(default_factory=ModemSpec)
     auv_modem: ModemSpec | None = None
     node_harvest: HarvestSpec = field(default_factory=HarvestSpec)
-    surface_station_xy: tuple[float, float] | None = None
     auv_start_xy: tuple[int, int] | None = None
     auv_start_z: int = 0
     node_buffer_bits: Annotated[float, NON_NEGATIVE] = 4e6
@@ -127,8 +127,6 @@ class EnvConfig:
     node_store_level_j: Annotated[float, NON_NEGATIVE] = 0.0
     node_store_charge_efficiency: Annotated[float, POSITIVE_UNIT] = 1.0
     reward_gamma: Annotated[float, UNIT] = 0.5
-    throughput_scale: Annotated[float | None, POSITIVE] = None
-    power_scale: Annotated[float | None, POSITIVE] = None
     motion_scale: Annotated[float | None, POSITIVE] = None
 
     def __post_init__(self):
@@ -228,12 +226,7 @@ class Environment:
         self._sl_node = source_level(config.node_modem)
         self._sl_auv = source_level(self._auv_modem)
         self._nl = noise_level_db(config.channel)
-        sx, sy = (
-            config.surface_station_xy
-            if config.surface_station_xy is not None
-            else (l / 2.0, w / 2.0)
-        )
-        self._surface_station = (float(sx), float(sy), 0.0)
+        self._surface_station = (l / 2.0, w / 2.0, 0.0)
         x, y = config.auv_start_xy if config.auv_start_xy is not None else (l // 2, w // 2)
         start_pos = (int(x), int(y), int(config.auv_start_z))
 
@@ -249,16 +242,10 @@ class Environment:
             if config.motion_scale is not None
             else self._unit_move_j
         )
-        self.throughput_scale = (
-            config.throughput_scale
-            if config.throughput_scale is not None
-            else shannon_throughput_bps(ref_snr_auv, config.channel, float("-inf")) * dt
-        )
-        self.power_scale = (
-            config.power_scale
-            if config.power_scale is not None
-            else harvestable_power(ref_snr_auv, config.node_harvest) * dt
-        )
+        # The reward's scales: what the 1 m reference link relays and offers in a step.
+        self.throughput_scale = shannon_throughput_bps(ref_snr_auv, config.channel,
+                                                       float("-inf")) * dt
+        self.power_scale = harvestable_power(ref_snr_auv, config.node_harvest) * dt
         self._move_penalty = self._unit_move_j / self.motion_scale
         self._idle_penalty = self._idle_j / self.motion_scale
         # The config constants step() reads, kept as attributes so that a
@@ -290,6 +277,17 @@ class Environment:
         snrs = self._sl_node - loss - self._nl
         rates = shannon_throughput_bps(snrs, config.channel, config.node_modem.min_snr_db)
         powers = harvestable_power(self._sl_auv - loss - self._nl, config.node_harvest)
+        # Extreme levels overflow here; finite powers split into finite
+        # shares with harvest_w >= 0, which the step relies on.
+        if not np.isfinite(rates).all():
+            raise ValueError("the uplink rate overflows: check the node modem's "
+                             "ModemSpec.source_level_db and directivity_index_db, and "
+                             "ChannelParams.noise_override_db")
+        if not np.isfinite(powers).all():
+            raise ValueError("the downlink power overflows: check HarvestSpec.sensitivity_db "
+                             "and load_resistance_ohm, the AUV modem's "
+                             "ModemSpec.source_level_db and directivity_index_db, and "
+                             "ChannelParams.noise_override_db")
         efficiency = config.node_store_charge_efficiency
         self._range_links: dict[float, tuple] = {}  # squared range -> link terms
         for d2, snr, rate_bps, power_w in zip(ranges2.tolist(), snrs.tolist(),
@@ -297,8 +295,6 @@ class Environment:
             if not snr >= config.node_modem.min_snr_db:
                 continue
             info_w, harvest_w = split_power(power_w, config.node_harvest.split_ratio)
-            if not harvest_w >= 0.0:
-                raise ValueError(f"harvest_w must be >= 0, got {harvest_w}")
             self._range_links[d2] = (snr, harvest_w * dt * efficiency,
                                      rate_bps * dt if info_w > 0 else 0.0)
 
@@ -429,7 +425,7 @@ class Environment:
                 if bits > 0.0 or level < capacity:
                     useful = True
                 # The store accepts the offered energy up to its headroom
-                # (harvest_w >= 0 is checked when the links are built).
+                # (offered_j >= 0: the range table is built from finite powers).
                 headroom_j = capacity - level
                 accepted_j = offered_j if offered_j < headroom_j else headroom_j
                 levels[i] = level = level + accepted_j

@@ -129,8 +129,7 @@ def reference_links(env, pos):
         nodes.append((i, harvest_w, rate_bps * dt if info_w > 0 else 0.0))
 
     l, w, _ = cfg.dims
-    sx, sy = cfg.surface_station_xy or (l / 2.0, w / 2.0)
-    relay_range = max(1.0, math.dist(pos, (sx, sy, 0.0)))
+    relay_range = max(1.0, math.dist(pos, (l / 2.0, w / 2.0, 0.0)))
     relay_snr = source_level(auv_modem) - transmission_loss_db(relay_range, cfg.channel) - nl
     relay_bps = shannon_throughput_bps(relay_snr, cfg.channel, auv_modem.min_snr_db)
     mean_snr = float(np.mean(up_snr[idx])) if covered else None

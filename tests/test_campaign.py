@@ -189,7 +189,6 @@ def test_config_codec_round_trips_every_optional_type():
     env = EnvConfig(
         channel=ChannelParams(noise_override_db=-50.0),
         auv_modem=ModemSpec(electrical_power_w=200.0, source_level_db=150.0),
-        surface_station_xy=(10.5, 20.0),
         auv_start_xy=(3, 4),
     )
     full = CampaignConfig(env=env, coverage_starts=((0.0, 1.5), (2.0, 3.0)),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aquaswipt
@@ -183,6 +184,12 @@ SCHEMA_2_ONLY_FIELDS = {
     "env.node_harvest.sensitivity_v_per_upa": 1e-8,
     "env.auv.battery_capacity_j": 5e5,
 }
+# The fields manifest schema 4 dropped, with the value schema 3 wrote.
+SCHEMA_3_ONLY_FIELDS = {
+    "env.throughput_scale": None,
+    "env.power_scale": None,
+    "env.surface_station_xy": None,
+}
 
 
 def test_config_with_removed_field_is_rejected(tmp_path, capsys):
@@ -195,16 +202,42 @@ def test_config_with_removed_field_is_rejected(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     assert "'battery'" in capsys.readouterr().err
 
-    # Validate and replay both read an older manifest's config and name the field.
-    for dotted, value in {"env.channel.sound_speed_mps": 1500.0, **SCHEMA_2_ONLY_FIELDS}.items():
-        manifest = {"schema": 2, "seeds": {}, "versions": {},
+    # Validate, run and replay all read an older manifest's config and name the field.
+    for dotted, value in {"env.channel.sound_speed_mps": 1500.0, **SCHEMA_2_ONLY_FIELDS,
+                          **SCHEMA_3_ONLY_FIELDS}.items():
+        manifest = {"schema": 3 if dotted in SCHEMA_3_ONLY_FIELDS else 2, "seeds": {},
+                    "versions": {},
                     "config": with_field(campaign_config_to_dict(cfg), dotted, value)}
         path.write_text(json.dumps(manifest))
         assert main(["validate", "--config", str(path)]) == 2
         assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--quiet"]) == 2
+        assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
         assert main(["replay", "--manifest", str(path),
                      "--cell", "main/q_learning/4/0.5/0"]) == 2
         assert f"'{dotted.rsplit('.', 1)[1]}'" in capsys.readouterr().err
+
+
+# Accepted values that overflow the environment's link budget: the first
+# overflows only the downlink power, the other three the uplink rate too.
+LINK_OVERFLOWS = ["env.node_harvest.sensitivity_db=3100",
+                  "env.node_modem.source_level_db=1e308",
+                  "env.node_modem.directivity_index_db=1e308",
+                  "env.channel.noise_override_db=-1e308"]
+
+
+@pytest.mark.parametrize("override", LINK_OVERFLOWS)
+def test_run_names_the_field_whose_link_budget_overflows(override, tmp_path, monkeypatch,
+                                                         capsys):
+    # ``validate`` accepts these values, so the first environment ``run``
+    # builds must refuse them and name the field.
+    monkeypatch.setenv("AQUASWIPT_THREADS", "1")
+    with np.errstate(over="ignore"):
+        assert main(["run", "--runs", "1", "--set", override,
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    (message,) = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error:")]
+    assert override.split("=")[0].rsplit(".", 1)[1] in message
 
 
 def test_validate_rejects_malformed_set(capsys):
@@ -327,7 +360,7 @@ def test_run_flag_overrides(tmp_path):
         "--seed", "99",
     ]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["schema"] == 3
+    assert manifest["schema"] == 4
     assert manifest["config"]["algorithms"] == ["random"]
     assert manifest["config"]["node_counts"] == [4]
     assert manifest["config"]["mc_runs"] == 1

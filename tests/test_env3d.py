@@ -121,10 +121,14 @@ def test_configs_reject_nonfinite_floats(cls, name):
             cls(**{name: value})
 
 
-def test_env_config_rejects_nonfinite_station():
-    with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be a finite number"):
-        EnvConfig(surface_station_xy=(float("nan"), 1.0))
-    assert EnvConfig(surface_station_xy=(1.0, 2)).surface_station_xy == (1.0, 2)
+def test_float_tuples_reject_nan_entries_and_take_ints():
+    cone = dict(apex_angle_deg=60.0, height_m=10.0)
+    with pytest.raises(ValueError, match="ConeGeometry.apex must be a finite number"):
+        ConeGeometry(apex=(float("nan"), 5.0, 0.0), **cone)
+    with pytest.raises(ValueError, match="ConeGeometry.apex must be three numbers"):
+        ConeGeometry(apex=(5.0, 5.0), **cone)
+    assert ConeGeometry(apex=(5, 5.0, 0), **cone).apex == (5, 5.0, 0)
+    assert CampaignConfig(coverage_starts=((1.0, 2),)).coverage_starts == ((1.0, 2),)
 
 
 def test_tuple_fields_given_a_list_say_tuple():
@@ -133,9 +137,6 @@ def test_tuple_fields_given_a_list_say_tuple():
     with pytest.raises(ValueError, match=re.escape(
             "ConeGeometry.apex must be a tuple, got the list [5.0, 5.0, 0.0]")):
         ConeGeometry(apex=[5.0, 5.0, 0.0], apex_angle_deg=60.0, height_m=10.0)
-    with pytest.raises(ValueError, match=re.escape(
-            "EnvConfig.surface_station_xy must be a tuple, got the list [5.0, 5.0]")):
-        EnvConfig(surface_station_xy=[5.0, 5.0])
     starts = ((1.0, 2.0), [3.0, 4.0])
     with pytest.raises(ValueError, match=re.escape(
             f"CampaignConfig.coverage_starts entries must be tuples, got {starts!r}")):
@@ -146,10 +147,12 @@ def test_tuple_fields_given_a_list_say_tuple():
         EnvConfig(step_duration_s=[1.0])
 
 
-@pytest.mark.parametrize("station", [(1.0,), (1.0, 2.0, 3.0), (), 5.0])
-def test_env_config_rejects_station_of_other_lengths(station):
-    with pytest.raises(ValueError, match="EnvConfig.surface_station_xy must be two numbers"):
-        EnvConfig(surface_station_xy=station)
+@pytest.mark.parametrize("start", [(1.0,), (1.0, 2.0, 3.0), (), 5.0])
+def test_coverage_starts_reject_entries_of_other_lengths(start):
+    starts = ((0.0, 0.0), start)
+    with pytest.raises(ValueError, match=re.escape(
+            f"CampaignConfig.coverage_starts entries must be two numbers, got {starts!r}")):
+        CampaignConfig(coverage_starts=starts)
 
 
 OTHER_TYPES = [
@@ -549,13 +552,14 @@ def test_transmit_energy_counts_every_placed_node():
 
 def test_links_reject_nan_harvest_power():
     # The step books the store charge without a per-node check of the
-    # harvested power; the check runs once per squared range when the
-    # environment builds its range table. A sensitivity this far above the
-    # received level overflows the downlink power, which splits into NaN.
+    # harvested power; the environment checks once that its range table's
+    # powers are finite. A sensitivity this far above the received level
+    # overflows the downlink power, which would split into NaN.
     cfg = small_config(node_count=1, rng_seed=5,
                        node_harvest=HarvestSpec(sensitivity_db=3100.0))
     with (np.errstate(over="ignore"),
-          pytest.raises(ValueError, match="harvest_w must be >= 0, got nan")):
+          pytest.raises(ValueError, match="downlink power overflows: check "
+                                          "HarvestSpec.sensitivity_db")):
         deploy(cfg)
 
 
@@ -971,3 +975,65 @@ def test_actions_are_six_unit_steps():
     assert sorted(ACTIONS) == sorted(
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     )
+
+
+# ---------------------------------------------------------------------------
+# mirror relations
+#
+# A mirror maps the box's grid onto itself, and each action onto the one
+# that moves to the mirrored point: x -> L - x swaps +x and -x, y -> W - y
+# swaps +y and -y, and swapping x and y swaps +x with +y and -x with -y.
+# Stepping an environment whose nodes and start are mirrored, on the
+# mirrored actions, must give the same reward, ``last_terms``, state
+# features (the id mod 64) and ``done`` to the bit, at the mirrored
+# position. Preconditions: the surface station sits at the centre of the
+# surface plane, which every mirror fixes, and its offsets from grid points
+# are exact halves, so relay ranges round alike; squared node ranges are
+# integers; the nodes keep their index order, because the gain bin's mean
+# SNR sums in node order; the swap needs a square box. The relations use no
+# formula of the model, so they hold across any change to it that keeps
+# the geometry.
+MIRRORS = {
+    "x": (lambda l, w, p: (l - p[0], p[1], p[2]), (1, 0, 2, 3, 4, 5)),
+    "y": (lambda l, w, p: (p[0], w - p[1], p[2]), (0, 1, 3, 2, 4, 5)),
+    "swap": (lambda l, w, p: (p[1], p[0], p[2]), (2, 3, 0, 1, 4, 5)),
+}
+MIRROR_BOXES = {
+    "desk": desk_campaign_config().env,
+    "paper": EnvConfig(dims=(100, 100, 50)),
+    "odd": EnvConfig(dims=(13, 9, 7), node_count=40),  # the station sits on half-metres
+}
+MIRROR_CASES = [(box, mirror) for box in ("desk", "paper") for mirror in MIRRORS] + [
+    ("odd", "x"), ("odd", "y")]
+
+
+@pytest.mark.parametrize("box, mirror", MIRROR_CASES,
+                         ids=[f"{box}-{mirror}" for box, mirror in MIRROR_CASES])
+def test_mirrored_nodes_start_and_actions_step_alike(box, mirror):
+    cfg = MIRROR_BOXES[box]
+    l, w, _ = cfg.dims
+    reflect, moves = MIRRORS[mirror]
+    for a, b in enumerate(moves):  # action a maps to action b
+        moved = tuple(c + d for c, d in zip((1, 1, 1), ACTIONS[a]))
+        assert reflect(l, w, moved) == tuple(
+            c + d for c, d in zip(reflect(l, w, (1, 1, 1)), ACTIONS[b]))
+    harvesting_steps = 0
+    for seed in range(10):
+        env = deploy(dataclasses.replace(cfg, rng_seed=seed))
+        start = reflect(l, w, env.auv_pos)
+        twin = deploy(dataclasses.replace(cfg, rng_seed=seed, auv_start_xy=start[:2]))
+        twin.place_nodes([reflect(l, w, p) for p in env.node_pos.tolist()])
+        actions = np.random.default_rng(seed).integers(6, size=(5, 50)).tolist()
+        for episode in actions:
+            assert twin.reset() % 64 == env.reset() % 64
+            assert twin.auv_pos == start
+            for a in episode:
+                state, reward, done = env.step(a)
+                twin_state, twin_reward, twin_done = twin.step(moves[a])
+                assert (twin_reward, twin.last_terms, twin_state % 64, twin.auv_pos,
+                        twin_done) == (reward, env.last_terms, state % 64,
+                                       reflect(l, w, env.auv_pos), done)
+                harvesting_steps += env.last_terms[3] > 0.0
+                if done:
+                    break
+    assert harvesting_steps > 0
